@@ -15,16 +15,6 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
 
-ZERO = QQ(0)
-ONE = QQ(1)
-
-
-def rational(value, denominator=None):
-    """Coerce to the backend rational type."""
-    if denominator is None:
-        return QQ(value)
-    return QQ(value, denominator)
-
 
 def format_rational(value) -> str:
     """Render in lowest terms: "p/q" with q > 0, plain "p" for integers."""

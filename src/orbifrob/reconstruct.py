@@ -14,7 +14,10 @@ The initial data (seeds) consists of
 Every other admissible coefficient is solved one at a time: the
 coefficient of a chosen extraction monomial in a chosen WDVV equation is
 an affine function of the single unknown, so probing the equation yields
-intercept and slope and the unknown is -intercept/slope.  Targets are
+intercept and slope and the unknown is -intercept/slope.  The probe is a
+thin wrapper over the WDVV kernel wdvv.contract_at: it answers lookups of
+the target with the formal unknown, of stored keys with their values, and
+blocks on any other key.  Targets are
 scheduled in the induction order of the underlying uniqueness argument
 (joint order-0/order-1 induction on the length, then order by order), with
 a worklist that defers targets whose prerequisite coefficients are not
@@ -40,16 +43,12 @@ from .series import (
     alpha_sub,
     basis_alpha,
     derivative_profile,
-    exponents_with_scaled_degree,
-    falling,
     format_key,
-    is_admissible,
     key_sort_key,
     s_factor,
     support_sectors,
-    wdeg_scaled,
 )
-from .wdvv import WdvvQuad, format_quad
+from .wdvv import TARGET, Blocked, WdvvQuad, contract_at, format_quad
 
 
 class ReconstructionError(Exception):
@@ -434,27 +433,6 @@ def build_schedule(
 
 # -- probing ------------------------------------------------------------
 
-_ZERO = ("z",)
-_TARGET = ("t",)
-
-
-class _Blocked(Exception):
-    def __init__(self, key):
-        self.key = key
-
-
-def _ref(pot: Potential, key: SeriesKey, target: SeriesKey):
-    if key == target:
-        return _TARGET
-    if not is_admissible(pot.geometry, key):
-        return _ZERO
-    value = pot.coeffs.get(key)
-    if value is None:
-        raise _Blocked(key)
-    if not value:
-        return _ZERO
-    return ("k", value)
-
 
 @dataclass
 class ProbeResult:
@@ -474,104 +452,30 @@ def probe_candidate(
 
     The extraction coefficient is affine in any single unknown as long as
     the unknown never multiplies itself; self-pairings (possible only in
-    pathological fallback candidates) are detected and reported useless.
+    pathological fallback candidates) are detected and reported useless,
+    as are extractions of the wrong degree, whose coefficient is 0.
     Touching an unknown coefficient other than the target that is not
     annihilated by a known zero makes the candidate blocked.
     """
-    geom = pot.geometry
-    rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
-    if wdeg_scaled(geom, xkey.alpha, xkey.m) != rhs:
-        return ProbeResult("useless")
+    coeffs = pot.coeffs
 
-    intercept = QQ(0)
-    slope = QQ(0)
-    self_pair = QQ(0)
-    two = 2 * geom.scale
-
-    def side_const(triple):
-        rest = [lab for lab in triple if lab is not UNIT]
-        while len(rest) < 2:
-            rest.append(UNIT)
-        return geom.pairing(rest[0], rest[1])
+    def lookup(key: SeriesKey):
+        if key == target:
+            return TARGET
+        value = coeffs.get(key)
+        if value is None:
+            raise Blocked(key)
+        return value
 
     try:
-        for sigma, tau, w in geom.eta_inverse_pairs:
-            for x, y, z, t, sgn in (
-                (quad.a, quad.b, quad.c, quad.d, 1),
-                (quad.a, quad.c, quad.b, quad.d, -1),
-            ):
-                weight = w * sgn
-                triple1 = (x, y, sigma)
-                triple2 = (z, t, tau)
-                an1 = UNIT in triple1
-                an2 = UNIT in triple2
-                if an1 and an2:
-                    if xkey.m == 0 and not any(xkey.alpha):
-                        intercept += weight * side_const(triple1) * side_const(triple2)
-                    continue
-                if an1 or an2:
-                    series_triple = triple2 if an1 else triple1
-                    const = side_const(triple1 if an1 else triple2)
-                    if not const:
-                        continue
-                    units, points, vec, mults = derivative_profile(geom, series_triple)
-                    if points and xkey.m == 0:
-                        continue
-                    key = SeriesKey(alpha_add(xkey.alpha, vec), xkey.m)
-                    ref = _ref(pot, key, target)
-                    if ref is _ZERO:
-                        continue
-                    mult = xkey.m ** points
-                    for slot, kk in mults:
-                        mult *= falling(key.alpha[slot], kk)
-                    contribution = weight * const * mult
-                    if ref is _TARGET:
-                        slope += contribution
-                    else:
-                        intercept += contribution * ref[1]
-                    continue
-
-                u1, p1, vec1, mults1 = derivative_profile(geom, triple1)
-                u2, p2, vec2, mults2 = derivative_profile(geom, triple2)
-                e1deg = wdeg_scaled(geom, vec1, 0)
-                for m1 in range(xkey.m + 1):
-                    m2 = xkey.m - m1
-                    if (p1 and m1 == 0) or (p2 and m2 == 0):
-                        continue
-                    want = two - e1deg - m1 * geom.chi_scaled
-                    for beta1 in exponents_with_scaled_degree(geom, want, xkey.alpha):
-                        k1 = SeriesKey(alpha_add(beta1, vec1), m1)
-                        ref1 = _ref(pot, k1, target)
-                        if ref1 is _ZERO:
-                            continue
-                        k2 = SeriesKey(
-                            alpha_add(alpha_sub(xkey.alpha, beta1), vec2), m2
-                        )
-                        ref2 = _ref(pot, k2, target)
-                        if ref2 is _ZERO:
-                            continue
-                        mult = m1 ** p1 * m2 ** p2
-                        for slot, kk in mults1:
-                            mult *= falling(k1.alpha[slot], kk)
-                        for slot, kk in mults2:
-                            mult *= falling(k2.alpha[slot], kk)
-                        contribution = weight * mult
-                        if ref1 is _TARGET and ref2 is _TARGET:
-                            self_pair += contribution
-                        elif ref1 is _TARGET:
-                            slope += contribution * ref2[1]
-                        elif ref2 is _TARGET:
-                            slope += contribution * ref1[1]
-                        else:
-                            intercept += contribution * ref1[1] * ref2[1]
-    except _Blocked as blocked:
+        intercept, slope, self_pair = contract_at(pot.geometry, quad, xkey, lookup)
+    except Blocked as blocked:
         return ProbeResult("blocked", blocker=blocked.key)
-
     if self_pair:
         return ProbeResult("useless")
     if slope == 0:
         if intercept != 0:
-            raise InconsistentSeed(geom, quad, xkey, intercept)
+            raise InconsistentSeed(pot.geometry, quad, xkey, intercept)
         return ProbeResult("useless")
     return ProbeResult("solved", value=-intercept / slope, slope=slope)
 
@@ -580,9 +484,8 @@ def probe_candidate(
 
 
 def _canonical_quads(geom: Geometry):
-    cached = getattr(geom, "_quad_cache", None)
-    if cached is not None:
-        return cached
+    if geom._quad_cache is not None:
+        return geom._quad_cache
     labels = [lab for lab in geom.labels if lab is not UNIT]
     pairs = [
         (labels[i], labels[j]) for i in range(len(labels)) for j in range(i, len(labels))
@@ -601,9 +504,8 @@ def _fallback_sockets(geom: Geometry):
     derivative with twisted indicators vec1 (p1 POINT factors), against a
     partner shifted by vec2 (p2 POINT factors).  Computed once per
     geometry, in deterministic quad order."""
-    cached = getattr(geom, "_socket_cache", None)
-    if cached is not None:
-        return cached
+    if geom._socket_cache is not None:
+        return geom._socket_cache
     analytic: dict[tuple, None] = {}
     series: dict[tuple, None] = {}
     for quad in _canonical_quads(geom):
@@ -620,9 +522,8 @@ def _fallback_sockets(geom: Geometry):
                 _, p1, vec1, _ = derivative_profile(geom, (x, y, sigma))
                 _, p2, vec2, _ = derivative_profile(geom, (z, t, tau))
                 series[(quad, vec1, p1, vec2, p2)] = None
-    cached = (tuple(analytic), tuple(series))
-    geom._socket_cache = cached
-    return cached
+    geom._socket_cache = (tuple(analytic), tuple(series))
+    return geom._socket_cache
 
 
 def exhaustive_candidates(pot: Potential, target: SeriesKey):

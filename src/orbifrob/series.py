@@ -131,18 +131,16 @@ def is_admissible(geom: Geometry, key: SeriesKey) -> bool:
     return wdeg_scaled(geom, key.alpha, key.m) == 2 * geom.scale
 
 
-def exponents_with_scaled_degree(
-    geom: Geometry, target: int, bound: tuple[int, ...] | None = None
-) -> tuple[tuple[int, ...], ...]:
+def exponents_with_scaled_degree(geom: Geometry, target: int) -> tuple[tuple[int, ...], ...]:
     """All alpha >= 0 with sum alpha_s * deg_scaled[s] == target.
 
-    With a bound, additionally alpha <= bound componentwise.  The
-    unbounded sets are cached per geometry (they recur constantly in the
-    solver) and returned sorted by (length, tuple), the canonical order.
+    The sets are cached per geometry (they recur constantly in the solver
+    and the scan) and returned sorted by (length, tuple), the canonical
+    order.
     """
     if target < 0:
         return ()
-    if bound is None and target in geom._exponent_cache:
+    if target in geom._exponent_cache:
         return geom._exponent_cache[target]
 
     degs = geom.deg_scaled
@@ -152,18 +150,14 @@ def exponents_with_scaled_degree(
 
     def walk(slot: int, remaining: int):
         if slot == n - 1:
-            d = degs[slot]
-            q, r = divmod(remaining, d)
-            if r == 0 and (bound is None or q <= bound[slot]):
+            q, r = divmod(remaining, degs[slot])
+            if r == 0:
                 vec[slot] = q
                 out.append(tuple(vec))
                 vec[slot] = 0
             return
         d = degs[slot]
-        top = remaining // d
-        if bound is not None:
-            top = min(top, bound[slot])
-        for k in range(top + 1):
+        for k in range(remaining // d + 1):
             vec[slot] = k
             walk(slot + 1, remaining - k * d)
         vec[slot] = 0
@@ -173,8 +167,7 @@ def exponents_with_scaled_degree(
     elif target == 0:
         out.append(())
     result = tuple(sorted(out, key=alpha_sort_key))
-    if bound is None:
-        geom._exponent_cache[target] = result
+    geom._exponent_cache[target] = result
     return result
 
 
@@ -245,6 +238,26 @@ def derivative_profile(geom: Geometry, labels):
     return result
 
 
+def multiplicity(key: SeriesKey, points: int, mults) -> int:
+    """Factor that c(key) picks up under a derivative profile: m per POINT
+    derivative and a falling factorial per differentiated twisted slot."""
+    mult = key.m ** points
+    for slot, k in mults:
+        mult *= falling(key.alpha[slot], k)
+    return mult
+
+
+def unit_constant(geom: Geometry, labels):
+    """Third derivative of F_triv along labels containing UNIT.
+
+    F_triv is quadratic in the other coordinates, so the derivative is the
+    constant eta of the two labels left after dropping one UNIT.
+    """
+    rest = [lab for lab in labels if lab is not UNIT]
+    rest += [UNIT] * (2 - len(rest))
+    return geom.pairing(rest[0], rest[1])
+
+
 # -- the potential ------------------------------------------------------
 
 
@@ -279,9 +292,6 @@ class Potential:
         """Stored value or 0.  The t1-part lives in F_triv, never here."""
         return self.coeffs.get(key, QQ(0))
 
-    def known(self, key: SeriesKey) -> bool:
-        return key in self.coeffs
-
     def seal(self, max_order: int) -> None:
         self.sealed = True
         self.max_order = max_order
@@ -289,9 +299,6 @@ class Potential:
     def items_sorted(self):
         """Stored (key, value) pairs in canonical (m, length, alpha) order."""
         return sorted(self.coeffs.items(), key=lambda kv: key_sort_key(kv[0]))
-
-    def orders_stored(self) -> set[int]:
-        return {key.m for key in self.coeffs}
 
     # -- third derivatives ------------------------------------------------
 
@@ -310,20 +317,14 @@ class Potential:
             geom.check_label(lab)
         units, points, vec, mults = derivative_profile(geom, labels)
         if units:
-            rest = [lab for lab in labels if lab is not UNIT]
-            while len(rest) < 2:
-                rest.append(UNIT)
             if target.m == 0 and not any(target.alpha):
-                return geom.pairing(rest[0], rest[1])
+                return unit_constant(geom, labels)
             return QQ(0)
         key = SeriesKey(alpha_add(target.alpha, vec), target.m)
         c = self.coeffs.get(key)
         if c is None:
             return QQ(0)
-        mult = target.m ** points
-        for slot, k in mults:
-            mult *= falling(key.alpha[slot], k)
-        return c * mult
+        return c * multiplicity(key, points, mults)
 
     def third_derivative_map(self, d1, d2, d3) -> dict[SeriesKey, object]:
         """Full coefficient map of one third derivative (0 entries absent).
@@ -339,10 +340,7 @@ class Potential:
         units, points, vec, mults = derivative_profile(geom, labels)
         out: dict[SeriesKey, object] = {}
         if units:
-            rest = [lab for lab in labels if lab is not UNIT]
-            while len(rest) < 2:
-                rest.append(UNIT)
-            value = geom.pairing(rest[0], rest[1])
+            value = unit_constant(geom, labels)
             if value:
                 out[SeriesKey(zero_alpha(geom), 0)] = value
         else:
@@ -354,10 +352,7 @@ class Potential:
                 beta = alpha_sub(key.alpha, vec)
                 if beta is None:
                     continue
-                mult = key.m ** points
-                for slot, k in mults:
-                    mult *= falling(key.alpha[slot], k)
-                out[SeriesKey(beta, key.m)] = c * mult
+                out[SeriesKey(beta, key.m)] = c * multiplicity(key, points, mults)
         if self.sealed:
             self._derivative_cache[cache_key] = out
         return out

@@ -4,18 +4,23 @@ For a coordinate quadruple (a, b, c, d) the associativity equation is
 
     sum_{s,t} F_abs eta^{st} F_tcd  -  sum_{s,t} F_acs eta^{st} F_tbd = 0
 
-with third derivatives F_xyz of the potential.  This module extracts the
-coefficient of a single monomial t^beta exp(m tmu) from the left hand side
-(wdvv_coefficient), enumerates all degree-admissible target monomials of
-an equation (admissible_targets), and sweeps every equation of a sealed
-potential (residual_scan).
+with third derivatives F_xyz of the potential.  One kernel, contract_at,
+extracts the coefficient of a single monomial t^beta exp(m tmu) from the
+left hand side.  It reads coefficients through a lookup that may answer
+with the formal unknown TARGET, so the same contraction serves the solver
+(the coefficient is affine in the unknown: intercept plus slope times x)
+and wdvv_coefficient on a complete store.  The module also enumerates all
+degree-admissible target monomials of an equation (admissible_targets) and
+sweeps every equation of a sealed potential (residual_scan).
 
-The scan clears denominators once (a single lcm over the store and the
-pairing entries) and convolves integer maps whose keys are exponent
-vectors packed into single machine integers, so residuals are exact and
-the sweep stays fast.  For a target of order m only stored orders
-m1 + m2 = m contribute, all <= m_max, hence reported residuals are exact
-values of the equations, not truncations.
+The scan deliberately does not use the kernel.  It is the independent
+re-check of what the solver wrote, and it computes every target of an
+equation at once: it clears denominators once (a single lcm over the store
+and the pairing entries) and convolves integer maps whose keys are
+exponent vectors packed into single machine integers, so residuals are
+exact and the sweep stays fast.  For a target of order m only stored
+orders m1 + m2 = m contribute, all <= m_max, hence reported residuals are
+exact values of the equations, not truncations.
 """
 
 from __future__ import annotations
@@ -29,10 +34,14 @@ from .rationals import QQ
 from .series import (
     Potential,
     SeriesKey,
-    alpha_sub,
+    alpha_add,
+    derivative_profile,
     exponents_with_scaled_degree,
     format_key,
     key_sort_key,
+    multiplicity,
+    unit_constant,
+    wdeg_scaled,
 )
 
 
@@ -49,40 +58,112 @@ def format_quad(quad: WdvvQuad) -> str:
     return "(" + ",".join(format_label(lab) for lab in quad) + ")"
 
 
+# The formal unknown x a lookup may answer with (truthy, never a number).
+TARGET = object()
+
+
+class Blocked(Exception):
+    """Raised by a lookup on a coefficient that is not known yet."""
+
+    def __init__(self, key: SeriesKey):
+        super().__init__(key)
+        self.key = key
+
+
+def _splits(geom: Geometry, alpha: tuple[int, ...]) -> dict[int, list]:
+    """All (beta1, alpha - beta1) with 0 <= beta1 <= alpha, grouped by the
+    scaled degree of beta1."""
+    parts = [((), 0)]
+    for k, d in zip(alpha, geom.deg_scaled):
+        parts = [(beta + (j,), deg + j * d) for beta, deg in parts for j in range(k + 1)]
+    groups: dict[int, list] = {}
+    for beta1, deg in parts:
+        beta2 = tuple(x - y for x, y in zip(alpha, beta1))
+        groups.setdefault(deg, []).append((beta1, beta2))
+    return groups
+
+
+def contract_at(geom: Geometry, quad: WdvvQuad, xkey: SeriesKey, lookup):
+    """Coefficient of t^xkey in WDVV(quad) as (c0, c1, c2): c0 + c1 x + c2 x^2.
+
+    lookup(key) returns the stored rational of an admissible key, TARGET
+    for the formal unknown x, or raises Blocked(key) for a key that is not
+    known yet.  It is only called on keys obeying the Euler constraint (the
+    others are zero), and the second factor of a product is looked up only
+    when the first is nonzero.  Derivatives containing UNIT come from
+    F_triv and are the constants eta of the remaining pair.
+    """
+    c0 = c1 = c2 = QQ(0)
+    rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
+    if wdeg_scaled(geom, xkey.alpha, xkey.m) != rhs:
+        return c0, c1, c2
+    m = xkey.m
+    a, b, c, d = quad
+    two = 2 * geom.scale
+    splits = None
+    for sigma, tau, w in geom.eta_inverse_pairs:
+        for triple1, triple2, weight in (
+            ((a, b, sigma), (c, d, tau), w),
+            ((a, c, sigma), (b, d, tau), -w),
+        ):
+            u1, p1, vec1, mults1 = derivative_profile(geom, triple1)
+            u2, p2, vec2, mults2 = derivative_profile(geom, triple2)
+            if u1 and u2:
+                if m == 0 and not any(xkey.alpha):
+                    c0 += weight * unit_constant(geom, triple1) * unit_constant(geom, triple2)
+                continue
+            if u1 or u2:
+                const = unit_constant(geom, triple1 if u1 else triple2)
+                points, vec, mults = (p2, vec2, mults2) if u1 else (p1, vec1, mults1)
+                if not const or (points and m == 0):
+                    continue
+                key = SeriesKey(alpha_add(xkey.alpha, vec), m)
+                value = lookup(key)
+                if not value:
+                    continue
+                coef = weight * const * multiplicity(key, points, mults)
+                if value is TARGET:
+                    c1 += coef
+                else:
+                    c0 += coef * value
+                continue
+
+            if splits is None:
+                splits = _splits(geom, xkey.alpha)
+            e1deg = wdeg_scaled(geom, vec1, 0)
+            for m1 in range(m + 1):
+                m2 = m - m1
+                if (p1 and m1 == 0) or (p2 and m2 == 0):
+                    continue
+                for beta1, beta2 in splits.get(two - e1deg - m1 * geom.chi_scaled, ()):
+                    k1 = SeriesKey(alpha_add(beta1, vec1), m1)
+                    v1 = lookup(k1)
+                    if not v1:
+                        continue
+                    k2 = SeriesKey(alpha_add(beta2, vec2), m2)
+                    v2 = lookup(k2)
+                    if not v2:
+                        continue
+                    coef = weight * multiplicity(k1, p1, mults1) * multiplicity(k2, p2, mults2)
+                    if v1 is TARGET:
+                        if v2 is TARGET:
+                            c2 += coef
+                        else:
+                            c1 += coef * v2
+                    elif v2 is TARGET:
+                        c1 += coef * v1
+                    else:
+                        c0 += coef * v1 * v2
+    return c0, c1, c2
+
+
 def wdvv_coefficient(pot: Potential, quad: WdvvQuad, target: SeriesKey):
     """Exact coefficient of t^target in the equation WDVV(a, b, c, d).
 
-    Pure; evaluates the two eta-contracted products by sparse convolution
-    over the stored keys, split as m1 + m2 = target.m.
+    Pure; absent keys of the store count as zero.
     """
-    geom = pot.geometry
-    a, b, c, d = quad
-    total = QQ(0)
-    for sigma, tau, w in geom.eta_inverse_pairs:
-        total += w * _convolve_at(pot, (a, b, sigma), (c, d, tau), target)
-        total -= w * _convolve_at(pot, (a, c, sigma), (b, d, tau), target)
-    return total
-
-
-def _convolve_at(pot: Potential, triple1, triple2, target: SeriesKey):
-    d1 = pot.third_derivative_map(*triple1)
-    d2 = pot.third_derivative_map(*triple2)
-    if not d1 or not d2:
-        return QQ(0)
-    if len(d1) > len(d2):
-        d1, d2 = d2, d1
-    total = QQ(0)
-    for k1, v1 in d1.items():
-        m2 = target.m - k1.m
-        if m2 < 0:
-            continue
-        beta = alpha_sub(target.alpha, k1.alpha)
-        if beta is None:
-            continue
-        v2 = d2.get(SeriesKey(beta, m2))
-        if v2 is not None:
-            total += v1 * v2
-    return total
+    coeffs = pot.coeffs
+    return contract_at(pot.geometry, quad, target, lambda key: coeffs.get(key, 0))[0]
 
 
 def admissible_targets(geom: Geometry, quad: WdvvQuad, m: int) -> list[tuple[int, ...]]:

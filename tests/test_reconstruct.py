@@ -39,7 +39,7 @@ def test_seed_values_other_modes():
     assert vanish.get_coefficient(key_of(geom, {(1, 1): 4}, 0)) == QQ(-1, 96)
     assert vanish.get_coefficient(key_of(geom, {(3, 1): 2, (3, 2): 2}, 0)) == QQ(-1, 36)
     bare = of.seed(geom, of.VANISHING_NO_QUARTIC)
-    assert not bare.known(key_of(geom, {(1, 1): 4}, 0))
+    assert key_of(geom, {(1, 1): 4}, 0) not in bare.coeffs
     scaled = of.seed(geom, of.rescaled_mode(QQ(7, 3)))
     assert scaled.get_coefficient(product_key(geom)) == QQ(7, 3)
 
@@ -48,7 +48,7 @@ def test_seed_imposes_sector_purity():
     geom = of.build_geometry("2,2,2")
     pot = of.seed(geom, of.STANDARD)
     mixed = key_of(geom, {(1, 1): 2, (2, 1): 2}, 0)
-    assert pot.known(mixed)
+    assert mixed in pot.coeffs
     assert pot.get_coefficient(mixed) == 0
 
 
@@ -171,7 +171,7 @@ def test_reconstruct_completes_all_admissible_keys(reconstructed):
     assert pot.sealed and pot.max_order == 4
     for m in range(5):
         for alpha in of.admissible_keys(geom, m):
-            assert pot.known(SeriesKey(alpha, m))
+            assert SeriesKey(alpha, m) in pot.coeffs
     assert not trace.free
     assert len(trace.steps) + len(trace.seeds) == len(pot.coeffs)
 
@@ -186,7 +186,7 @@ def test_reconstruct_negative_chi_terminates(reconstructed):
     geom = pot.geometry
     for m in range(3):
         for alpha in of.admissible_keys(geom, m):
-            assert pot.known(SeriesKey(alpha, m))
+            assert SeriesKey(alpha, m) in pot.coeffs
 
 
 def test_reconstruct_rejects_bad_order():
@@ -302,7 +302,7 @@ def test_vanishing_no_quartic_frees_the_quartics(reconstructed):
     geom = pot.geometry
     quartics = {key_of(geom, {(i, 1): 4}, 0) for i in range(1, 4)}
     assert set(trace.free) == quartics
-    assert not any(pot.known(k) for k in quartics)
+    assert not any(k in pot.coeffs for k in quartics)
     assert of.check_vanishing(pot).passed
     for key, value in pot.coeffs.items():
         if key.m >= 1:

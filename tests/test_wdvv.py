@@ -197,3 +197,19 @@ def test_residual_scan_requires_sealed_and_complete(reconstructed):
     sealed, _ = reconstructed("2,2,2", 2)
     with pytest.raises(ValueError):
         of.residual_scan(sealed, 3)
+
+
+def test_solve_step_slopes_against_symbolic_oracle(reconstructed):
+    # Each solved equation is affine in its target with the recorded slope:
+    # it vanishes on the potential, and raising the target by 1 moves it by
+    # exactly the slope.  The oracle shares no code with the kernel.
+    pot, trace = reconstructed("2,2,3", 2)
+    geom = pot.geometry
+    steps = [next(s for s in trace.steps if s.target.m == m) for m in range(3)]
+    oracle = SymbolicOracle(pot)
+    for step in steps:
+        assert oracle.wdvv_coefficient(step.quad, step.xkey) == 0
+        raised = of.Potential(geom, pot.seed_mode)
+        for key, value in pot.coeffs.items():
+            raised.set_coefficient(key, value + (key == step.target))
+        assert SymbolicOracle(raised).wdvv_coefficient(step.quad, step.xkey) == step.slope
