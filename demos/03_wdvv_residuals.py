@@ -15,7 +15,7 @@ for orders, m_max in (("2,2,2", 4), ("2,3,4", 3), ("3,3,3", 4)):
     scan = residual_scan(pot, m_max)
     total = sum(scan.targets_checked.values())
     print(f"({orders}) m <= {m_max}:  {scan.quads_checked} equations, "
-          f"{total} extracted coefficients, nonzero residuals: {len(scan.nonzero)}")
+          f"{total} monomials compared, nonzero residuals: {len(scan.nonzero)}")
 
 print()
 print("corrupting one coefficient of (2,2,2) by +1/1000:")

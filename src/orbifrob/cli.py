@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     ver.add_argument("potential")
     ver.add_argument(
         "--checks",
-        help="comma separated subset of euler,separation,symmetry,limit,vanishing,wdvv",
+        help="comma separated subset of " + ",".join(CHECKS),
     )
     ver.add_argument(
         "--max-order",
@@ -120,43 +120,42 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
+def _symmetry_reports(pot) -> list:
+    geom = pot.geometry
+    return [
+        check_symmetry(pot, i1, i2)
+        for i1 in range(1, geom.r + 1)
+        for i2 in range(i1 + 1, geom.r + 1)
+        if geom.order(i1) == geom.order(i2)
+    ]
+
+
+# name -> reports of the check, in the default output order.  By default
+# every check runs, "vanishing" only on files of a vanishing seed mode.
+# The wdvv scan is run and printed after all the other reports.
+CHECKS = {
+    "euler": lambda pot: [check_euler(pot)],
+    "separation": lambda pot: [check_separation(pot)],
+    "symmetry": _symmetry_reports,
+    "limit": lambda pot: [check_limit_product(pot, build_limit_ring(pot.geometry))],
+    "vanishing": lambda pot: [check_vanishing(pot)],
+    "wdvv": lambda pot: [],
+}
+
+
 def _cmd_verify(args) -> int:
     pot = read_potential(args.potential)
-    geom = pot.geometry
-    mode = pot.seed_mode
     if args.checks:
         selected = [name.strip() for name in args.checks.split(",") if name.strip()]
-        unknown = set(selected) - {
-            "euler",
-            "separation",
-            "symmetry",
-            "limit",
-            "vanishing",
-            "wdvv",
-        }
+        unknown = set(selected) - set(CHECKS)
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(sorted(unknown))}")
     else:
-        selected = ["euler", "separation", "symmetry", "limit", "wdvv"]
-        if mode is not None and mode.kind.startswith("vanishing"):
-            selected.append("vanishing")
+        mode = pot.seed_mode
+        vanishing = mode is not None and mode.kind.startswith("vanishing")
+        selected = [name for name in CHECKS if name != "vanishing" or vanishing]
 
-    reports = []
-    for name in selected:
-        if name == "euler":
-            reports.append(check_euler(pot))
-        elif name == "separation":
-            reports.append(check_separation(pot))
-        elif name == "vanishing":
-            reports.append(check_vanishing(pot))
-        elif name == "limit":
-            reports.append(check_limit_product(pot, build_limit_ring(geom)))
-        elif name == "symmetry":
-            for i1 in range(1, geom.r + 1):
-                for i2 in range(i1 + 1, geom.r + 1):
-                    if geom.order(i1) == geom.order(i2):
-                        reports.append(check_symmetry(pot, i1, i2))
-
+    reports = [report for name in selected for report in CHECKS[name](pot)]
     ok = True
     for report in reports:
         print(report.line())

@@ -55,15 +55,19 @@ class ReconstructionError(Exception):
     """Base class for solver failures."""
 
 
+def _name_targets(geom: Geometry, targets: list[SeriesKey]) -> str:
+    names = ", ".join(format_key(geom, t) for t in targets[:6])
+    more = "" if len(targets) <= 6 else f" (+{len(targets) - 6} more)"
+    return names + more
+
+
 class SolverStuck(ReconstructionError):
     """Every candidate equation (including the exhaustive fallback) for
     some target has slope zero: the seeds do not determine it."""
 
     def __init__(self, geom: Geometry, targets):
         self.targets = list(targets)
-        names = ", ".join(format_key(geom, t) for t in self.targets[:6])
-        more = "" if len(self.targets) <= 6 else f" (+{len(self.targets) - 6} more)"
-        super().__init__(f"no candidate determines: {names}{more}")
+        super().__init__(f"no candidate determines: {_name_targets(geom, self.targets)}")
 
 
 class InconsistentSeed(ReconstructionError):
@@ -85,9 +89,7 @@ class NoProgress(ReconstructionError):
 
     def __init__(self, geom: Geometry, targets):
         self.targets = list(targets)
-        names = ", ".join(format_key(geom, t) for t in self.targets[:6])
-        more = "" if len(self.targets) <= 6 else f" (+{len(self.targets) - 6} more)"
-        super().__init__(f"worklist deadlock on: {names}{more}")
+        super().__init__(f"worklist deadlock on: {_name_targets(geom, self.targets)}")
 
 
 # -- seed modes ---------------------------------------------------------
@@ -129,7 +131,7 @@ class SeedMode:
             return STANDARD
         if token == "vanishing":
             return VANISHING
-        if token in ("vanishing-no-quartic", "vanishing-no-vii"):
+        if token == "vanishing-no-quartic":
             return VANISHING_NO_QUARTIC
         if token.startswith("rescaled:"):
             return rescaled_mode(parse_rational(token.partition(":")[2]))
@@ -210,27 +212,37 @@ def effective_max_order(geom: Geometry, m_max: int) -> int:
 # -- schedule -----------------------------------------------------------
 
 
-@dataclass
-class ScheduleEntry:
-    """One target coefficient and its candidate equations, in preference
-    order.  Each candidate is a (quad, extraction key) pair; the
-    exhaustive fallback is generated lazily and is not listed here."""
-
-    target: SeriesKey
-    candidates: list[tuple[WdvvQuad, SeriesKey]] = field(default_factory=list)
-
-
 def _product_alpha_except(geom: Geometry, skip_sector: int):
     return alpha_from_pairs(
         geom, [((k, 1), 1) for k in range(1, geom.r + 1) if k != skip_sector]
     )
 
 
-def _candidates_order0(geom: Geometry, gamma, sector: int):
-    """Guided candidates for a single-sector order-0 target."""
+def _minus_pairs(geom: Geometry, alpha, sector: int, budget=None):
+    """Yield (j, j', alpha - e_{i,j} - e_{i,j'}) for 1 <= j <= j' < a_i in
+    sector i, wherever the difference is >= 0 and, given a budget, the
+    scaled degrees of (i,j) and (i,j') sum to at most the budget."""
     a = geom.order(sector)
     ds = geom.deg_scaled
     slot = lambda j: geom.slot[Twisted(sector, j)]
+    for j in range(1, a):
+        rest1 = alpha_sub(alpha, basis_alpha(geom, sector, j))
+        if rest1 is None:
+            continue
+        for jp in range(j, a):
+            rest2 = alpha_sub(rest1, basis_alpha(geom, sector, jp))
+            if rest2 is None:
+                continue
+            if budget is not None and ds[slot(j)] + ds[slot(jp)] > budget:
+                continue
+            yield j, jp, rest2
+
+
+def _candidates_order0(geom: Geometry, gamma):
+    """Guided candidates for a single-sector order-0 target."""
+    sector = next(iter(support_sectors(geom, gamma)))
+    a = geom.order(sector)
+    lab = lambda j: Twisted(sector, j)
     others = _product_alpha_except(geom, sector)
     cands = []
 
@@ -239,46 +251,20 @@ def _candidates_order0(geom: Geometry, gamma, sector: int):
     # order-1 extraction of quads ((i,l),(i,l'),P,P).
     detopped = alpha_sub(gamma, basis_alpha(geom, sector, a - 1))
     if detopped is not None:
-        for l in range(1, a):
-            rest = alpha_sub(detopped, basis_alpha(geom, sector, l))
-            if rest is None:
-                continue
-            for lp in range(l, a):
-                rest2 = alpha_sub(rest, basis_alpha(geom, sector, lp))
-                if rest2 is None:
-                    continue
-                if ds[slot(l)] + ds[slot(lp)] > geom.scale:
-                    continue
-                xkey = SeriesKey(alpha_add(rest2, others), 1)
-                quad = WdvvQuad(Twisted(sector, l), Twisted(sector, lp), POINT, POINT)
-                cands.append((quad, xkey))
+        for l, lp, rest in _minus_pairs(geom, detopped, sector, geom.scale):
+            quad = WdvvQuad(lab(l), lab(lp), POINT, POINT)
+            cands.append((quad, SeriesKey(alpha_add(rest, others), 1)))
 
     # Middle family: quads ((i,n),(i,n'),(i,l),P) at the order-1
     # extraction, for targets containing e_{i,1} and e_{i,l-1}.
-    for l in range(2, a):
-        base = alpha_sub(gamma, basis_alpha(geom, sector, 1))
-        if base is None:
-            break
-        base = alpha_sub(base, basis_alpha(geom, sector, l - 1))
-        if base is None:
+    without_one = alpha_sub(gamma, basis_alpha(geom, sector, 1))
+    for l in range(2, a) if without_one is not None else ():
+        if alpha_sub(without_one, basis_alpha(geom, sector, l - 1)) is None:
             continue
-        budget = l * geom.scale // a
         rest0 = alpha_sub(gamma, basis_alpha(geom, sector, l - 1))
-        for n in range(1, a):
-            rest1 = alpha_sub(rest0, basis_alpha(geom, sector, n))
-            if rest1 is None:
-                continue
-            for np_ in range(n, a):
-                rest2 = alpha_sub(rest1, basis_alpha(geom, sector, np_))
-                if rest2 is None:
-                    continue
-                if ds[slot(n)] + ds[slot(np_)] > budget:
-                    continue
-                xkey = SeriesKey(alpha_add(rest2, others), 1)
-                quad = WdvvQuad(
-                    Twisted(sector, n), Twisted(sector, np_), Twisted(sector, l), POINT
-                )
-                cands.append((quad, xkey))
+        for n, np_, rest in _minus_pairs(geom, rest0, sector, l * geom.scale // a):
+            quad = WdvvQuad(lab(n), lab(np_), lab(l), POINT)
+            cands.append((quad, SeriesKey(alpha_add(rest, others), 1)))
 
     # Quartic-slope family: pure order-0 extraction of quads
     # ((i,1),(i,l),(i,j),(i,j')), for targets containing e_{i,l+1}.
@@ -286,54 +272,16 @@ def _candidates_order0(geom: Geometry, gamma, sector: int):
         rest0 = alpha_sub(gamma, basis_alpha(geom, sector, l + 1))
         if rest0 is None:
             continue
-        for j in range(1, a):
-            rest1 = alpha_sub(rest0, basis_alpha(geom, sector, j))
-            if rest1 is None:
-                continue
-            for jp in range(j, a):
-                rest2 = alpha_sub(rest1, basis_alpha(geom, sector, jp))
-                if rest2 is None:
-                    continue
-                xkey = SeriesKey(rest2, 0)
-                quad = WdvvQuad(
-                    Twisted(sector, 1),
-                    Twisted(sector, l),
-                    Twisted(sector, j),
-                    Twisted(sector, jp),
-                )
-                cands.append((quad, xkey))
+        for j, jp, rest in _minus_pairs(geom, rest0, sector):
+            quad = WdvvQuad(lab(1), lab(l), lab(j), lab(jp))
+            cands.append((quad, SeriesKey(rest, 0)))
     return cands
 
 
-def _candidates_order1(geom: Geometry, gamma):
+def _shift_candidates(geom: Geometry, gamma, m: int):
+    """Quads ((i,1),(i,j-1),P,P) at the extraction gamma - e_{i,j}, order m,
+    for every coordinate (i,j) with j >= 2 present in gamma."""
     cands = []
-    for s, k in enumerate(gamma):
-        lab = geom.twisted[s]
-        if k >= 1 and lab.j >= 2:
-            xkey = SeriesKey(alpha_sub(gamma, basis_alpha(geom, lab.sector, lab.j)), 1)
-            quad = WdvvQuad(
-                Twisted(lab.sector, 1), Twisted(lab.sector, lab.j - 1), POINT, POINT
-            )
-            cands.append((quad, xkey))
-    if not cands:
-        # Bottom-row support only; probe the sectors that are absent.
-        present = support_sectors(geom, gamma)
-        for i in range(1, geom.r + 1):
-            if i not in present:
-                a = geom.order(i)
-                quad = WdvvQuad(Twisted(i, 1), Twisted(i, a - 1), POINT, POINT)
-                cands.append((quad, SeriesKey(gamma, 1)))
-    return cands
-
-
-def _candidates_higher(geom: Geometry, gamma, m: int):
-    cands = []
-    if not any(gamma):
-        for i in range(1, geom.r + 1):
-            a = geom.order(i)
-            quad = WdvvQuad(Twisted(i, 1), Twisted(i, a - 1), POINT, POINT)
-            cands.append((quad, SeriesKey(gamma, m)))
-        return cands
     for s, k in enumerate(gamma):
         lab = geom.twisted[s]
         if k >= 1 and lab.j >= 2:
@@ -342,93 +290,98 @@ def _candidates_higher(geom: Geometry, gamma, m: int):
                 Twisted(lab.sector, 1), Twisted(lab.sector, lab.j - 1), POINT, POINT
             )
             cands.append((quad, xkey))
-    if not cands:
-        # Bottom-row support: prefer sectors whose exponent differs from m
-        # (nonzero slope) and absent sectors.
-        order = sorted(
-            range(1, geom.r + 1),
-            key=lambda i: (gamma[geom.slot[Twisted(i, 1)]] == m, i),
-        )
-        for i in order:
-            a = geom.order(i)
-            quad = WdvvQuad(Twisted(i, 1), Twisted(i, a - 1), POINT, POINT)
-            cands.append((quad, SeriesKey(gamma, m)))
     return cands
 
 
-def build_schedule(
-    geom: Geometry,
-    m_max: int,
-    mode: SeedMode = STANDARD,
-    strategy: str = "guided",
-) -> list[ScheduleEntry]:
-    """Targets in the induction order, each with its candidate equations.
+def _bottom_row(geom: Geometry, gamma, m: int, sectors):
+    """Quads ((i,1),(i,a_i-1),P,P) at the target itself, for the sectors i
+    in the given order: the candidates of bottom-row-only targets."""
+    return [
+        (WdvvQuad(Twisted(i, 1), Twisted(i, geom.order(i) - 1), POINT, POINT),
+         SeriesKey(gamma, m))
+        for i in sectors
+    ]
+
+
+def guided_candidates(geom: Geometry, target: SeriesKey):
+    """The candidate equations the induction suggests for target, in
+    preference order, as (quad, extraction key) pairs.
+
+    Order 1 and higher first shift a coordinate e_{i,j}, j >= 2, of the
+    target down to e_{i,j-1}.  A target with bottom-row support only
+    probes its own key: at order 1 on the sectors it does not meet, at
+    higher orders on every sector, those whose e_{i,1} exponent differs
+    from m (nonzero slope) first.
+    """
+    gamma, m = target.alpha, target.m
+    if m == 0:
+        return _candidates_order0(geom, gamma)
+    shifts = _shift_candidates(geom, gamma, m)
+    if shifts:
+        return shifts
+    if m == 1:
+        present = support_sectors(geom, gamma)
+        return _bottom_row(
+            geom, gamma, 1, [i for i in range(1, geom.r + 1) if i not in present]
+        )
+    return _bottom_row(
+        geom,
+        gamma,
+        m,
+        sorted(
+            range(1, geom.r + 1),
+            key=lambda i: (gamma[geom.slot[Twisted(i, 1)]] == m, i),
+        ),
+    )
+
+
+def build_schedule(pot: Potential, m_max: int) -> list[SeriesKey]:
+    """The coefficients not yet stored in pot (a freshly seeded potential),
+    in the induction order.
 
     The order-0 stratum is finite (wdeg == 2 bounds the length by
     2 max(a_i)) and is always scheduled completely, regardless of m_max;
-    likewise order 1.  Orders 2..m_max follow, ordered by (m, length,
-    exponents).  With strategy="exhaustive" the candidate lists are left
-    empty so that only the fallback search is used.
+    likewise order 1.  The two are interleaved by length: at each level
+    the order-0 keys containing their sector's top index e_{i,a_i-1}
+    come first, then the order-1 keys, then the remaining order-0 keys.
+    Orders 2..m_max follow, ordered by (m, length, exponents).
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if strategy not in ("guided", "exhaustive"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    seeded_pot, _ = _seed_with_provenance(geom, mode)
-    seeded = set(seeded_pot.coeffs)
-    guided = strategy == "guided"
-
-    targets0 = [
-        SeriesKey(alpha, 0)
-        for alpha in admissible_keys(geom, 0)
-        if SeriesKey(alpha, 0) not in seeded
-        and len(support_sectors(geom, alpha)) == 1
-    ]
-    targets1 = [
-        SeriesKey(alpha, 1)
-        for alpha in admissible_keys(geom, 1)
-        if SeriesKey(alpha, 1) not in seeded
-    ]
-
-    entries: list[ScheduleEntry] = []
-
-    def emit(key: SeriesKey, cands):
-        entries.append(ScheduleEntry(key, cands if guided else []))
+    geom = pot.geometry
+    stored = pot.coeffs
 
     by_len0: dict[int, list[SeriesKey]] = {}
-    for key in targets0:
-        by_len0.setdefault(alpha_length(key.alpha), []).append(key)
+    for alpha in admissible_keys(geom, 0):
+        key = SeriesKey(alpha, 0)
+        if key not in stored and len(support_sectors(geom, alpha)) == 1:
+            by_len0.setdefault(alpha_length(alpha), []).append(key)
     by_len1: dict[int, list[SeriesKey]] = {}
-    for key in targets1:
-        by_len1.setdefault(alpha_length(key.alpha), []).append(key)
+    for alpha in admissible_keys(geom, 1):
+        key = SeriesKey(alpha, 1)
+        if key not in stored:
+            by_len1.setdefault(alpha_length(alpha), []).append(key)
+
+    def has_top(key: SeriesKey) -> bool:
+        sector = next(iter(support_sectors(geom, key.alpha)))
+        return key.alpha[geom.slot[Twisted(sector, geom.order(sector) - 1)]] >= 1
 
     max_k = -1
     if by_len0:
         max_k = max(max_k, max(by_len0) - 4)
     if by_len1:
         max_k = max(max_k, max(by_len1) - geom.r - 1)
+    targets: list[SeriesKey] = []
     for k in range(max_k + 1):
         level0 = sorted(by_len0.get(k + 4, ()), key=key_sort_key)
         level1 = sorted(by_len1.get(k + geom.r + 1, ()), key=key_sort_key)
-        step1 = []
-        rest = []
-        for key in level0:
-            sector = next(iter(support_sectors(geom, key.alpha)))
-            top = geom.slot[Twisted(sector, geom.order(sector) - 1)]
-            (step1 if key.alpha[top] >= 1 else rest).append(key)
-        for key in step1:
-            sector = next(iter(support_sectors(geom, key.alpha)))
-            emit(key, _candidates_order0(geom, key.alpha, sector))
-        for key in level1:
-            emit(key, _candidates_order1(geom, key.alpha))
-        for key in rest:
-            sector = next(iter(support_sectors(geom, key.alpha)))
-            emit(key, _candidates_order0(geom, key.alpha, sector))
+        targets += [key for key in level0 if has_top(key)]
+        targets += level1
+        targets += [key for key in level0 if not has_top(key)]
 
     for m in range(2, effective_max_order(geom, m_max) + 1):
-        for alpha in admissible_keys(geom, m):
-            emit(SeriesKey(alpha, m), _candidates_higher(geom, alpha, m))
-    return entries
+        targets += [SeriesKey(alpha, m) for alpha in admissible_keys(geom, m)]
+    return targets
 
 
 # -- probing ------------------------------------------------------------
@@ -628,36 +581,33 @@ class ReconstructionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _attempt(pot: Potential, entry: ScheduleEntry, use_fallback: bool):
-    """Try the entry's candidates (then the fallback); returns
-    ("solved", step) or ("stalled", had_blocked)."""
-    target = entry.target
-    blocked = False
-    streams = [iter(entry.candidates)]
+def _attempt(pot: Potential, target: SeriesKey, guided: bool, use_fallback: bool):
+    """Try the guided candidates (when guided), then the fallback (when
+    use_fallback); returns ("solved", step) or ("stalled", had_blocked)."""
+    stream = guided_candidates(pot.geometry, target) if guided else ()
     if use_fallback:
-        streams.append(exhaustive_candidates(pot, target))
-    for stream in streams:
-        for quad, xkey in stream:
-            result = probe_candidate(pot, quad, xkey, target)
-            if result.status == "solved":
-                step = SolveStep(target, quad, xkey, result.slope, result.value)
-                return "solved", step
-            if result.status == "blocked":
-                blocked = True
+        stream = itertools.chain(stream, exhaustive_candidates(pot, target))
+    blocked = False
+    for quad, xkey in stream:
+        result = probe_candidate(pot, quad, xkey, target)
+        if result.status == "solved":
+            return "solved", SolveStep(target, quad, xkey, result.slope, result.value)
+        if result.status == "blocked":
+            blocked = True
     return "stalled", blocked
 
 
-def solve_target(pot: Potential, entry: ScheduleEntry):
+def solve_target(pot: Potential, target: SeriesKey):
     """Solve one target from a potential holding all its prerequisites.
 
     Returns the solved value without storing it.  Raises SolverStuck when
-    no candidate (including the exhaustive fallback) has nonzero slope,
+    no candidate (guided, then the exhaustive fallback) has nonzero slope,
     and InconsistentSeed if a fully-known candidate is violated.
     """
-    status, payload = _attempt(pot, entry, use_fallback=True)
+    status, payload = _attempt(pot, target, guided=True, use_fallback=True)
     if status == "solved":
         return payload.value
-    raise SolverStuck(pot.geometry, [entry.target])
+    raise SolverStuck(pot.geometry, [target])
 
 
 def reconstruct(
@@ -671,48 +621,48 @@ def reconstruct(
 
     Returns the sealed potential and the full trace.  The order-0 stratum
     is always completed (it is finite); positive chi lowers the effective
-    maximal order to floor(2/chi).  Raises SolverStuck, NoProgress or
-    InconsistentSeed as the worklist dictates; in vanishing-no-quartic
-    mode, underdetermined order-0 coefficients are reported as free in the
-    trace instead (the quartic values are genuinely extra initial data).
+    maximal order to floor(2/chi).  strategy="guided" tries the guided
+    candidates first and escalates to the exhaustive fallback only when a
+    worklist pass stalls; strategy="exhaustive" uses the fallback alone.
+    Raises SolverStuck, NoProgress or InconsistentSeed as the worklist
+    dictates; in vanishing-no-quartic mode, underdetermined order-0
+    coefficients are reported as free in the trace instead (the quartic
+    values are genuinely extra initial data).
     """
+    if strategy not in ("guided", "exhaustive"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     geom = build_geometry(multiplet)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
     pot, seed_entries = _seed_with_provenance(geom, mode)
     trace = ReconstructionTrace(geom, mode, seeds=seed_entries)
-    pending = build_schedule(geom, m_max, mode, strategy)
-    use_fallback = strategy == "exhaustive"
+    pending = build_schedule(pot, m_max)
+    guided = strategy == "guided"
+    use_fallback = not guided
 
     while pending:
         progressed = False
-        still: list[ScheduleEntry] = []
+        still: list[SeriesKey] = []
         any_blocked = False
-        for entry in pending:
-            status, payload = _attempt(pot, entry, use_fallback)
+        for target in pending:
+            status, payload = _attempt(pot, target, guided, use_fallback)
             if status == "solved":
-                pot.set_coefficient(entry.target, payload.value)
+                pot.set_coefficient(target, payload.value)
                 trace.steps.append(payload)
                 progressed = True
             else:
                 any_blocked = any_blocked or payload
-                still.append(entry)
+                still.append(target)
         pending = still
         if pending and not progressed:
             if not use_fallback:
                 # Escalate once: rerun the stalled set with the fallback.
                 use_fallback = True
                 continue
-            remaining = [entry.target for entry in pending]
-            if mode.kind == "vanishing-no-quartic" and all(
-                t.m == 0 for t in remaining
-            ):
-                trace.free = sorted(remaining, key=key_sort_key)
-                pending = []
+            if mode.kind == "vanishing-no-quartic" and all(t.m == 0 for t in pending):
+                trace.free = sorted(pending, key=key_sort_key)
                 break
             if any_blocked:
-                raise NoProgress(geom, remaining)
-            raise SolverStuck(geom, remaining)
+                raise NoProgress(geom, pending)
+            raise SolverStuck(geom, pending)
 
     pot.seal(effective_max_order(geom, m_max))
     return pot, trace

@@ -181,7 +181,11 @@ def admissible_targets(geom: Geometry, quad: WdvvQuad, m: int) -> list[tuple[int
 
 @dataclass
 class ResidualReport:
-    """Outcome of a residual scan: exact nonzero residuals, if any."""
+    """Outcome of a residual scan: exact nonzero residuals, if any.
+
+    targets_checked[m] counts the monomials of order m compared across all
+    scanned equations: those carried by either side of an equation.
+    """
 
     geometry: Geometry
     m_max: int
@@ -325,14 +329,13 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         for p2 in pairs[i1:]:
             quad = WdvvQuad(labels[p1[0]], labels[p1[1]], labels[p2[0]], labels[p2[1]])
             report.quads_checked += 1
-            for m in range(m_max + 1):
-                target_counts[m] += len(admissible_targets(geom, quad, m))
             lhs = product(p1, p2)
             rhs = product(
                 tuple(sorted((p1[0], p2[0]))), tuple(sorted((p1[1], p2[1])))
             )
             bad = []
             for k in lhs.keys() | rhs.keys():
+                target_counts[k & mmask] += 1
                 diff = lhs.get(k, 0) - rhs.get(k, 0)
                 if diff:
                     key = unpack(k)

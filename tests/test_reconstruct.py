@@ -1,9 +1,10 @@
+import hashlib
+
 import pytest
 
 import orbifrob as of
 from orbifrob import (
     POINT,
-    ScheduleEntry,
     SeedMode,
     SeriesKey,
     Twisted,
@@ -54,10 +55,11 @@ def test_seed_imposes_sector_purity():
 
 def test_seed_mode_tokens():
     assert SeedMode.from_token("standard") is of.STANDARD
-    assert SeedMode.from_token("vanishing-no-vii") is of.VANISHING_NO_QUARTIC
+    assert SeedMode.from_token("vanishing-no-quartic") is of.VANISHING_NO_QUARTIC
     assert SeedMode.from_token("rescaled:7/3").token() == "rescaled:7/3"
-    with pytest.raises(ValueError):
-        SeedMode.from_token("bogus")
+    for retired in ("bogus", "vanishing-no-vii"):
+        with pytest.raises(ValueError):
+            SeedMode.from_token(retired)
     with pytest.raises(ValueError):
         of.rescaled_mode(0)
 
@@ -68,8 +70,7 @@ def test_seed_mode_tokens():
 def test_schedule_covers_exactly_the_unseeded_keys():
     geom = of.build_geometry("2,2,3")
     mode = of.STANDARD
-    schedule = of.build_schedule(geom, 3, mode)
-    targets = [entry.target for entry in schedule]
+    targets = of.build_schedule(of.seed(geom, mode), 3)
     assert len(set(targets)) == len(targets)
     seeded = set(of.seed(geom, mode).coeffs)
     assert not (set(targets) & seeded)
@@ -83,24 +84,23 @@ def test_schedule_covers_exactly_the_unseeded_keys():
 
 
 def test_schedule_entry_for_top_order_222():
-    # chi = 1/2 caps the order at 4; c(0,4) is scheduled on the quads
-    # ((i,1),(i,1),P,P).
+    # chi = 1/2 caps the order at 4; c(0,4) is scheduled and guided to the
+    # quads ((i,1),(i,1),P,P).
     geom = of.build_geometry("2,2,2")
-    schedule = of.build_schedule(geom, 4, of.STANDARD)
     origin = SeriesKey(of.zero_alpha(geom), 4)
-    entry = next(e for e in schedule if e.target == origin)
+    assert origin in of.build_schedule(of.seed(geom), 4)
     assert (
         WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT),
         origin,
-    ) in entry.candidates
+    ) in of.guided_candidates(geom, origin)
 
 
 def test_schedule_rejects_bad_arguments():
     geom = of.build_geometry("2,2,2")
     with pytest.raises(ValueError):
-        of.build_schedule(geom, 0)
+        of.build_schedule(of.seed(geom), 0)
     with pytest.raises(ValueError):
-        of.build_schedule(geom, 2, of.STANDARD, "sideways")
+        of.reconstruct("2,2,2", 2, strategy="sideways")
 
 
 # -- single-target solving -------------------------------------------------
@@ -141,7 +141,7 @@ def test_solve_target_raises_when_stuck():
     pot = of.seed(geom, of.STANDARD)
     origin = SeriesKey(of.zero_alpha(geom), 4)
     with pytest.raises(of.SolverStuck):
-        of.solve_target(pot, ScheduleEntry(origin))
+        of.solve_target(pot, origin)
 
 
 def test_inconsistent_seed_detected(reconstructed):
@@ -317,3 +317,31 @@ def test_trace_text_is_auditable(reconstructed):
     assert "| pairing" in text
     for step in trace.steps:
         assert step.slope != 0
+
+
+# -- pinned traces -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "multiplet, m_max, mode, strategy, digest",
+    [
+        # Fires every guided family except the origin one.
+        ("2,3,6", 2, of.STANDARD, "guided",
+         "b5cf06669b8195aa134c0a93a2572f47d453cf532603539bda5fdd19a54ce3db"),
+        # The origin family and free keys.
+        ("2,2,2", 4, of.VANISHING_NO_QUARTIC, "guided",
+         "c70899bb3d6127050d06bd4e058b79ae772a02ee918a04041c600d9f5e90a12a"),
+        # Escalation from the guided candidates to the fallback.
+        ("2,2,3", 4, of.VANISHING_NO_QUARTIC, "guided",
+         "fbab26089cf900423e5f279e19f5de525da98c22350690fb4ec5dd5badf99dbb"),
+        ("2,2,3", 2, of.STANDARD, "exhaustive",
+         "c7aac55b58b86b184db39176caa602e7d0fdd523394fce8b05e0e53df6fa9607"),
+    ],
+    ids=["236-m2-standard", "222-m4-no-quartic", "223-m4-no-quartic", "223-m2-exhaustive"],
+)
+def test_trace_digests_pinned(reconstructed, multiplet, m_max, mode, strategy, digest):
+    # The trace records which equation solved each coefficient, in order:
+    # a change in candidate order or family shows up here even when the
+    # potential itself is unchanged.
+    _, trace = reconstructed(multiplet, m_max, mode, strategy)
+    assert hashlib.sha256(trace.to_text().encode()).hexdigest() == digest

@@ -147,6 +147,39 @@ def test_residual_scan_clean_and_counts(reconstructed):
     assert "nonzero-residuals: 0" in text
 
 
+def test_residual_scan_counts_the_compared_monomials(reconstructed):
+    # Recount, with plain dicts, the monomials carried by either side of
+    # every canonical equation: sum over eta^{st} of F_xys F_tzw, orders
+    # up to m_max.
+    pot, _ = reconstructed("2,2,3", 2)
+    geom = pot.geometry
+    labels = [lab for lab in geom.labels if lab is not UNIT]
+
+    def side(x, y, z, w):
+        keys = set()
+        for sigma, tau, _ in geom.eta_inverse_pairs:
+            left = pot.third_derivative_map(x, y, sigma)
+            right = pot.third_derivative_map(tau, z, w)
+            for k1 in left:
+                for k2 in right:
+                    if k1.m + k2.m <= 2:
+                        alpha = tuple(u + v for u, v in zip(k1.alpha, k2.alpha))
+                        keys.add(SeriesKey(alpha, k1.m + k2.m))
+        return keys
+
+    counts = {m: 0 for m in range(3)}
+    pairs = [(i, j) for i in range(len(labels)) for j in range(i, len(labels))]
+    for n, (i, j) in enumerate(pairs):
+        for k, l in pairs[n:]:
+            a, b, c, d = labels[i], labels[j], labels[k], labels[l]
+            for key in side(a, b, c, d) | side(a, c, b, d):
+                counts[key.m] += 1
+    report = of.residual_scan(pot, 2)
+    assert report.quads_checked == len(pairs) * (len(pairs) + 1) // 2
+    assert report.targets_checked == counts
+    assert all(counts.values())
+
+
 def test_residual_scan_detects_perturbation(reconstructed):
     pot, _ = reconstructed("2,2,3", 2)
     geom = pot.geometry
