@@ -27,8 +27,9 @@ victim = SeriesKey(alpha_from_pairs(pot.geometry, {(1, 1): 4}), 0)
 broken.set_coefficient(victim, pot.get_coefficient(victim) + QQ(1, 1000))
 broken.seal(4)
 scan = residual_scan(broken, 4)
-print(f"  nonzero residuals: {len(scan.nonzero)}; the first few lines:")
-for line in scan.to_text().splitlines():
-    if line.startswith("residual |"):
-        print("   ", line)
-        break
+print(f"  nonzero residuals: {len(scan.nonzero)}; the first three lines:")
+residual_lines = [
+    line for line in scan.to_text().splitlines() if line.startswith("residual |")
+]
+for line in residual_lines[:3]:
+    print("   ", line)

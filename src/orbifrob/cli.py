@@ -173,6 +173,11 @@ def _cmd_verify(args) -> int:
 def _cmd_show(args) -> int:
     pot = read_potential(args.potential)
     key = parse_key_query(pot.geometry, args.query)
+    if key.m > pot.max_order:
+        # The file knows nothing above its max-order: absent is not zero.
+        raise UsageError(
+            f"order {key.m} is above the file's max-order {pot.max_order}"
+        )
     print(format_rational(pot.get_coefficient(key)))
     return EXIT_OK
 

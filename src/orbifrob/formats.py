@@ -105,6 +105,8 @@ def parse_potential(text: str) -> Potential:
     geom = build_geometry(header(1, "multiplet"))
     mode = SeedMode.from_token(header(2, "mode"))
     max_order = int(header(3, "max-order"))
+    if max_order < 0:
+        raise ValueError(f"max-order must be >= 0, got {max_order}")
     count = int(header(4, "coefficients"))
     records = lines[5:]
     if len(records) != count:

@@ -172,7 +172,6 @@ class Geometry:
         self._exponent_cache: dict[int, tuple] = {}
         self._profile_cache: dict[tuple, tuple] = {}
         # Filled on first use by the exhaustive fallback of the solver.
-        self._quad_cache: tuple | None = None
         self._socket_cache: tuple | None = None
 
     # -- basic data ----------------------------------------------------

@@ -29,7 +29,9 @@ the realized order auditable.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .geometry import Geometry, POINT, Twisted, UNIT, build_geometry
 from .rationals import QQ, format_rational, parse_rational
@@ -436,47 +438,111 @@ def probe_candidate(
 # -- exhaustive fallback -------------------------------------------------
 
 
-def _canonical_quads(geom: Geometry):
-    if geom._quad_cache is not None:
-        return geom._quad_cache
-    labels = [lab for lab in geom.labels if lab is not UNIT]
-    pairs = [
-        (labels[i], labels[j]) for i in range(len(labels)) for j in range(i, len(labels))
-    ]
-    quads = tuple(
-        WdvvQuad(p1[0], p1[1], p2[0], p2[1])
-        for i1, p1 in enumerate(pairs)
-        for p2 in pairs[i1:]
-    )
-    geom._quad_cache = quads
-    return quads
+class _Sockets(NamedTuple):
+    """One phase of the fallback's socket table.
+
+    Socket n sits in the quad numbered quad[n]; in the stored-partner
+    phase its partner shift is shifts[shift[n]].  groups holds
+    (vec1, p1, socket numbers) once per distinct target-side shift vec1,
+    so a target costs one alpha_sub per group, not one per socket.
+    """
+
+    groups: tuple
+    quad: array
+    shift: array
 
 
 def _fallback_sockets(geom: Geometry):
-    """Deduplicated (quad, vec1, p1, vec2, p2) slots: the target sits in a
-    derivative with twisted indicators vec1 (p1 POINT factors), against a
-    partner shifted by vec2 (p2 POINT factors).  Computed once per
-    geometry, in deterministic quad order."""
+    """The exhaustive fallback's socket table, built on first use per geometry.
+
+    A socket is a way for the target to sit in a derivative of one side of
+    a WDVV equation: in the triple (x, y, sigma) with twisted indicators
+    vec1 and p1 POINT factors, against either the analytic constant
+    eta(z, t) (sigma = POINT pairs tau = UNIT) or a stored partner shifted
+    by vec2 with p2 POINT factors.  No label of a quad and neither sigma
+    nor tau is UNIT, so a shift vector fixes its p = 3 - |vec|, and a
+    socket is named by (quad, vec1) or (quad, vec1, vec2).  Sockets are
+    numbered in stream order: canonical quad order, then the four
+    orientations, then the pairs of eta, first occurrence kept.  Each
+    label triple's derivative profile is computed once.
+
+    Returns (quads, shifts, analytic, series): the canonical WdvvQuads,
+    the distinct shift vectors as (vec, p), and one _Sockets per phase.
+    The table is kept on the geometry, which reconstruct builds afresh
+    on every call.
+    """
     if geom._socket_cache is not None:
         return geom._socket_cache
-    analytic: dict[tuple, None] = {}
-    series: dict[tuple, None] = {}
-    for quad in _canonical_quads(geom):
-        a, b, c, d = quad
-        for x, y, z, t in ((a, b, c, d), (c, d, a, b), (a, c, b, d), (b, d, a, c)):
-            # Analytic partner: sigma = POINT pairs tau = UNIT, so the
-            # partner side is the constant eta(z, t).
-            if geom.pairing(z, t):
-                _, p1, vec1, _ = derivative_profile(geom, (x, y, POINT))
-                analytic[(quad, vec1)] = None
-            for sigma, tau, _w in geom.eta_inverse_pairs:
-                if sigma is UNIT or tau is UNIT:
-                    continue
-                _, p1, vec1, _ = derivative_profile(geom, (x, y, sigma))
-                _, p2, vec2, _ = derivative_profile(geom, (z, t, tau))
-                series[(quad, vec1, p1, vec2, p2)] = None
-    geom._socket_cache = (tuple(analytic), tuple(series))
+    labels = [lab for lab in geom.labels if lab is not UNIT]
+    pos = {lab: k for k, lab in enumerate(labels)}
+    point = pos[POINT]
+    eta = [(pos[s], pos[t]) for s, t, _ in geom.eta_inverse_pairs if UNIT not in (s, t)]
+    paired = set(eta)
+    pairs = [(i, j) for i in range(len(labels)) for j in range(i, len(labels))]
+
+    # Shift vectors are numbered in first-seen order.
+    vec_id: dict[tuple, int] = {}
+    triple_id: dict[tuple, int] = {}
+
+    def shift(triple):
+        got = triple_id.get(triple)
+        if got is None:
+            vec = derivative_profile(geom, [labels[k] for k in triple])[2]
+            got = triple_id[triple] = vec_id.setdefault(vec, len(vec_id))
+        return got
+
+    quads = []
+    a_groups: dict[int, array] = {}
+    a_quad = array("l")
+    s_groups: dict[int, array] = {}
+    s_quad, s_shift = array("l"), array("l")
+    for k, p1 in enumerate(pairs):
+        for p2 in pairs[k:]:
+            qi = len(quads)
+            a, b, c, d = p1 + p2
+            quads.append(WdvvQuad(labels[a], labels[b], labels[c], labels[d]))
+            analytic: dict[int, None] = {}
+            series: dict[tuple, None] = {}
+            for x, y, z, t in ((a, b, c, d), (c, d, a, b), (a, c, b, d), (b, d, a, c)):
+                if (z, t) in paired:
+                    analytic[shift((x, y, point))] = None
+                for sigma, tau in eta:
+                    series[shift((x, y, sigma)), shift((z, t, tau))] = None
+            for v1 in analytic:
+                a_groups.setdefault(v1, array("l")).append(len(a_quad))
+                a_quad.append(qi)
+            for v1, v2 in series:
+                s_groups.setdefault(v1, array("l")).append(len(s_quad))
+                s_quad.append(qi)
+                s_shift.append(v2)
+
+    shifts = tuple((vec, 3 - sum(vec)) for vec in vec_id)
+
+    def grouped(groups):
+        return tuple(shifts[v] + (numbers,) for v, numbers in groups.items())
+
+    geom._socket_cache = (
+        tuple(quads),
+        shifts,
+        _Sockets(grouped(a_groups), a_quad, array("l")),
+        _Sockets(grouped(s_groups), s_quad, s_shift),
+    )
     return geom._socket_cache
+
+
+def _fitting(groups, key: SeriesKey):
+    """(item, key.alpha - vec) for the items of every (vec, p, items) group
+    whose vec fits under key.alpha, sorted by item.  A POINT derivative
+    carries a factor m, so groups with p > 0 never fit an order-0 key."""
+    hits = []
+    for vec, p, items in groups:
+        if p and key.m == 0:
+            continue
+        beta = alpha_sub(key.alpha, vec)
+        if beta is not None:
+            hits += zip(items, itertools.repeat(beta))
+    hits.sort()
+    return hits
 
 
 def exhaustive_candidates(pot: Potential, target: SeriesKey):
@@ -485,46 +551,36 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
     A candidate is useful only if the target's derivative appears in one
     side of the equation against a structurally nonzero partner: either
     the analytic constant side or a stored nonzero coefficient.  The
-    stream is deterministic: analytic partners first (by quad), then
-    stored partners in canonical key order.
+    stream is deterministic: analytic partners first, then stored
+    partners in canonical key order, each in socket order; a repeated
+    candidate is dropped at its first occurrence.  The target is matched
+    once per distinct vec1 of the socket table (_fallback_sockets), and
+    each partner once per distinct vec2 among the sockets the target fits.
     """
-    geom = pot.geometry
-    analytic, series = _fallback_sockets(geom)
+    quads, shifts, analytic, series = _fallback_sockets(pot.geometry)
     seen: set[tuple] = set()
 
-    if target.m >= 1:
-        for quad, vec1 in analytic:
-            beta = alpha_sub(target.alpha, vec1)
-            if beta is None:
-                continue
-            mark = (quad, SeriesKey(beta, target.m))
-            if mark not in seen:
-                seen.add(mark)
-                yield mark
+    # Analytic marks are distinct: sockets are distinct per (quad, vec1).
+    for n, beta1 in _fitting(analytic.groups, target):
+        qi, xkey = analytic.quad[n], SeriesKey(beta1, target.m)
+        seen.add((qi, xkey))
+        yield quads[qi], xkey
 
-    viable: dict[tuple, None] = {}
-    for quad, vec1, p1, vec2, p2 in series:
-        if p1 and target.m == 0:
+    viable = _fitting(series.groups, target)
+    by_shift: dict[int, array] = {}
+    for k, (n, _) in enumerate(viable):
+        by_shift.setdefault(series.shift[n], array("l")).append(k)
+    partner_groups = [shifts[v] + (ks,) for v, ks in by_shift.items()]
+    for k2, value in pot.items_sorted():
+        if not value or k2 == target:
             continue
-        beta1 = alpha_sub(target.alpha, vec1)
-        if beta1 is None:
-            continue
-        viable[(quad, beta1, vec2, p2)] = None
-
-    partners = [
-        key for key, value in pot.items_sorted() if value and key != target
-    ]
-    for k2 in partners:
-        for quad, beta1, vec2, p2 in viable:
-            if p2 and k2.m == 0:
-                continue
-            beta2 = alpha_sub(k2.alpha, vec2)
-            if beta2 is None:
-                continue
-            mark = (quad, SeriesKey(alpha_add(beta1, beta2), target.m + k2.m))
-            if mark not in seen:
-                seen.add(mark)
-                yield mark
+        m = target.m + k2.m
+        for k, beta2 in _fitting(partner_groups, k2):
+            n, beta1 = viable[k]
+            qi, xkey = series.quad[n], SeriesKey(alpha_add(beta1, beta2), m)
+            if (qi, xkey) not in seen:
+                seen.add((qi, xkey))
+                yield quads[qi], xkey
 
 
 # -- the solver ---------------------------------------------------------

@@ -223,6 +223,8 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     """
     if not pot.sealed:
         raise ValueError("residual_scan requires a sealed potential")
+    if m_max < 0:
+        raise ValueError(f"scan order must be >= 0, got {m_max}")
     if pot.max_order is not None and pot.max_order < m_max:
         raise ValueError(
             f"potential is complete up to order {pot.max_order}, cannot scan to {m_max}"

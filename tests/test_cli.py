@@ -82,6 +82,32 @@ def test_show(tmp_path, capsys):
     assert run(capsys, "show", str(pot), "gibberish")[0] == 1
 
 
+def test_show_refuses_orders_beyond_max_order(tmp_path, capsys):
+    # (1,1)^2 m=3 is admissible on 2,2,3, but a file complete to m=2 does
+    # not know it: an unknown must not be reported as zero.
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))
+    code, out, err = run(capsys, "show", str(pot), "(1,1)^2 m=3")
+    assert code == 1
+    assert out == ""
+    assert "max-order 2" in err
+    assert run(capsys, "show", str(pot), "(1,1)^2 (2,1)^2 m=2")[0] == 0
+
+
+def test_verify_rejects_negative_max_order(tmp_path, capsys):
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))
+    code, out, err = run(capsys, "verify", str(pot), "--max-order", "-1")
+    assert code == 1
+    assert "targets-checked" not in out
+    assert "error:" in err
+    text = pot.read_text()
+    assert "max-order: 2\n" in text
+    pot.write_text(text.replace("max-order: 2\n", "max-order: -1\n"))
+    assert run(capsys, "verify", str(pot))[0] == 1
+    assert run(capsys, "show", str(pot), "(1,1)^4 m=0")[0] == 1
+
+
 def test_diff(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -345,3 +345,22 @@ def test_trace_digests_pinned(reconstructed, multiplet, m_max, mode, strategy, d
     # potential itself is unchanged.
     _, trace = reconstructed(multiplet, m_max, mode, strategy)
     assert hashlib.sha256(trace.to_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "multiplet, digest",
+    [
+        ("2,2,3", "1c2287489458d8c15c061e62768a12ffc4f0b18375dcde59d6b4f24bb86c06a6"),
+        ("2,3,4", "cff64ec4636194eeb86aee400925312f01a5b8d68f9ed92f8d524850af5556b7"),
+    ],
+    ids=["223-m2", "234-m2"],
+)
+def test_fallback_stream_pinned(reconstructed, multiplet, digest):
+    # The exhaustive fallback's full candidate stream, element for element,
+    # for every stored key of a sealed m=2 potential: order-0 keys exercise
+    # the stored-partner phase alone, m >= 1 keys the analytic phase too.
+    pot, _ = reconstructed(multiplet, 2)
+    h = hashlib.sha256()
+    for target, _ in pot.items_sorted():
+        h.update(repr(list(of.exhaustive_candidates(pot, target))).encode())
+    assert h.hexdigest() == digest
