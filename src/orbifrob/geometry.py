@@ -173,6 +173,8 @@ class Geometry:
         self._profile_cache: dict[tuple, tuple] = {}
         # Filled on first use by the exhaustive fallback of the solver.
         self._socket_cache: tuple | None = None
+        # WDVV quad -> its contraction plan, built on the quad's first probe.
+        self._plan_cache: dict = {}
 
     # -- basic data ----------------------------------------------------
 

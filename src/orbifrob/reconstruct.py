@@ -45,6 +45,7 @@ from .series import (
     alpha_sub,
     basis_alpha,
     derivative_profile,
+    effective_max_order,
     format_key,
     key_sort_key,
     s_factor,
@@ -202,13 +203,6 @@ def seed(geom: Geometry, mode: SeedMode = STANDARD) -> Potential:
     """Fresh unsealed potential holding exactly the seed coefficients."""
     pot, _ = _seed_with_provenance(geom, mode)
     return pot
-
-
-def effective_max_order(geom: Geometry, m_max: int) -> int:
-    """Positive chi caps the order: beyond 2/chi no key is admissible."""
-    if geom.chi_scaled > 0:
-        return min(m_max, (2 * geom.scale) // geom.chi_scaled)
-    return m_max
 
 
 # -- schedule -----------------------------------------------------------

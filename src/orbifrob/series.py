@@ -23,6 +23,7 @@ are SeriesKey(alpha, m) named tuples, cheap to hash and compare.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .geometry import POINT, UNIT, Geometry, Twisted
@@ -61,7 +62,7 @@ def alpha_from_pairs(geom: Geometry, pairs) -> tuple[int, ...]:
 
 
 def alpha_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def alpha_sub(a: tuple[int, ...], b: tuple[int, ...]):
@@ -129,6 +130,13 @@ def wdeg_scaled(geom: Geometry, alpha: tuple[int, ...], m: int) -> int:
 def is_admissible(geom: Geometry, key: SeriesKey) -> bool:
     """Whether the key satisfies the Euler constraint wdeg == 2."""
     return wdeg_scaled(geom, key.alpha, key.m) == 2 * geom.scale
+
+
+def effective_max_order(geom: Geometry, m_max: int) -> int:
+    """Positive chi caps the order: beyond floor(2/chi) no key is admissible."""
+    if geom.chi_scaled > 0:
+        return min(m_max, (2 * geom.scale) // geom.chi_scaled)
+    return m_max
 
 
 def exponents_with_scaled_degree(geom: Geometry, target: int) -> tuple[tuple[int, ...], ...]:
@@ -211,18 +219,27 @@ def derivative_profile(geom: Geometry, labels):
     """Split derivative labels into (unit count, point count, twisted multiset).
 
     The twisted multiset is returned as the indicator exponent vector and
-    a list of (slot, multiplicity) pairs.  Cached per geometry (the same
-    few hundred triples recur in every probe).
+    a list of (slot, multiplicity) pairs.
     """
-    cache_key = tuple(sorted(geom.label_index[lab] for lab in labels))
+    return indexed_profile(geom, tuple(sorted(geom.label_index[lab] for lab in labels)))
+
+
+def indexed_profile(geom: Geometry, indices: tuple[int, ...]):
+    """derivative_profile of the labels with these sorted label indices.
+
+    Cached per geometry: the quad plans of the WDVV kernel, the fallback's
+    socket table and the derivative maps ask for the same few hundred
+    triples.
+    """
     cache = geom._profile_cache
-    got = cache.get(cache_key)
+    got = cache.get(indices)
     if got is not None:
         return got
     units = 0
     points = 0
     mults: dict[int, int] = {}
-    for lab in labels:
+    for k in indices:
+        lab = geom.labels[k]
         if lab is UNIT:
             units += 1
         elif lab is POINT:
@@ -234,7 +251,7 @@ def derivative_profile(geom: Geometry, labels):
     for slot, k in mults.items():
         vec[slot] = k
     result = (units, points, tuple(vec), tuple(sorted(mults.items())))
-    cache[cache_key] = result
+    cache[indices] = result
     return result
 
 

@@ -9,9 +9,15 @@ extracts the coefficient of a single monomial t^beta exp(m tmu) from the
 left hand side.  It reads coefficients through a lookup that may answer
 with the formal unknown TARGET, so the same contraction serves the solver
 (the coefficient is affine in the unknown: intercept plus slope times x)
-and wdvv_coefficient on a complete store.  The module also enumerates all
-degree-admissible target monomials of an equation (admissible_targets) and
-sweeps every equation of a sealed potential (residual_scan).
+and wdvv_coefficient on a complete store.  Everything about an equation
+that does not depend on the monomial or the store (the degree gate, the
+derivative profile of every (eta pair, side) row, its sign and eta
+constants) is compiled once per quad into a plan, built on the quad's
+first probe and kept on the geometry; a call then only checks the degree
+gate, enumerates the splits of the monomial, looks up and multiplies.
+The module also enumerates all degree-admissible target monomials of an
+equation (admissible_targets) and sweeps every equation of a sealed
+potential (residual_scan).
 
 The scan deliberately does not use the kernel.  It is the independent
 re-check of what the solver wrote, and it computes every target of an
@@ -35,9 +41,10 @@ from .series import (
     Potential,
     SeriesKey,
     alpha_add,
-    derivative_profile,
+    effective_max_order,
     exponents_with_scaled_degree,
     format_key,
+    indexed_profile,
     key_sort_key,
     multiplicity,
     unit_constant,
@@ -73,14 +80,82 @@ class Blocked(Exception):
 def _splits(geom: Geometry, alpha: tuple[int, ...]) -> dict[int, list]:
     """All (beta1, alpha - beta1) with 0 <= beta1 <= alpha, grouped by the
     scaled degree of beta1."""
-    parts = [((), 0)]
+    parts = [((), (), 0)]
     for k, d in zip(alpha, geom.deg_scaled):
-        parts = [(beta + (j,), deg + j * d) for beta, deg in parts for j in range(k + 1)]
+        if k:
+            parts = [
+                (beta1 + (j,), beta2 + (k - j,), deg + j * d)
+                for beta1, beta2, deg in parts
+                for j in range(k + 1)
+            ]
+        else:
+            parts = [(beta1 + (0,), beta2 + (0,), deg) for beta1, beta2, deg in parts]
     groups: dict[int, list] = {}
-    for beta1, deg in parts:
-        beta2 = tuple(x - y for x, y in zip(alpha, beta1))
+    for beta1, beta2, deg in parts:
         groups.setdefault(deg, []).append((beta1, beta2))
     return groups
+
+
+class _QuadPlan(NamedTuple):
+    """The store-independent part of contract_at for one quad.
+
+    rhs is the degree gate: only monomials of scaled degree rhs can carry
+    a nonzero coefficient.  origin is the sum of the rows with UNIT on both
+    sides, two constants eta that contribute at the monomial 1 of order 0
+    only.  rows holds the other (eta pair, side) rows in kernel order:
+
+    * (coef, p, vec, mults, None, None, None, None) when one side
+      contains UNIT: coef is the signed eta weight times that side's
+      constant eta (nonzero; rows with a zero constant are dropped), and
+      the other side reads one coefficient, shifted by vec;
+    * (weight, p1, vec1, mults1, p2, vec2, mults2, top) for a product of
+      two series sides, where top = 2 - wdeg(vec1) (scaled) is the degree
+      the order-0 part of beta1 must have.
+
+    p counts POINT derivatives, vec is the twisted indicator vector and
+    mults its (slot, multiplicity) pairs, as in derivative_profile.
+    """
+
+    rhs: int
+    origin: object
+    rows: tuple
+
+
+def _quad_plan(geom: Geometry, quad: WdvvQuad) -> _QuadPlan:
+    """The plan of quad, built on its first probe and kept on the geometry."""
+    plan = geom._plan_cache.get(quad)
+    if plan is not None:
+        return plan
+    index, labels = geom.label_index, geom.labels
+
+    def const(triple):
+        return unit_constant(geom, [labels[k] for k in triple])
+
+    a, b, c, d = (index[lab] for lab in quad)
+    two = 2 * geom.scale
+    origin = QQ(0)
+    rows = []
+    for sigma, tau, w in geom.eta_inverse_pairs:
+        sigma, tau = index[sigma], index[tau]
+        for triple1, triple2, weight in (
+            ((a, b, sigma), (c, d, tau), w),
+            ((a, c, sigma), (b, d, tau), -w),
+        ):
+            u1, p1, vec1, mults1 = indexed_profile(geom, tuple(sorted(triple1)))
+            u2, p2, vec2, mults2 = indexed_profile(geom, tuple(sorted(triple2)))
+            if u1 and u2:
+                origin += weight * const(triple1) * const(triple2)
+            elif u1 or u2:
+                coef = weight * const(triple1 if u1 else triple2)
+                if coef:
+                    p, vec, mults = (p2, vec2, mults2) if u1 else (p1, vec1, mults1)
+                    rows.append((coef, p, vec, mults, None, None, None, None))
+            else:
+                top = two - wdeg_scaled(geom, vec1, 0)
+                rows.append((weight, p1, vec1, mults1, p2, vec2, mults2, top))
+    rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
+    plan = geom._plan_cache[quad] = _QuadPlan(rhs, origin, tuple(rows))
+    return plan
 
 
 def contract_at(geom: Geometry, quad: WdvvQuad, xkey: SeriesKey, lookup):
@@ -92,68 +167,58 @@ def contract_at(geom: Geometry, quad: WdvvQuad, xkey: SeriesKey, lookup):
     others are zero), and the second factor of a product is looked up only
     when the first is nonzero.  Derivatives containing UNIT come from
     F_triv and are the constants eta of the remaining pair.
+
+    The rows come from the quad's plan (_quad_plan) in a fixed order, so
+    the keys looked up, and which of them blocks first, depend only on
+    quad, xkey and the answers of lookup.
     """
     c0 = c1 = c2 = QQ(0)
-    rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
-    if wdeg_scaled(geom, xkey.alpha, xkey.m) != rhs:
+    plan = _quad_plan(geom, quad)
+    alpha, m = xkey
+    if wdeg_scaled(geom, alpha, m) != plan.rhs:
         return c0, c1, c2
-    m = xkey.m
-    a, b, c, d = quad
-    two = 2 * geom.scale
+    if m == 0 and not any(alpha):
+        c0 += plan.origin
+    chi = geom.chi_scaled
     splits = None
-    for sigma, tau, w in geom.eta_inverse_pairs:
-        for triple1, triple2, weight in (
-            ((a, b, sigma), (c, d, tau), w),
-            ((a, c, sigma), (b, d, tau), -w),
-        ):
-            u1, p1, vec1, mults1 = derivative_profile(geom, triple1)
-            u2, p2, vec2, mults2 = derivative_profile(geom, triple2)
-            if u1 and u2:
-                if m == 0 and not any(xkey.alpha):
-                    c0 += weight * unit_constant(geom, triple1) * unit_constant(geom, triple2)
+    for weight, p1, vec1, mults1, p2, vec2, mults2, top in plan.rows:
+        if vec2 is None:
+            if p1 and m == 0:
                 continue
-            if u1 or u2:
-                const = unit_constant(geom, triple1 if u1 else triple2)
-                points, vec, mults = (p2, vec2, mults2) if u1 else (p1, vec1, mults1)
-                if not const or (points and m == 0):
-                    continue
-                key = SeriesKey(alpha_add(xkey.alpha, vec), m)
-                value = lookup(key)
-                if not value:
-                    continue
-                coef = weight * const * multiplicity(key, points, mults)
-                if value is TARGET:
-                    c1 += coef
-                else:
-                    c0 += coef * value
+            key = SeriesKey(alpha_add(alpha, vec1), m)
+            value = lookup(key)
+            if not value:
                 continue
+            coef = weight * multiplicity(key, p1, mults1)
+            if value is TARGET:
+                c1 += coef
+            else:
+                c0 += coef * value
+            continue
 
-            if splits is None:
-                splits = _splits(geom, xkey.alpha)
-            e1deg = wdeg_scaled(geom, vec1, 0)
-            for m1 in range(m + 1):
-                m2 = m - m1
-                if (p1 and m1 == 0) or (p2 and m2 == 0):
+        if splits is None:
+            splits = _splits(geom, alpha)
+        for m1 in range(1 if p1 else 0, m if p2 else m + 1):
+            m2 = m - m1
+            for beta1, beta2 in splits.get(top - m1 * chi, ()):
+                k1 = SeriesKey(alpha_add(beta1, vec1), m1)
+                v1 = lookup(k1)
+                if not v1:
                     continue
-                for beta1, beta2 in splits.get(two - e1deg - m1 * geom.chi_scaled, ()):
-                    k1 = SeriesKey(alpha_add(beta1, vec1), m1)
-                    v1 = lookup(k1)
-                    if not v1:
-                        continue
-                    k2 = SeriesKey(alpha_add(beta2, vec2), m2)
-                    v2 = lookup(k2)
-                    if not v2:
-                        continue
-                    coef = weight * multiplicity(k1, p1, mults1) * multiplicity(k2, p2, mults2)
-                    if v1 is TARGET:
-                        if v2 is TARGET:
-                            c2 += coef
-                        else:
-                            c1 += coef * v2
-                    elif v2 is TARGET:
-                        c1 += coef * v1
+                k2 = SeriesKey(alpha_add(beta2, vec2), m2)
+                v2 = lookup(k2)
+                if not v2:
+                    continue
+                coef = weight * multiplicity(k1, p1, mults1) * multiplicity(k2, p2, mults2)
+                if v1 is TARGET:
+                    if v2 is TARGET:
+                        c2 += coef
                     else:
-                        c0 += coef * v1 * v2
+                        c1 += coef * v2
+                elif v2 is TARGET:
+                    c1 += coef * v1
+                else:
+                    c0 += coef * v1 * v2
     return c0, c1, c2
 
 
@@ -217,7 +282,8 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
 
     Quads are canonicalised up to the symmetries a<->b, c<->d and
     (a,b)<->(c,d); quads containing the unit label are skipped (their
-    equations vanish identically).  Distinct quads may be scanned
+    equations vanish identically).  For chi > 0 the scan stops at
+    floor(2/chi), as the reconstruction does, and reports that order.  Distinct quads may be scanned
     concurrently in principle; this implementation is sequential but
     shares the pair products between the quads that reuse them.
     """
@@ -230,6 +296,9 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             f"potential is complete up to order {pot.max_order}, cannot scan to {m_max}"
         )
     geom = pot.geometry
+    # Positive chi: no key is admissible above floor(2/chi), so no
+    # equation has a monomial there.
+    m_max = effective_max_order(geom, m_max)
     report = ResidualReport(geom, m_max)
 
     # One denominator for the whole store: entries of the scaled maps are

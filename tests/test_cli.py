@@ -108,6 +108,22 @@ def test_verify_rejects_negative_max_order(tmp_path, capsys):
     assert run(capsys, "show", str(pot), "(1,1)^4 m=0")[0] == 1
 
 
+
+def test_verify_caps_the_scan_at_two_over_chi(tmp_path, capsys):
+    # chi(2,3,4) = 1/12: no key is admissible above m = 24, so a huge
+    # max-order header must not make the scan or its output grow.
+    pot = tmp_path / "pot.txt"
+    pot.write_text(
+        "frobenius-potential v1\nmultiplet: 2,3,4\nmode: standard\n"
+        "max-order: 1000000\ncoefficients: 0\n"
+    )
+    code, out, _ = run(capsys, "verify", str(pot), "--checks", "wdvv")
+    assert code == 0
+    assert len(out.encode()) < 2048
+    counted = out.split("targets-checked: ")[1].splitlines()[0]
+    assert counted.split(", ")[-1].startswith("m=24: ")
+    assert "nonzero-residuals: 0" in out
+
 def test_diff(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -194,6 +194,39 @@ def test_reconstruct_rejects_bad_order():
         of.reconstruct("2,2,2", 0)
 
 
+
+def _kronecker3(d):
+    return (0, 1, -1)[d % 3]
+
+
+@pytest.mark.parametrize(
+    "multiplet, m_max, closed_form",
+    [
+        # Sum over d | m of the character (d/3), supported on m = 1 mod 3.
+        ("3,3,3", 10,
+         lambda m: sum(_kronecker3(d) for d in range(1, m + 1) if m % d == 0)
+         if m % 3 == 1 else 0),
+        # sigma(m), the sum of the divisors of m, supported on odd m.
+        ("2,2,2,2", 9,
+         lambda m: sum(d for d in range(1, m + 1) if m % d == 0) if m % 2 else 0),
+    ],
+    ids=["333-kronecker3", "2222-sigma"],
+)
+def test_elliptic_product_coefficients_are_divisor_sums(
+    reconstructed, multiplet, m_max, closed_form
+):
+    # chi = 0: the product monomial t_{1,1}...t_{r,1} e^{m tmu} is admissible
+    # at every order, and its coefficient is a modular divisor sum
+    # (Satake-Takahashi, arXiv:1103.0951).  The closed forms share no code
+    # with the solver.
+    pot, _ = reconstructed(multiplet, m_max)
+    geom = pot.geometry
+    assert pot.max_order == m_max
+    alpha = product_key(geom).alpha
+    got = [pot.get_coefficient(SeriesKey(alpha, m)) for m in range(1, m_max + 1)]
+    assert got == [closed_form(m) for m in range(1, m_max + 1)]
+    assert any(value != 1 for value in got if value)  # not just the seed
+
 def test_degree_one_stratum_matches_uniqueness_statement(reconstructed):
     # c(alpha, 1) with |alpha| <= r is nonzero exactly at the product key.
     pot, _ = reconstructed("2,2,5", 2)

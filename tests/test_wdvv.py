@@ -182,6 +182,34 @@ def test_residual_scan_counts_the_compared_monomials(reconstructed):
     assert all(counts.values())
 
 
+
+def test_kernel_matches_scan_on_every_target(reconstructed):
+    # The scan is the independent evaluator of the equations (packed
+    # integer pair products, no shared code with contract_at).  With one
+    # m=1 coefficient perturbed, every equation's coefficient from the
+    # kernel must equal the scan's residual, or 0 where it reports none.
+    pot, _ = reconstructed("2,3,4", 2)
+    geom = pot.geometry
+    victim = key_of(geom, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1)
+    broken = of.Potential(geom, pot.seed_mode)
+    for key, value in pot.coeffs.items():
+        broken.set_coefficient(key, value + (key == victim))
+    broken.seal(2)
+    scan = {(q, k): v for q, k, v in of.residual_scan(broken, 2).nonzero}
+    labels = [lab for lab in geom.labels if lab is not UNIT]
+    pairs = [(i, j) for i in range(len(labels)) for j in range(i, len(labels))]
+    assert len(pairs) == 28
+    checked = set()
+    for n, (i, j) in enumerate(pairs):
+        for k, l in pairs[n:]:
+            quad = WdvvQuad(labels[i], labels[j], labels[k], labels[l])
+            for target in all_targets(geom, quad, 2):
+                expected = scan.get((quad, target), 0)
+                assert of.wdvv_coefficient(broken, quad, target) == expected
+                checked.add((quad, target))
+    assert set(scan) <= checked  # every residual sits at a checked target
+    assert len(checked) == 14092 and len(scan) == 493
+
 def test_residual_scan_detects_perturbation(reconstructed):
     pot, _ = reconstructed("2,2,3", 2)
     geom = pot.geometry
