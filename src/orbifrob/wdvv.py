@@ -291,14 +291,14 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         raise ValueError("residual_scan requires a sealed potential")
     if m_max < 0:
         raise ValueError(f"scan order must be >= 0, got {m_max}")
-    if pot.max_order is not None and pot.max_order < m_max:
-        raise ValueError(
-            f"potential is complete up to order {pot.max_order}, cannot scan to {m_max}"
-        )
     geom = pot.geometry
     # Positive chi: no key is admissible above floor(2/chi), so no
     # equation has a monomial there.
     m_max = effective_max_order(geom, m_max)
+    if pot.max_order is not None and pot.max_order < m_max:
+        raise ValueError(
+            f"potential is complete up to order {pot.max_order}, cannot scan to {m_max}"
+        )
     report = ResidualReport(geom, m_max)
 
     # One denominator for the whole store: entries of the scaled maps are

@@ -123,6 +123,12 @@ def test_verify_caps_the_scan_at_two_over_chi(tmp_path, capsys):
     counted = out.split("targets-checked: ")[1].splitlines()[0]
     assert counted.split(", ")[-1].startswith("m=24: ")
     assert "nonzero-residuals: 0" in out
+    # reconstruct -m 9 on 2,2,2 (chi = 1/2) writes max-order 4, which is
+    # complete: a scan to 9 checks the same equations.
+    run(capsys, "reconstruct", "-A", "2,2,2", "-m", "9", "-o", str(pot))
+    code, out, _ = run(capsys, "verify", str(pot), "--checks", "wdvv", "--max-order", "9")
+    assert code == 0
+    assert "m-max=4" in out
 
 def test_diff(tmp_path, capsys):
     a = tmp_path / "a.txt"
