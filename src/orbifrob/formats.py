@@ -121,6 +121,8 @@ def parse_potential(text: str) -> Potential:
             raise ValueError(f"malformed record {line!r}")
         alpha = parse_exponents(geom, parts[0])
         m = int(parts[1][2:])
+        if not 0 <= m <= max_order:
+            raise ValueError(f"record order m={m} is outside 0..max-order {max_order}")
         value = parse_rational(parts[2])
         key = SeriesKey(alpha, m)
         if key in seen:

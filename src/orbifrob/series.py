@@ -291,7 +291,6 @@ class Potential:
         self.coeffs: dict[SeriesKey, object] = {}
         self.sealed = False
         self.max_order: int | None = None
-        self._derivative_cache: dict[tuple, dict] = {}
 
     # -- store ----------------------------------------------------------
 
@@ -346,14 +345,10 @@ class Potential:
     def third_derivative_map(self, d1, d2, d3) -> dict[SeriesKey, object]:
         """Full coefficient map of one third derivative (0 entries absent).
 
-        Cached on sealed potentials; computed fresh otherwise.
+        Computed fresh on every call; nothing is cached on the potential.
         """
         geom = self.geometry
         labels = (d1, d2, d3)
-        cache_key = tuple(sorted(geom.label_index[lab] for lab in labels))
-        if self.sealed and cache_key in self._derivative_cache:
-            return self._derivative_cache[cache_key]
-
         units, points, vec, mults = derivative_profile(geom, labels)
         out: dict[SeriesKey, object] = {}
         if units:
@@ -370,8 +365,6 @@ class Potential:
                 if beta is None:
                     continue
                 out[SeriesKey(beta, key.m)] = c * multiplicity(key, points, mults)
-        if self.sealed:
-            self._derivative_cache[cache_key] = out
         return out
 
     def __repr__(self):

@@ -24,9 +24,14 @@ re-check of what the solver wrote, and it computes every target of an
 equation at once: it clears denominators once (a single lcm over the store
 and the pairing entries) and convolves integer maps whose keys are
 exponent vectors packed into single machine integers, so residuals are
-exact and the sweep stays fast.  For a target of order m only stored
-orders m1 + m2 = m contribute, all <= m_max, hence reported residuals are
-exact values of the equations, not truncations.
+exact and the sweep stays fast.  Both sides of an equation are pair
+products drawn from one 4-label multiset, so the scan streams the
+equations one multiset at a time: it computes each pair product once,
+holds at most three of them, and keeps only the packed derivative maps
+(one per label triple) and the nonzero residuals for the whole sweep.
+For a target of order m only stored orders m1 + m2 = m contribute, all
+<= m_max, hence reported residuals are exact values of the equations,
+not truncations.
 """
 
 from __future__ import annotations
@@ -283,9 +288,10 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     Quads are canonicalised up to the symmetries a<->b, c<->d and
     (a,b)<->(c,d); quads containing the unit label are skipped (their
     equations vanish identically).  For chi > 0 the scan stops at
-    floor(2/chi), as the reconstruction does, and reports that order.  Distinct quads may be scanned
-    concurrently in principle; this implementation is sequential but
-    shares the pair products between the quads that reuse them.
+    floor(2/chi), as the reconstruction does, and reports that order.
+    The scan is sequential and streams the equations one 4-label multiset
+    at a time, holding only that multiset's pair products; the residuals
+    are reported in quad order whatever order the multisets take.
     """
     if not pot.sealed:
         raise ValueError("residual_scan requires a sealed potential")
@@ -335,17 +341,20 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             packed >>= shift
         return SeriesKey(tuple(alpha), m)
 
-    labels = [lab for lab in geom.labels if lab is not UNIT]
-    eta_pairs = geom.eta_inverse_pairs
+    labels = geom.labels
+    index = geom.label_index
+    eta_pairs = [(index[sigma], index[tau], w) for sigma, tau, w in geom.eta_inverse_pairs]
 
-    dmaps: dict[tuple, dict[int, dict[int, int]]] = {}
+    # Scaled, packed derivative maps, one per sorted label-index triple,
+    # grouped by order: {m: {packed key: integer coefficient}}.
+    dmaps: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
 
-    def dmap(pair: tuple[int, int], sigma) -> dict[int, dict[int, int]]:
-        cache_key = (pair, geom.label_index[sigma])
-        got = dmaps.get(cache_key)
+    def dmap(pair: tuple[int, int], sigma: int) -> dict[int, dict[int, int]]:
+        triple = tuple(sorted((*pair, sigma)))
+        got = dmaps.get(triple)
         if got is not None:
             return got
-        raw = pot.third_derivative_map(labels[pair[0]], labels[pair[1]], sigma)
+        raw = pot.third_derivative_map(*(labels[k] for k in triple))
         out: dict[int, dict[int, int]] = {}
         for key, value in raw.items():
             if key.m > m_max:
@@ -356,18 +365,11 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
                 raise AssertionError("denominator not cleared")
             if num:
                 out.setdefault(key.m, {})[pack(key)] = num
-        dmaps[cache_key] = out
+        dmaps[triple] = out
         return out
 
-    products: dict[tuple, dict[int, int]] = {}
-
     def product(p1: tuple[int, int], p2: tuple[int, int]) -> dict[int, int]:
-        if p2 < p1:
-            p1, p2 = p2, p1
-        cache_key = (p1, p2)
-        got = products.get(cache_key)
-        if got is not None:
-            return got
+        """sum over eta^{st} of F_{p1,s} F_{t,p2}, truncated at m_max."""
         out: dict[int, int] = {}
         get = out.get
         for sigma, tau, w in eta_pairs:
@@ -387,31 +389,55 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
                             k = k1 + k2
                             prev = get(k)
                             out[k] = wv1 * v2 if prev is None else prev + wv1 * v2
-        products[cache_key] = out
         return out
 
+    series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
     pairs = [
-        (i, j) for i in range(len(labels)) for j in range(i, len(labels))
+        (i, j) for n, i in enumerate(series_labels) for j in series_labels[n:]
     ]
+
+    # Both sides of an equation are products of two label pairs drawn from
+    # the same 4-label multiset, and each product belongs to exactly one
+    # multiset; so the equations are scanned one multiset at a time and
+    # only that multiset's (at most three) products are held.
+    groups: dict[tuple[int, ...], list] = {}
+    for i1, p1 in enumerate(pairs):
+        for p2 in pairs[i1:]:
+            groups.setdefault(tuple(sorted(p1 + p2)), []).append((p1, p2))
+            report.quads_checked += 1
 
     denom = scale * scale
     target_counts: dict[int, int] = {m: 0 for m in range(m_max + 1)}
-    for i1, p1 in enumerate(pairs):
-        for p2 in pairs[i1:]:
-            quad = WdvvQuad(labels[p1[0]], labels[p1[1]], labels[p2[0]], labels[p2[1]])
-            report.quads_checked += 1
-            lhs = product(p1, p2)
-            rhs = product(
-                tuple(sorted((p1[0], p2[0]))), tuple(sorted((p1[1], p2[1])))
-            )
+    products: dict[tuple, dict[int, int]] = {}  # of the current multiset
+
+    def side(q1: tuple[int, int], q2: tuple[int, int]) -> dict[int, int]:
+        canon = (q1, q2) if q1 <= q2 else (q2, q1)
+        got = products.get(canon)
+        if got is None:
+            got = products[canon] = product(*canon)
+        return got
+
+    found = []
+    for equations in groups.values():
+        products.clear()
+        for p1, p2 in equations:
+            lhs = side(p1, p2)
+            rhs = side(tuple(sorted((p1[0], p2[0]))), tuple(sorted((p1[1], p2[1]))))
             bad = []
             for k in lhs.keys() | rhs.keys():
                 target_counts[k & mmask] += 1
                 diff = lhs.get(k, 0) - rhs.get(k, 0)
                 if diff:
-                    key = unpack(k)
-                    bad.append((key, QQ(diff, denom)))
-            for key, value in sorted(bad, key=lambda t: key_sort_key(t[0])):
-                report.nonzero.append((quad, key, value))
+                    bad.append((unpack(k), QQ(diff, denom)))
+            if bad:
+                found.append((p1, p2, bad))
+
+    # pairs is in lexicographic order, so sorting by (p1, p2) restores the
+    # order of the quad enumeration; within a quad, canonical key order.
+    found.sort(key=lambda item: item[:2])
+    for p1, p2, bad in found:
+        quad = WdvvQuad(*(labels[k] for k in p1 + p2))
+        for key, value in sorted(bad, key=lambda t: key_sort_key(t[0])):
+            report.nonzero.append((quad, key, value))
     report.targets_checked = target_counts
     return report

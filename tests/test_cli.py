@@ -109,6 +109,32 @@ def test_verify_rejects_negative_max_order(tmp_path, capsys):
 
 
 
+def _add_record(text, record):
+    head, _, body = text.partition("coefficients: ")
+    count, _, records = body.partition("\n")
+    return f"{head}coefficients: {int(count) + 1}\n{records}{record}\n"
+
+
+def test_records_outside_the_order_range_are_rejected(tmp_path, capsys):
+    # On 2,3,7 (chi < 0) a record of order -1 obeys the Euler constraint;
+    # it must be refused on load, not crash the scan.
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,3,7", "-m", "1", "-o", str(pot))
+    good = pot.read_text()
+    pot.write_text(_add_record(good, "(1,1)^1 (2,2)^1 (3,3)^2 | m=-1 | 5"))
+    code, out, err = run(capsys, "verify", str(pot))
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "m=-1" in err
+    assert run(capsys, "show", str(pot), "(1,1)^1 (2,1)^1 (3,1)^1 m=1")[0] == 1
+    # A record above the header's max-order is refused too, also with a
+    # zero value.
+    for record in ("(1,1)^1 (2,1)^1 (3,1)^1 | m=2 | 1", "(3,1)^1 | m=9 | 0"):
+        pot.write_text(_add_record(good, record))
+        code, out, err = run(capsys, "verify", str(pot), "--checks", "wdvv")
+        assert code == 1
+        assert out == "" and "max-order 1" in err
+
+
 def test_verify_caps_the_scan_at_two_over_chi(tmp_path, capsys):
     # chi(2,3,4) = 1/12: no key is admissible above m = 24, so a huge
     # max-order header must not make the scan or its output grow.

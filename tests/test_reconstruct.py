@@ -199,18 +199,31 @@ def _kronecker3(d):
     return (0, 1, -1)[d % 3]
 
 
+def _chi_minus4(d):
+    return (0, 1, 0, -1)[d % 4]
+
+
+def _divisor_sum(character, m):
+    return sum(character(d) for d in range(1, m + 1) if m % d == 0)
+
+
 @pytest.mark.parametrize(
     "multiplet, m_max, closed_form",
     [
         # Sum over d | m of the character (d/3), supported on m = 1 mod 3.
         ("3,3,3", 10,
-         lambda m: sum(_kronecker3(d) for d in range(1, m + 1) if m % d == 0)
-         if m % 3 == 1 else 0),
+         lambda m: _divisor_sum(_kronecker3, m) if m % 3 == 1 else 0),
         # sigma(m), the sum of the divisors of m, supported on odd m.
         ("2,2,2,2", 9,
          lambda m: sum(d for d in range(1, m + 1) if m % d == 0) if m % 2 else 0),
+        # Sum over d | m of chi_{-4}(d), supported on m = 1 mod 4.
+        ("2,4,4", 9,
+         lambda m: _divisor_sum(_chi_minus4, m) if m % 4 == 1 else 0),
+        # Sum over d | m of (d/3), supported on m = 1 mod 6.
+        ("2,3,6", 7,
+         lambda m: _divisor_sum(_kronecker3, m) if m % 6 == 1 else 0),
     ],
-    ids=["333-kronecker3", "2222-sigma"],
+    ids=["333-kronecker3", "2222-sigma", "244-chi4", "236-kronecker3"],
 )
 def test_elliptic_product_coefficients_are_divisor_sums(
     reconstructed, multiplet, m_max, closed_form

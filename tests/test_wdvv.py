@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -276,3 +278,59 @@ def test_solve_step_slopes_against_symbolic_oracle(reconstructed):
         for key, value in pot.coeffs.items():
             raised.set_coefficient(key, value + (key == step.target))
         assert SymbolicOracle(raised).wdvv_coefficient(step.quad, step.xkey) == step.slope
+
+
+def _perturbed(reconstructed, multiplet, m_max, pairs, m, delta):
+    pot, _ = reconstructed(multiplet, m_max)
+    geom = pot.geometry
+    victim = key_of(geom, pairs, m)
+    broken = of.Potential(geom, pot.seed_mode)
+    for key, value in pot.coeffs.items():
+        broken.set_coefficient(key, value + delta * (key == victim))
+    broken.seal(m_max)
+    return broken
+
+
+@pytest.mark.parametrize(
+    "multiplet, m_max, pairs, m, delta, lines, digest",
+    [
+        ("2,3,4", 2, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 1, 493,
+         "799c743ab38689ffac6ba0b8a7aff6b099e073b81bcb835b5425382aefeec1c3"),
+        ("2,2,3", 3, {(1, 1): 1, (2, 1): 1, (3, 2): 1}, 2, of.QQ(1, 3), 107,
+         "33c59490be1dccf73f58c8b7db68f51d55146fe6ce7236aa6727bab7c16b57c0"),
+        ("3,3,3", 2, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 2, 499,
+         "0557aa9e0490abf26ff0bb2f99d8434e10330f5e32248d652fbe22e5224f59e8"),
+    ],
+    ids=["234-m2", "223-m3", "333-m2"],
+)
+def test_residual_report_bytes_pinned(
+    reconstructed, multiplet, m_max, pairs, m, delta, lines, digest
+):
+    # sha256 of the full report of a perturbed potential, recorded when the
+    # scan still kept every pair product: pins the residual values, the
+    # order of the residual lines (quad order, then canonical key order)
+    # and the targets-checked counts.
+    broken = _perturbed(reconstructed, multiplet, m_max, pairs, m, delta)
+    text = of.residual_scan(broken, m_max).to_text()
+    assert text.count("residual |") == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_residual_scan_holds_one_multiset_at_a_time(reconstructed):
+    # The scan keeps only the pair products of the current 4-label
+    # multiset and no derivative map on the potential.  Keeping every
+    # product for the whole scan peaks at about 0.7 MB here; streaming
+    # them peaks at about 0.16 MB.
+    pot, _ = reconstructed("2,3,4", 3)
+    fresh = of.Potential(pot.geometry, pot.seed_mode)
+    for key, value in pot.coeffs.items():
+        fresh.set_coefficient(key, value)
+    fresh.seal(3)
+    tracemalloc.start()
+    try:
+        report = of.residual_scan(fresh, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 350_000
