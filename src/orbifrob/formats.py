@@ -27,6 +27,7 @@ from .series import (
     SeriesKey,
     alpha_from_pairs,
     format_exponents,
+    is_admissible,
     key_sort_key,
     zero_alpha,
 )
@@ -130,6 +131,8 @@ def parse_potential(text: str) -> Potential:
         seen.add(key)
         if value:
             pot.set_coefficient(key, value)
+        elif not is_admissible(geom, key):
+            raise ValueError(f"record {parts[0]} | m={m} violates the Euler constraint")
     pot.seal(max_order)
     return pot
 

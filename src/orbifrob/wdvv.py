@@ -368,8 +368,15 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         dmaps[triple] = out
         return out
 
+    products: dict[tuple, dict[int, int]] = {}  # of the current multiset
+
     def product(p1: tuple[int, int], p2: tuple[int, int]) -> dict[int, int]:
-        """sum over eta^{st} of F_{p1,s} F_{t,p2}, truncated at m_max."""
+        if p2 < p1:
+            p1, p2 = p2, p1
+        cache_key = (p1, p2)
+        got = products.get(cache_key)
+        if got is not None:
+            return got
         out: dict[int, int] = {}
         get = out.get
         for sigma, tau, w in eta_pairs:
@@ -389,6 +396,7 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
                             k = k1 + k2
                             prev = get(k)
                             out[k] = wv1 * v2 if prev is None else prev + wv1 * v2
+        products[cache_key] = out
         return out
 
     series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
@@ -408,21 +416,14 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
 
     denom = scale * scale
     target_counts: dict[int, int] = {m: 0 for m in range(m_max + 1)}
-    products: dict[tuple, dict[int, int]] = {}  # of the current multiset
-
-    def side(q1: tuple[int, int], q2: tuple[int, int]) -> dict[int, int]:
-        canon = (q1, q2) if q1 <= q2 else (q2, q1)
-        got = products.get(canon)
-        if got is None:
-            got = products[canon] = product(*canon)
-        return got
-
     found = []
     for equations in groups.values():
         products.clear()
         for p1, p2 in equations:
-            lhs = side(p1, p2)
-            rhs = side(tuple(sorted((p1[0], p2[0]))), tuple(sorted((p1[1], p2[1]))))
+            lhs = product(p1, p2)
+            rhs = product(
+                tuple(sorted((p1[0], p2[0]))), tuple(sorted((p1[1], p2[1])))
+            )
             bad = []
             for k in lhs.keys() | rhs.keys():
                 target_counts[k & mmask] += 1

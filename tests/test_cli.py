@@ -127,12 +127,17 @@ def test_records_outside_the_order_range_are_rejected(tmp_path, capsys):
     assert out == "" and err.startswith("error:") and "m=-1" in err
     assert run(capsys, "show", str(pot), "(1,1)^1 (2,1)^1 (3,1)^1 m=1")[0] == 1
     # A record above the header's max-order is refused too, also with a
-    # zero value.
+    # zero value (files never hold zeros, but a hand edit may).
     for record in ("(1,1)^1 (2,1)^1 (3,1)^1 | m=2 | 1", "(3,1)^1 | m=9 | 0"):
         pot.write_text(_add_record(good, record))
         code, out, err = run(capsys, "verify", str(pot), "--checks", "wdvv")
         assert code == 1
         assert out == "" and "max-order 1" in err
+    # A zero record is checked against the Euler constraint as well.
+    pot.write_text(_add_record(good, "(3,1)^1 | m=1 | 0"))
+    code, out, err = run(capsys, "verify", str(pot))
+    assert code == 1
+    assert out == "" and "Euler constraint" in err
 
 
 def test_verify_caps_the_scan_at_two_over_chi(tmp_path, capsys):
