@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -409,4 +410,40 @@ def test_fallback_stream_pinned(reconstructed, multiplet, digest):
     h = hashlib.sha256()
     for target, _ in pot.items_sorted():
         h.update(repr(list(of.exhaustive_candidates(pot, target))).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "multiplet, m_max, mode, strategy, calls, digest",
+    [
+        # Escalates to the fallback.
+        ("2,2,3", 4, of.VANISHING_NO_QUARTIC, "guided", 179,
+         "c16173edb1b3f943c627f2ad9d785ab9c3c27fac588f807ac73edbd6f70a9832"),
+        ("2,3,4", 2, of.STANDARD, "exhaustive", 363,
+         "1bc916a2d46993ff393e8da7c9acd7e9c9f594fc41d6d73f128eae0745f89968"),
+        ("2,2,2", 4, of.STANDARD, "guided", 13,
+         "f9d406df8ef0cd445394030b7ebe60fe7b291ff3b936bce2029ead01c66afe0c"),
+    ],
+    ids=["223-m4-no-quartic", "234-m2-exhaustive", "222-m4"],
+)
+def test_probe_decisions_pinned(monkeypatch, multiplet, m_max, mode, strategy, calls, digest):
+    # Every probe the solver makes, with its outcome: which candidates are
+    # solved, blocked (and on which key) or useless must not depend on how
+    # the store represents known zeros.
+    module = sys.modules["orbifrob.reconstruct"]
+    probe = module.probe_candidate
+    h = hashlib.sha256()
+    statuses = []
+
+    def recording(pot, quad, xkey, target):
+        r = probe(pot, quad, xkey, target)
+        # Rationals enter as text, so the digest holds for either backend.
+        value, slope = (None if v is None else of.format_rational(v) for v in (r.value, r.slope))
+        h.update(repr((quad, xkey, target, r.status, value, slope, r.blocker)).encode())
+        statuses.append(r.status)
+        return r
+
+    monkeypatch.setattr(module, "probe_candidate", recording)
+    of.reconstruct(multiplet, m_max, mode, strategy=strategy)
+    assert len(statuses) == calls
     assert h.hexdigest() == digest
