@@ -18,7 +18,7 @@ print()
 
 print("nonzero coefficients up to order 1:")
 for key, value in pot.items_sorted():
-    if value and key.m <= 1:
+    if key.m <= 1:
         print(f"  c[{format_key(geom, key)}] = {format_rational(value)}")
 
 print()
@@ -32,5 +32,5 @@ print()
 print("the quartic sector coefficients carry the familiar closed forms:")
 print("  a = 2 sector: -1/96;  a >= 3 sector: -1/(4 a^2):")
 for key, value in pot.items_sorted():
-    if value and key.m == 0 and sum(key.alpha) == 4:
+    if key.m == 0 and sum(key.alpha) == 4:
         print(f"  c[{format_key(geom, key)}] = {format_rational(value)}")

@@ -106,10 +106,9 @@ def _cmd_reconstruct(args) -> int:
     )
     if args.out:
         write_potential(pot, args.out)
-        stored = sum(1 for v in pot.coeffs.values() if v)
         print(
             f"reconstructed {pot.geometry.multiplet} up to order {pot.max_order}: "
-            f"{stored} nonzero coefficients -> {args.out}"
+            f"{len(pot.coeffs)} nonzero coefficients -> {args.out}"
         )
     else:
         sys.stdout.write(serialize_potential(pot))

@@ -27,7 +27,6 @@ from .series import (
     SeriesKey,
     alpha_from_pairs,
     format_exponents,
-    is_admissible,
     key_sort_key,
     zero_alpha,
 )
@@ -75,9 +74,7 @@ def serialize_potential(pot: Potential) -> str:
         raise ValueError("only sealed potentials are serialized")
     geom = pot.geometry
     mode = pot.seed_mode if pot.seed_mode is not None else STANDARD
-    records = [
-        (key, value) for key, value in pot.items_sorted() if value
-    ]
+    records = pot.items_sorted()
     lines = [
         MAGIC,
         f"multiplet: {geom.multiplet}",
@@ -129,10 +126,7 @@ def parse_potential(text: str) -> Potential:
         if key in seen:
             raise ValueError(f"duplicate record for {parts[0]} | m={m}")
         seen.add(key)
-        if value:
-            pot.set_coefficient(key, value)
-        elif not is_admissible(geom, key):
-            raise ValueError(f"record {parts[0]} | m={m} violates the Euler constraint")
+        pot.set_coefficient(key, value)
     pot.seal(max_order)
     return pot
 
@@ -158,9 +152,7 @@ def diff_potentials(pot1: Potential, pot2: Potential):
     g1, g2 = pot1.geometry, pot2.geometry
     if g1.multiplet != g2.multiplet:
         return (f"multiplets differ: {g1.multiplet} vs {g2.multiplet}", None)
-    keys = {k for k, v in pot1.coeffs.items() if v}
-    keys |= {k for k, v in pot2.coeffs.items() if v}
-    for key in sorted(keys, key=key_sort_key):
+    for key in sorted(pot1.coeffs.keys() | pot2.coeffs.keys(), key=key_sort_key):
         v1 = pot1.get_coefficient(key)
         v2 = pot2.get_coefficient(key)
         if v1 != v2:

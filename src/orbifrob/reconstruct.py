@@ -16,14 +16,14 @@ coefficient of a chosen extraction monomial in a chosen WDVV equation is
 an affine function of the single unknown, so probing the equation yields
 intercept and slope and the unknown is -intercept/slope.  The probe is a
 thin wrapper over the WDVV kernel wdvv.contract_at: it answers lookups of
-the target with the formal unknown, of stored keys with their values, and
-blocks on any other key.  Targets are
-scheduled in the induction order of the underlying uniqueness argument
-(joint order-0/order-1 induction on the length, then order by order), with
-a worklist that defers targets whose prerequisite coefficients are not
-known yet, and an exhaustive candidate search as fallback for every
-target.  The trace records every seed and every solved equation, making
-the realized order auditable.
+the target with the formal unknown, blocks on the keys the potential lists
+as unknown or that lie above its max_order, and reads every other key from
+the store (absent means 0).  Targets are scheduled in the induction
+order of the underlying uniqueness argument (joint order-0/order-1
+induction on the length, then order by order), with a worklist that
+defers targets whose prerequisites are not known yet, and an exhaustive
+candidate search as fallback for every target.  The trace records every
+seed and every solved equation, making the realized order auditable.
 """
 
 from __future__ import annotations
@@ -156,8 +156,12 @@ def rescaled_mode(a) -> SeedMode:
 # -- seeding ------------------------------------------------------------
 
 
-def _seed_with_provenance(geom: Geometry, mode: SeedMode):
+def _seed_with_provenance(geom: Geometry, mode: SeedMode, m_max: int):
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     pot = Potential(geom, mode)
+    pot.max_order = top = effective_max_order(geom, m_max)
+    pot.unknown = {SeriesKey(a, m) for m in range(top + 1) for a in admissible_keys(geom, m)}
     entries: list[tuple[SeriesKey, object, str]] = []
 
     def put(key, value, provenance):
@@ -173,9 +177,8 @@ def _seed_with_provenance(geom: Geometry, mode: SeedMode):
             alpha = alpha_from_pairs(geom, [((i, j), 1) for j in js])
             put(SeriesKey(alpha, 0), QQ(1, a * s_factor(*js)), "limit-cubic")
 
-    # Sector purity: all order-0 keys meeting two sectors vanish.  These
-    # are recorded as hard constraints (stored zeros) so no later write
-    # can violate them.
+    # Sector purity: all order-0 keys meeting two sectors vanish.  Seeding
+    # makes them known zeros, so they are never scheduled.
     for alpha in admissible_keys(geom, 0):
         if len(support_sectors(geom, alpha)) >= 2:
             put(SeriesKey(alpha, 0), QQ(0), "sector-purity")
@@ -199,9 +202,10 @@ def _seed_with_provenance(geom: Geometry, mode: SeedMode):
     return pot, entries
 
 
-def seed(geom: Geometry, mode: SeedMode = STANDARD) -> Potential:
-    """Fresh unsealed potential holding exactly the seed coefficients."""
-    pot, _ = _seed_with_provenance(geom, mode)
+def seed(geom: Geometry, mode: SeedMode, m_max: int) -> Potential:
+    """Fresh unsealed potential knowing exactly the seed coefficients; every
+    other admissible key up to the effective maximal order is unknown."""
+    pot, _ = _seed_with_provenance(geom, mode, m_max)
     return pot
 
 
@@ -331,32 +335,23 @@ def guided_candidates(geom: Geometry, target: SeriesKey):
     )
 
 
-def build_schedule(pot: Potential, m_max: int) -> list[SeriesKey]:
-    """The coefficients not yet stored in pot (a freshly seeded potential),
-    in the induction order.
+def build_schedule(pot: Potential) -> list[SeriesKey]:
+    """The unknown coefficients of pot (a freshly seeded potential), in the
+    induction order.
 
     The order-0 stratum is finite (wdeg == 2 bounds the length by
-    2 max(a_i)) and is always scheduled completely, regardless of m_max;
+    2 max(a_i)) and is always scheduled completely, whatever max_order;
     likewise order 1.  The two are interleaved by length: at each level
     the order-0 keys containing their sector's top index e_{i,a_i-1}
     come first, then the order-1 keys, then the remaining order-0 keys.
-    Orders 2..m_max follow, ordered by (m, length, exponents).
+    Orders 2..max_order follow, ordered by (m, length, exponents).
     """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
     geom = pot.geometry
-    stored = pot.coeffs
-
     by_len0: dict[int, list[SeriesKey]] = {}
-    for alpha in admissible_keys(geom, 0):
-        key = SeriesKey(alpha, 0)
-        if key not in stored and len(support_sectors(geom, alpha)) == 1:
-            by_len0.setdefault(alpha_length(alpha), []).append(key)
     by_len1: dict[int, list[SeriesKey]] = {}
-    for alpha in admissible_keys(geom, 1):
-        key = SeriesKey(alpha, 1)
-        if key not in stored:
-            by_len1.setdefault(alpha_length(alpha), []).append(key)
+    for key in pot.unknown:
+        if key.m <= 1:
+            (by_len1 if key.m else by_len0).setdefault(alpha_length(key.alpha), []).append(key)
 
     def has_top(key: SeriesKey) -> bool:
         sector = next(iter(support_sectors(geom, key.alpha)))
@@ -374,10 +369,7 @@ def build_schedule(pot: Potential, m_max: int) -> list[SeriesKey]:
         targets += [key for key in level0 if has_top(key)]
         targets += level1
         targets += [key for key in level0 if not has_top(key)]
-
-    for m in range(2, effective_max_order(geom, m_max) + 1):
-        targets += [SeriesKey(alpha, m) for alpha in admissible_keys(geom, m)]
-    return targets
+    return targets + sorted((key for key in pot.unknown if key.m > 1), key=key_sort_key)
 
 
 # -- probing ------------------------------------------------------------
@@ -406,14 +398,16 @@ def probe_candidate(
     Touching an unknown coefficient other than the target that is not
     annihilated by a known zero makes the candidate blocked.
     """
-    coeffs = pot.coeffs
+    coeffs, unknown, max_order = pot.coeffs, pot.unknown, pot.max_order
 
     def lookup(key: SeriesKey):
         if key == target:
             return TARGET
         value = coeffs.get(key)
         if value is None:
-            raise Blocked(key)
+            if key.m > max_order or key in unknown:
+                raise Blocked(key)
+            return 0
         return value
 
     try:
@@ -565,8 +559,8 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
     for k, (n, _) in enumerate(viable):
         by_shift.setdefault(series.shift[n], array("l")).append(k)
     partner_groups = [shifts[v] + (ks,) for v, ks in by_shift.items()]
-    for k2, value in pot.items_sorted():
-        if not value or k2 == target:
+    for k2, _ in pot.items_sorted():
+        if k2 == target:
             continue
         m = target.m + k2.m
         for k, beta2 in _fitting(partner_groups, k2):
@@ -682,9 +676,9 @@ def reconstruct(
     if strategy not in ("guided", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     geom = build_geometry(multiplet)
-    pot, seed_entries = _seed_with_provenance(geom, mode)
+    pot, seed_entries = _seed_with_provenance(geom, mode, m_max)
     trace = ReconstructionTrace(geom, mode, seeds=seed_entries)
-    pending = build_schedule(pot, m_max)
+    pending = build_schedule(pot)
     guided = strategy == "guided"
     use_fallback = not guided
 
@@ -714,7 +708,7 @@ def reconstruct(
                 raise NoProgress(geom, pending)
             raise SolverStuck(geom, pending)
 
-    pot.seal(effective_max_order(geom, m_max))
+    pot.seal(pot.max_order)
     return pot, trace
 
 
@@ -732,6 +726,7 @@ def rescale_novikov(pot: Potential, a) -> Potential:
         scale = a if mode.kind == "standard" else a * QQ(mode.value)
         mode = STANDARD if scale == 1 else rescaled_mode(scale)
     out = Potential(pot.geometry, mode)
+    out.max_order, out.unknown = pot.max_order, set(pot.unknown)
     for key, value in pot.coeffs.items():
         out.set_coefficient(key, value * a ** key.m)
     if pot.sealed:

@@ -14,7 +14,8 @@ orders m >= 0.  Every stored key satisfies the Euler constraint
 
     wdeg(alpha, m) := sum alpha_{i,j} (a_i - j)/a_i + m chi == 2
 
-exactly; insertion asserts it.
+exactly; insertion asserts it.  The store holds nonzero values only: an
+absent key is 0 unless the potential still lists it as unknown.
 
 Exponent vectors are dense integer tuples in the canonical twisted-label
 order of the geometry (sparse pairs only appear in serialisation).  Keys
@@ -281,20 +282,25 @@ def unit_constant(geom: Geometry, labels):
 class Potential:
     """Geometry plus the exact coefficient map of the series part.
 
-    Built single-threaded by the reconstruction; once sealed it is
-    immutable (absent key == coefficient 0) and safe for concurrent reads.
+    coeffs holds nonzero values only.  While the solver builds it, unknown
+    holds the admissible keys not determined yet and every key above
+    max_order is unknown too; any other absent key is a known zero.  Seal
+    empties unknown (free keys read as 0); a sealed potential is immutable
+    and safe for concurrent reads.
     """
 
     def __init__(self, geometry: Geometry, seed_mode=None):
         self.geometry = geometry
         self.seed_mode = seed_mode
         self.coeffs: dict[SeriesKey, object] = {}
+        self.unknown: set[SeriesKey] = set()
         self.sealed = False
         self.max_order: int | None = None
 
     # -- store ----------------------------------------------------------
 
     def set_coefficient(self, key: SeriesKey, value) -> None:
+        """Make key known with this value; a zero is known but not stored."""
         if self.sealed:
             raise ValueError("potential is sealed")
         if not is_admissible(self.geometry, key):
@@ -302,7 +308,11 @@ class Potential:
                 f"key {format_key(self.geometry, key)} violates the Euler "
                 f"constraint: wdeg = {weighted_degree(self.geometry, key)} != 2"
             )
-        self.coeffs[key] = QQ(value)
+        self.unknown.discard(key)
+        if value:
+            self.coeffs[key] = QQ(value)
+        else:
+            self.coeffs.pop(key, None)
 
     def get_coefficient(self, key: SeriesKey):
         """Stored value or 0.  The t1-part lives in F_triv, never here."""
@@ -311,6 +321,7 @@ class Potential:
     def seal(self, max_order: int) -> None:
         self.sealed = True
         self.max_order = max_order
+        self.unknown.clear()
 
     def items_sorted(self):
         """Stored (key, value) pairs in canonical (m, length, alpha) order."""
@@ -357,8 +368,6 @@ class Potential:
                 out[SeriesKey(zero_alpha(geom), 0)] = value
         else:
             for key, c in self.coeffs.items():
-                if not c:
-                    continue
                 if points and key.m == 0:
                     continue
                 beta = alpha_sub(key.alpha, vec)

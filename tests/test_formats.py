@@ -28,13 +28,14 @@ def test_roundtrip_bit_exact(reconstructed):
 
 
 def test_serialization_omits_zeros(reconstructed):
-    pot, _ = reconstructed("2,2,3", 2)
-    stored_zeros = sum(1 for v in pot.coeffs.values() if v == 0)
-    assert stored_zeros > 0  # sector-purity constraints are stored zeros
+    pot, trace = reconstructed("2,2,3", 2)
+    known_zeros = [key for key, value, _ in trace.seeds if value == 0]
+    assert known_zeros  # sector-purity constraints are known zeros
+    assert not any(key in pot.coeffs for key in known_zeros)
     text = of.serialize_potential(pot)
     back = of.parse_potential(text)
     assert all(v != 0 for v in back.coeffs.values())
-    assert len(back.coeffs) == len(pot.coeffs) - stored_zeros
+    assert back.coeffs == pot.coeffs
 
 
 def test_record_order_is_canonical(reconstructed):
@@ -48,7 +49,7 @@ def test_record_order_is_canonical(reconstructed):
 
 
 def test_unsealed_potentials_are_not_serialized():
-    pot = of.seed(of.build_geometry("2,2,2"), of.STANDARD)
+    pot = of.seed(of.build_geometry("2,2,2"), of.STANDARD, 1)
     with pytest.raises(ValueError):
         of.serialize_potential(pot)
 

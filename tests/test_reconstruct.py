@@ -28,7 +28,7 @@ def product_key(geom):
 
 def test_seed_values_234():
     geom = of.build_geometry("2,3,4")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     assert pot.get_coefficient(key_of(geom, {(2, 1): 3}, 0)) == QQ(1, 18)
     assert pot.get_coefficient(key_of(geom, {(3, 1): 2, (3, 2): 1}, 0)) == QQ(1, 8)
     assert pot.get_coefficient(product_key(geom)) == 1
@@ -36,21 +36,21 @@ def test_seed_values_234():
 
 def test_seed_values_other_modes():
     geom = of.build_geometry("2,2,3")
-    vanish = of.seed(geom, of.VANISHING)
+    vanish = of.seed(geom, of.VANISHING, 1)
     assert vanish.get_coefficient(product_key(geom)) == 0
     assert vanish.get_coefficient(key_of(geom, {(1, 1): 4}, 0)) == QQ(-1, 96)
     assert vanish.get_coefficient(key_of(geom, {(3, 1): 2, (3, 2): 2}, 0)) == QQ(-1, 36)
-    bare = of.seed(geom, of.VANISHING_NO_QUARTIC)
-    assert key_of(geom, {(1, 1): 4}, 0) not in bare.coeffs
-    scaled = of.seed(geom, of.rescaled_mode(QQ(7, 3)))
+    bare = of.seed(geom, of.VANISHING_NO_QUARTIC, 1)
+    assert key_of(geom, {(1, 1): 4}, 0) in bare.unknown
+    scaled = of.seed(geom, of.rescaled_mode(QQ(7, 3)), 1)
     assert scaled.get_coefficient(product_key(geom)) == QQ(7, 3)
 
 
 def test_seed_imposes_sector_purity():
     geom = of.build_geometry("2,2,2")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     mixed = key_of(geom, {(1, 1): 2, (2, 1): 2}, 0)
-    assert mixed in pot.coeffs
+    assert mixed not in pot.unknown
     assert pot.get_coefficient(mixed) == 0
 
 
@@ -68,12 +68,12 @@ def test_seed_mode_tokens():
 # -- schedule -------------------------------------------------------------
 
 
-def test_schedule_covers_exactly_the_unseeded_keys():
+def test_schedule_covers_exactly_the_unseeded_keys(reconstructed):
     geom = of.build_geometry("2,2,3")
     mode = of.STANDARD
-    targets = of.build_schedule(of.seed(geom, mode), 3)
+    targets = of.build_schedule(of.seed(geom, mode, 3))
     assert len(set(targets)) == len(targets)
-    seeded = set(of.seed(geom, mode).coeffs)
+    seeded = {key for key, _, _ in reconstructed("2,2,3", 3)[1].seeds}
     assert not (set(targets) & seeded)
     expected = set()
     for m in range(4):
@@ -89,7 +89,7 @@ def test_schedule_entry_for_top_order_222():
     # quads ((i,1),(i,1),P,P).
     geom = of.build_geometry("2,2,2")
     origin = SeriesKey(of.zero_alpha(geom), 4)
-    assert origin in of.build_schedule(of.seed(geom), 4)
+    assert origin in of.build_schedule(of.seed(geom, of.STANDARD, 4))
     assert (
         WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT),
         origin,
@@ -99,7 +99,7 @@ def test_schedule_entry_for_top_order_222():
 def test_schedule_rejects_bad_arguments():
     geom = of.build_geometry("2,2,2")
     with pytest.raises(ValueError):
-        of.build_schedule(of.seed(geom), 0)
+        of.seed(geom, of.STANDARD, 0)
     with pytest.raises(ValueError):
         of.reconstruct("2,2,2", 2, strategy="sideways")
 
@@ -109,7 +109,7 @@ def test_schedule_rejects_bad_arguments():
 
 def test_probe_solves_quartic_from_seeds_234():
     geom = of.build_geometry("2,3,4")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     target = key_of(geom, {(3, 1): 2, (3, 3): 2}, 0)
     quad = WdvvQuad(Twisted(3, 1), Twisted(3, 3), POINT, POINT)
     result = of.probe_candidate(pot, quad, product_key(geom), target)
@@ -119,7 +119,7 @@ def test_probe_solves_quartic_from_seeds_234():
 
 def test_probe_solves_quartic_from_seeds_222():
     geom = of.build_geometry("2,2,2")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     target = key_of(geom, {(1, 1): 4}, 0)
     quad = WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT)
     result = of.probe_candidate(pot, quad, product_key(geom), target)
@@ -129,7 +129,7 @@ def test_probe_solves_quartic_from_seeds_222():
 
 def test_probe_reports_blocked_on_missing_prerequisites():
     geom = of.build_geometry("2,2,2")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 4)
     origin = SeriesKey(of.zero_alpha(geom), 4)
     quad = WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT)
     result = of.probe_candidate(pot, quad, origin, origin)
@@ -139,7 +139,7 @@ def test_probe_reports_blocked_on_missing_prerequisites():
 
 def test_solve_target_raises_when_stuck():
     geom = of.build_geometry("2,2,2")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 4)
     origin = SeriesKey(of.zero_alpha(geom), 4)
     with pytest.raises(of.SolverStuck):
         of.solve_target(pot, origin)
@@ -149,6 +149,7 @@ def test_inconsistent_seed_detected(reconstructed):
     complete, _ = reconstructed("2,2,2", 4)
     geom = complete.geometry
     broken = of.Potential(geom, complete.seed_mode)
+    broken.max_order = 4
     origin = SeriesKey(of.zero_alpha(geom), 4)
     for key, value in complete.coeffs.items():
         if key == origin:
@@ -157,7 +158,7 @@ def test_inconsistent_seed_detected(reconstructed):
     # Zeroing the quartic violates the fully-known equation that tied it
     # to the degree-one seed; the probe of an unrelated target sees a
     # nonzero constant with zero slope.
-    broken.coeffs[key_of(geom, {(1, 1): 4}, 0)] = QQ(0)
+    broken.set_coefficient(key_of(geom, {(1, 1): 4}, 0), 0)
     quad = WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT)
     with pytest.raises(of.InconsistentSeed):
         of.probe_candidate(broken, quad, product_key(geom), origin)
@@ -170,11 +171,12 @@ def test_reconstruct_completes_all_admissible_keys(reconstructed):
     pot, trace = reconstructed("2,2,2", 4)
     geom = pot.geometry
     assert pot.sealed and pot.max_order == 4
+    known = {key for key, _, _ in trace.seeds} | {step.target for step in trace.steps}
     for m in range(5):
         for alpha in of.admissible_keys(geom, m):
-            assert SeriesKey(alpha, m) in pot.coeffs
+            assert SeriesKey(alpha, m) in known
     assert not trace.free
-    assert len(trace.steps) + len(trace.seeds) == len(pot.coeffs)
+    assert len(trace.steps) + len(trace.seeds) == len(known)
 
 
 def test_reconstruct_chi_cap_applies():
@@ -183,11 +185,12 @@ def test_reconstruct_chi_cap_applies():
 
 
 def test_reconstruct_negative_chi_terminates(reconstructed):
-    pot, _ = reconstructed("2,3,7", 2)
+    pot, trace = reconstructed("2,3,7", 2)
     geom = pot.geometry
+    known = {key for key, _, _ in trace.seeds} | {step.target for step in trace.steps}
     for m in range(3):
         for alpha in of.admissible_keys(geom, m):
-            assert SeriesKey(alpha, m) in pot.coeffs
+            assert SeriesKey(alpha, m) in known
 
 
 def test_reconstruct_rejects_bad_order():
@@ -288,6 +291,7 @@ def test_cross_equation_consistency(reconstructed):
         if step.target.m == 0:
             continue
         probe = of.Potential(geom, pot.seed_mode)
+        probe.max_order = pot.max_order
         for key, value in pot.coeffs.items():
             if key != step.target:
                 probe.set_coefficient(key, value)
@@ -408,8 +412,10 @@ def test_fallback_stream_pinned(reconstructed, multiplet, digest):
     # the stored-partner phase alone, m >= 1 keys the analytic phase too.
     pot, _ = reconstructed(multiplet, 2)
     h = hashlib.sha256()
-    for target, _ in pot.items_sorted():
-        h.update(repr(list(of.exhaustive_candidates(pot, target))).encode())
+    for m in range(3):
+        for alpha in of.admissible_keys(pot.geometry, m):
+            target = SeriesKey(alpha, m)
+            h.update(repr(list(of.exhaustive_candidates(pot, target))).encode())
     assert h.hexdigest() == digest
 
 

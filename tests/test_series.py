@@ -82,7 +82,7 @@ def test_admissible_keys_empty_beyond_cap():
 
 def test_get_coefficient_and_euler_guard():
     geom = of.build_geometry("2,2,2")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     missing = key_of(geom, {(1, 1): 4}, 0)
     assert pot.get_coefficient(missing) == 0
     assert pot.get_coefficient(key_of(geom, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1)) == 1
@@ -106,7 +106,7 @@ def test_cubic_relation_from_seeds(orders):
     # s(j1,j2,j3) * c(e_{i,j1}+e_{i,j2}+e_{i,j3}, 0) equals 1/a_i exactly
     # when the indices sum to a_i, and the coefficient is 0 otherwise.
     geom = of.build_geometry(orders)
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     for i, a in enumerate(geom.orders, start=1):
         for js in itertools.product(range(1, a), repeat=3):
             alpha = of.alpha_from_pairs(geom, [((i, j), 1) for j in js])
@@ -119,7 +119,7 @@ def test_cubic_relation_from_seeds(orders):
 
 def test_third_derivative_unit_gives_pairing():
     geom = of.build_geometry("2,3,4")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     origin = SeriesKey(of.zero_alpha(geom), 0)
     for lab in geom.twisted:
         conj = Twisted(lab.sector, geom.order(lab.sector) - lab.j)

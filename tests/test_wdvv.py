@@ -49,7 +49,7 @@ def test_wdvv_coefficient_against_symbolic_oracle_seeds_only():
     # Seeds alone do not satisfy the equations; the oracle must agree on
     # the nonzero values too.
     geom = of.build_geometry("2,2,3")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 2)
     oracle = SymbolicOracle(pot)
     quads = [
         WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT),
@@ -87,7 +87,7 @@ def test_wdvv_symmetries(reconstructed):
     # Coefficient-wise: antisymmetric in b<->c, symmetric in a<->b, c<->d
     # and under swapping the two pairs.
     geom = of.build_geometry("2,2,3")
-    pot = of.seed(geom, of.STANDARD)  # seeds only, so nonzero values occur
+    pot = of.seed(geom, of.STANDARD, 2)  # seeds only, so nonzero values occur
     rng = random.Random(11)
     labels = [lab for lab in geom.labels if lab is not UNIT]
     pool = [SeriesKey(a, m) for m in range(3) for a in of.admissible_keys(geom, m)]
@@ -128,7 +128,7 @@ def test_nonzero_wdvv_targets_are_admissible():
     # The sympy oracle shares no code with the kernel's degree gate, so it
     # checks that admissible_targets really bounds where WDVV can be nonzero.
     geom = of.build_geometry("2,2,3")
-    oracle = SymbolicOracle(of.seed(geom, of.STANDARD))
+    oracle = SymbolicOracle(of.seed(geom, of.STANDARD, 1))
     quad = WdvvQuad(Twisted(3, 1), Twisted(3, 2), POINT, POINT)
     nonzero = []
     for m in range(2):
@@ -228,7 +228,7 @@ def test_residual_scan_detects_perturbation(reconstructed):
 
 def test_residual_scan_seeds_only_order_zero():
     geom = of.build_geometry("2,2,2")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     pot.seal(0)
     report = of.residual_scan(pot, 0)
     assert report.ok
@@ -256,7 +256,7 @@ def test_residual_values_stable_under_extending_store(reconstructed):
 
 def test_residual_scan_requires_sealed_and_complete(reconstructed):
     geom = of.build_geometry("2,2,2")
-    pot = of.seed(geom, of.STANDARD)
+    pot = of.seed(geom, of.STANDARD, 1)
     with pytest.raises(ValueError):
         of.residual_scan(pot, 1)
     sealed, _ = reconstructed("2,2,2", 2)
@@ -276,7 +276,8 @@ def test_solve_step_slopes_against_symbolic_oracle(reconstructed):
         assert oracle.wdvv_coefficient(step.quad, step.xkey) == 0
         raised = of.Potential(geom, pot.seed_mode)
         for key, value in pot.coeffs.items():
-            raised.set_coefficient(key, value + (key == step.target))
+            raised.set_coefficient(key, value)
+        raised.set_coefficient(step.target, pot.get_coefficient(step.target) + 1)
         assert SymbolicOracle(raised).wdvv_coefficient(step.quad, step.xkey) == step.slope
 
 
@@ -286,7 +287,8 @@ def _perturbed(reconstructed, multiplet, m_max, pairs, m, delta):
     victim = key_of(geom, pairs, m)
     broken = of.Potential(geom, pot.seed_mode)
     for key, value in pot.coeffs.items():
-        broken.set_coefficient(key, value + delta * (key == victim))
+        broken.set_coefficient(key, value)
+    broken.set_coefficient(victim, pot.get_coefficient(victim) + delta)
     broken.seal(m_max)
     return broken
 
