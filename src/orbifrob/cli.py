@@ -115,7 +115,7 @@ def _cmd_reconstruct(args) -> int:
     if args.trace:
         write_trace(trace, args.trace)
     if trace.free:
-        print(f"note: {len(trace.free)} coefficients left free (see trace)")
+        print(f"note: {len(trace.free)} coefficients left free (see trace)", file=sys.stderr)
     return EXIT_OK
 
 

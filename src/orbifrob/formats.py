@@ -33,7 +33,15 @@ from .series import (
 
 MAGIC = "frobenius-potential v1"
 
-_EXPONENT = re.compile(r"^\((\d+),(\d+)\)(?:\^(\d+))?$")
+_EXPONENT = re.compile(r"\(([0-9]+),([0-9]+)\)(?:\^([0-9]+))?")
+_NATURAL = re.compile(r"[0-9]+")
+
+
+def _natural(text: str, what: str) -> int:
+    """A non-negative integer written in ASCII digits."""
+    if not _NATURAL.fullmatch(text):
+        raise ValueError(f"malformed {what}: {text!r}")
+    return int(text)
 
 
 def parse_exponents(geom: Geometry, text: str) -> tuple[int, ...]:
@@ -43,7 +51,7 @@ def parse_exponents(geom: Geometry, text: str) -> tuple[int, ...]:
         return zero_alpha(geom)
     pairs = []
     for token in text.split():
-        match = _EXPONENT.match(token)
+        match = _EXPONENT.fullmatch(token)
         if not match:
             raise ValueError(f"malformed exponent token {token!r}")
         i, j, k = int(match.group(1)), int(match.group(2)), match.group(3)
@@ -59,12 +67,7 @@ def parse_key_query(geom: Geometry, text: str) -> SeriesKey:
     tokens = text.strip().split()
     if not tokens or not tokens[-1].startswith("m="):
         raise ValueError(f"query {text!r} must end with m=<order>")
-    try:
-        m = int(tokens[-1][2:])
-    except ValueError as exc:
-        raise ValueError(f"bad order in query {text!r}") from exc
-    if m < 0:
-        raise ValueError("order must be non-negative")
+    m = _natural(tokens[-1][2:], f"order in query {text!r}")
     alpha = parse_exponents(geom, " ".join(tokens[:-1]) or "1")
     return SeriesKey(alpha, m)
 
@@ -102,10 +105,8 @@ def parse_potential(text: str) -> Potential:
 
     geom = build_geometry(header(1, "multiplet"))
     mode = SeedMode.from_token(header(2, "mode"))
-    max_order = int(header(3, "max-order"))
-    if max_order < 0:
-        raise ValueError(f"max-order must be >= 0, got {max_order}")
-    count = int(header(4, "coefficients"))
+    max_order = _natural(header(3, "max-order"), "max-order")
+    count = _natural(header(4, "coefficients"), "coefficient count")
     records = lines[5:]
     if len(records) != count:
         raise ValueError(
@@ -118,8 +119,8 @@ def parse_potential(text: str) -> Potential:
         if len(parts) != 3 or not parts[1].startswith("m="):
             raise ValueError(f"malformed record {line!r}")
         alpha = parse_exponents(geom, parts[0])
-        m = int(parts[1][2:])
-        if not 0 <= m <= max_order:
+        m = _natural(parts[1][2:], f"order in record {line!r}")
+        if m > max_order:
             raise ValueError(f"record order m={m} is outside 0..max-order {max_order}")
         value = parse_rational(parts[2])
         key = SeriesKey(alpha, m)

@@ -10,6 +10,8 @@ exactly the wire format required by the potential files.
 
 from __future__ import annotations
 
+import re
+
 try:
     from gmpy2 import mpq as QQ
 except ImportError:  # pragma: no cover
@@ -21,15 +23,17 @@ def format_rational(value) -> str:
     return str(QQ(value))
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str):
-    """Parse "p" or "p/q"; raises ValueError on malformed input."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty rational")
-    if "/" in text:
-        num, _, den = text.partition("/")
-        d = int(den)
-        if d == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return QQ(int(num), d)
-    return QQ(int(text))
+    """Parse "p" or "p/q" in ASCII digits, q > 0; raises ValueError otherwise."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if not match:
+        raise ValueError(f"malformed rational {text!r}")
+    num, den = match.groups()
+    if den is None:
+        return QQ(int(num))
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return QQ(int(num), int(den))

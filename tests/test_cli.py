@@ -25,6 +25,44 @@ def test_reconstruct_to_stdout(capsys):
     assert out.startswith("frobenius-potential v1")
 
 
+def test_reconstruct_stdout_is_the_potential_file(tmp_path, capsys):
+    # The note on free coefficients goes to stderr: stdout is exactly the
+    # file -o writes, so it can be piped into a file and verified.
+    args = ("reconstruct", "-A", "2,2,3", "-m", "4", "--mode", "vanishing-no-quartic")
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert "5 coefficients left free" in err
+    pot = tmp_path / "pot.txt"
+    assert run(capsys, *args, "-o", str(pot))[0] == 0
+    assert out == pot.read_text()
+    piped = tmp_path / "piped.txt"
+    piped.write_text(out)
+    assert run(capsys, "verify", str(piped))[0] == 0
+
+
+def test_non_ascii_and_non_canonical_numerals_are_rejected(tmp_path, capsys):
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,3,4", "-m", "2", "-o", str(pot))
+    good = pot.read_text()
+    record = "(2,1)^3 | m=0 | 1/18"
+    assert "max-order: 2\n" in good and record in good
+    for bad in (
+        good.replace("max-order: 2\n", "max-order: 0_2\n"),
+        good.replace(record, "(\u0662,\u0661)^\u0663 | m=0 | 1/18"),  # Arabic-Indic digits
+        good.replace(record, "(2,1)^3 | m=0 | 1/-3"),
+    ):
+        pot.write_text(bad)
+        code, out, err = run(capsys, "verify", str(pot))
+        assert code == 1 and out == "" and err.startswith("error:")
+    pot.write_text(good)
+    assert run(capsys, "show", str(pot), "(\u0662,\u0661)^3 m=0")[0] == 1
+    assert run(capsys, "show", str(pot), "(2,1)^3 m=\u0660")[0] == 1
+    assert run(capsys, "show", str(pot), "(2,1)^3 m=0")[1] == "1/18\n"
+    rescaled = ("reconstruct", "-A", "2,2,3", "-m", "1", "--mode")
+    assert run(capsys, *rescaled, "rescaled:\u0663")[0] == 1
+    assert run(capsys, *rescaled, "rescaled:-2/3")[0] == 0
+
+
 def test_reconstruct_usage_errors(capsys):
     assert run(capsys, "reconstruct", "-A", "2", "-m", "1")[0] == 1
     assert run(capsys, "reconstruct", "-A", "2,2,3")[0] == 1

@@ -11,7 +11,8 @@ def test_rational_formatting():
     assert format_rational(QQ(3, -9)) == "-1/3"
     assert parse_rational("7/3") == QQ(7, 3)
     assert parse_rational("-5") == QQ(-5)
-    for bad in ("", "1/0", "x/2"):
+    assert parse_rational(" -2/3 ") == QQ(-2, 3)
+    for bad in ("", "1/0", "x/2", "1/-3", "+1", "1_0", "\u0663", "1/\u0663", "1 /3", "--1"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
