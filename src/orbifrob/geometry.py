@@ -18,8 +18,11 @@ deliberately not part of this data: rank, grading, pairing and all
 reconstruction formulas depend on the orders alone, so carrying the points
 around would only suggest a dependence that does not exist.
 
-Geometry objects are immutable after construction and safe to share
-between threads.
+The data of a Geometry is fixed at construction, but the object is not
+immutable: four caches on it are filled lazily, the exponent sets and
+derivative profiles by series, the quad plans by wdvv and the fallback's
+socket table by reconstruct.  Every cached entry depends on the fixed
+data alone.
 """
 
 from __future__ import annotations
@@ -91,12 +94,11 @@ class Multiplet:
 
     @classmethod
     def parse(cls, text: str) -> "Multiplet":
-        """Parse a comma separated list such as "2,3,7"."""
-        try:
-            orders = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse multiplet from {text!r}") from exc
-        return cls(orders)
+        """Parse a comma separated list of ASCII numerals such as "2,3,7"."""
+        parts = [part.strip() for part in text.split(",")]
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"cannot parse multiplet from {text!r}")
+        return cls(tuple(int(part) for part in parts))
 
     @property
     def r(self) -> int:

@@ -15,7 +15,7 @@ orders m >= 0.  Every stored key satisfies the Euler constraint
     wdeg(alpha, m) := sum alpha_{i,j} (a_i - j)/a_i + m chi == 2
 
 exactly; insertion asserts it.  The store holds nonzero values only: an
-absent key is 0 unless the potential still lists it as unknown.
+absent key is 0 unless the potential still counts it as unknown.
 
 Exponent vectors are dense integer tuples in the canonical twisted-label
 order of the geometry (sparse pairs only appear in serialisation).  Keys

@@ -32,8 +32,10 @@ def test_multiplet_parse_roundtrip():
     m = Multiplet.parse("2,3,7")
     assert m.orders == (2, 3, 7)
     assert str(m) == "2,3,7"
-    with pytest.raises(ValueError):
-        Multiplet.parse("2,x,7")
+    assert Multiplet.parse("2, 3, 7") == m
+    for bad in ("2,x,7", "2,\u0663,7", "2,0_3,7", "2,+3,7", "2,,3,7"):
+        with pytest.raises(ValueError):
+            Multiplet.parse(bad)
 
 
 def test_canonical_label_order():
