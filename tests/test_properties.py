@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import orbifrob as of
 from orbifrob.rationals import QQ
 
-# r in {3, 4}, a_i <= 4 and sum(a_i - 1) <= 6: ten multiplets, none of
-# whose exhaustive m=2 reconstructions takes more than about 0.4 s.
+# r in {3, 4}, a_i <= 4 and sum(a_i - 1) <= 6: ten multiplets small enough
+# for the exhaustive strategy at m = 2.
 MULTIPLETS = [
     ",".join(map(str, orders))
     for r in (3, 4)
