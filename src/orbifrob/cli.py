@@ -18,7 +18,7 @@ from .formats import (
     write_potential,
     write_trace,
 )
-from .rationals import format_rational
+from .rationals import format_rational, parse_natural
 from .reconstruct import (
     InconsistentSeed,
     NoProgress,
@@ -47,6 +47,14 @@ class UsageError(Exception):
     pass
 
 
+def _order(text: str) -> int:
+    """An order given as an option: ASCII digits only, as in the files."""
+    try:
+        return parse_natural(text, "order")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse usage errors to exit code 1
         raise UsageError(message)
@@ -58,7 +66,7 @@ def _build_parser() -> _Parser:
 
     rec = sub.add_parser("reconstruct", help="solve for the potential and write it")
     rec.add_argument("-A", "--multiplet", required=True, help='orders, e.g. "2,3,7"')
-    rec.add_argument("-m", "--max-order", type=int, required=True)
+    rec.add_argument("-m", "--max-order", type=_order, required=True)
     rec.add_argument(
         "--mode",
         default="standard",
@@ -82,7 +90,7 @@ def _build_parser() -> _Parser:
     )
     ver.add_argument(
         "--max-order",
-        type=int,
+        type=_order,
         help="scan order for the wdvv check (default: the file's max-order)",
     )
     ver.set_defaults(func=_cmd_verify)

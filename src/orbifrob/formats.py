@@ -20,7 +20,7 @@ import re
 from pathlib import Path
 
 from .geometry import Geometry, build_geometry
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_natural, parse_rational
 from .reconstruct import ReconstructionTrace, SeedMode, STANDARD
 from .series import (
     Potential,
@@ -34,14 +34,6 @@ from .series import (
 MAGIC = "frobenius-potential v1"
 
 _EXPONENT = re.compile(r"\(([0-9]+),([0-9]+)\)(?:\^([0-9]+))?")
-_NATURAL = re.compile(r"[0-9]+")
-
-
-def _natural(text: str, what: str) -> int:
-    """A non-negative integer written in ASCII digits."""
-    if not _NATURAL.fullmatch(text):
-        raise ValueError(f"malformed {what}: {text!r}")
-    return int(text)
 
 
 def parse_exponents(geom: Geometry, text: str) -> tuple[int, ...]:
@@ -67,7 +59,7 @@ def parse_key_query(geom: Geometry, text: str) -> SeriesKey:
     tokens = text.strip().split()
     if not tokens or not tokens[-1].startswith("m="):
         raise ValueError(f"query {text!r} must end with m=<order>")
-    m = _natural(tokens[-1][2:], f"order in query {text!r}")
+    m = parse_natural(tokens[-1][2:], f"order in query {text!r}")
     alpha = parse_exponents(geom, " ".join(tokens[:-1]) or "1")
     return SeriesKey(alpha, m)
 
@@ -105,8 +97,8 @@ def parse_potential(text: str) -> Potential:
 
     geom = build_geometry(header(1, "multiplet"))
     mode = SeedMode.from_token(header(2, "mode"))
-    max_order = _natural(header(3, "max-order"), "max-order")
-    count = _natural(header(4, "coefficients"), "coefficient count")
+    max_order = parse_natural(header(3, "max-order"), "max-order")
+    count = parse_natural(header(4, "coefficients"), "coefficient count")
     records = lines[5:]
     if len(records) != count:
         raise ValueError(
@@ -119,7 +111,7 @@ def parse_potential(text: str) -> Potential:
         if len(parts) != 3 or not parts[1].startswith("m="):
             raise ValueError(f"malformed record {line!r}")
         alpha = parse_exponents(geom, parts[0])
-        m = _natural(parts[1][2:], f"order in record {line!r}")
+        m = parse_natural(parts[1][2:], f"order in record {line!r}")
         if m > max_order:
             raise ValueError(f"record order m={m} is outside 0..max-order {max_order}")
         value = parse_rational(parts[2])

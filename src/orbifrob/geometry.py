@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .rationals import QQ
+from .rationals import QQ, parse_natural
 
 
 class _Unit:
@@ -95,10 +95,8 @@ class Multiplet:
     @classmethod
     def parse(cls, text: str) -> "Multiplet":
         """Parse a comma separated list of ASCII numerals such as "2,3,7"."""
-        parts = [part.strip() for part in text.split(",")]
-        if not all(part.isascii() and part.isdigit() for part in parts):
-            raise ValueError(f"cannot parse multiplet from {text!r}")
-        return cls(tuple(int(part) for part in parts))
+        what = f"order in multiplet {text!r}"
+        return cls(tuple(parse_natural(part.strip(), what) for part in text.split(",")))
 
     @property
     def r(self) -> int:

@@ -23,7 +23,16 @@ def format_rational(value) -> str:
     return str(QQ(value))
 
 
+_NATURAL = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_natural(text: str, what: str) -> int:
+    """Parse a non-negative integer written in ASCII digits (orders, counts,
+    exponents); what names the field in the error message."""
+    if not _NATURAL.fullmatch(text):
+        raise ValueError(f"malformed {what}: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str):

@@ -58,6 +58,9 @@ def test_non_ascii_and_non_canonical_numerals_are_rejected(tmp_path, capsys):
     assert run(capsys, "show", str(pot), "(\u0662,\u0661)^3 m=0")[0] == 1
     assert run(capsys, "show", str(pot), "(2,1)^3 m=\u0660")[0] == 1
     assert run(capsys, "show", str(pot), "(2,1)^3 m=0")[1] == "1/18\n"
+    for order in ("\u0662", "0_2"):
+        assert run(capsys, "reconstruct", "-A", "2,2,3", "-m", order)[0] == 1
+        assert run(capsys, "verify", str(pot), "--max-order", order)[0] == 1
     rescaled = ("reconstruct", "-A", "2,2,3", "-m", "1", "--mode")
     assert run(capsys, *rescaled, "rescaled:\u0663")[0] == 1
     assert run(capsys, *rescaled, "rescaled:-2/3")[0] == 0
