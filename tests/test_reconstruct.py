@@ -387,8 +387,15 @@ def test_trace_text_is_auditable(reconstructed):
          "fbab26089cf900423e5f279e19f5de525da98c22350690fb4ec5dd5badf99dbb"),
         ("2,2,3", 2, of.STANDARD, "exhaustive",
          "c7aac55b58b86b184db39176caa602e7d0fdd523394fce8b05e0e53df6fa9607"),
+        # Seed lines: 5 limit cubics and 3 quartics.
+        ("2,3,7", 1, of.VANISHING, "guided",
+         "9f92dfbd7364d8546f6a6d2ea8cd1b94ba198fa227f6fba0d8d2e97891c856ad"),
+        # Seed lines: 16 degree-one-support seeds and 4 quartics.
+        ("2,2,3,3", 1, of.VANISHING, "guided",
+         "9966c6d0661f48a3919863e7136b6c85fc2b23f2a0aafecca347100f4ce2c343"),
     ],
-    ids=["236-m2-standard", "222-m4-no-quartic", "223-m4-no-quartic", "223-m2-exhaustive"],
+    ids=["236-m2-standard", "222-m4-no-quartic", "223-m4-no-quartic", "223-m2-exhaustive",
+         "237-m1-vanishing-seeds", "2233-m1-vanishing-seeds"],
 )
 def test_trace_digests_pinned(reconstructed, multiplet, m_max, mode, strategy, digest):
     # The trace records which equation solved each coefficient, in order:
