@@ -152,14 +152,15 @@ CHECKS = {
 
 def _cmd_verify(args) -> int:
     pot = read_potential(args.potential)
-    if args.checks:
+    if args.checks is not None:
         selected = [name.strip() for name in args.checks.split(",") if name.strip()]
+        if not selected:
+            raise UsageError(f"--checks {args.checks!r} names no check")
         unknown = set(selected) - set(CHECKS)
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(sorted(unknown))}")
     else:
-        mode = pot.seed_mode
-        vanishing = mode is not None and mode.kind.startswith("vanishing")
+        vanishing = not pot.seed_mode.degree_one
         selected = [name for name in CHECKS if name != "vanishing" or vanishing]
 
     reports = [report for name in selected for report in CHECKS[name](pot)]

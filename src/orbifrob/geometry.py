@@ -19,10 +19,9 @@ reconstruction formulas depend on the orders alone, so carrying the points
 around would only suggest a dependence that does not exist.
 
 The data of a Geometry is fixed at construction, but the object is not
-immutable: four caches on it are filled lazily, the exponent sets and
-derivative profiles by series, the quad plans by wdvv and the fallback's
-socket table by reconstruct.  Every cached entry depends on the fixed
-data alone.
+immutable: three caches on it are filled lazily, the derivative profiles
+by series, the quad plans by wdvv and the fallback's socket table by
+reconstruct.  Every cached entry depends on the fixed data alone.
 """
 
 from __future__ import annotations
@@ -169,7 +168,6 @@ class Geometry:
             pairs.append((lab, Twisted(lab.sector, a - lab.j), a))
         self.eta_inverse_pairs: tuple = tuple(pairs)
 
-        self._exponent_cache: dict[int, tuple] = {}
         self._profile_cache: dict[tuple, tuple] = {}
         # Filled on first use by the exhaustive fallback of the solver.
         self._socket_cache: tuple | None = None

@@ -100,57 +100,50 @@ class NoProgress(ReconstructionError):
 
 @dataclass(frozen=True)
 class SeedMode:
-    """Choice of initial data beyond the cubics and sector purity.
+    """Choice of initial data beyond the cubics and sector purity: the
+    value of the degree-one product coefficient, and whether the quartic
+    seeds are imposed (only next to a vanishing degree-one value).
 
-    kind is one of "standard" (degree-one product coefficient 1),
-    "vanishing" (degree-one coefficient 0 plus the quartic seeds),
-    "vanishing-no-quartic" (degree-one coefficient 0 only) or "rescaled"
-    (degree-one coefficient an arbitrary nonzero rational).
+    The tokens are "standard" (value 1), "rescaled:<a>" (any other nonzero
+    value a), "vanishing" (value 0 plus the quartics) and
+    "vanishing-no-quartic" (value 0 alone).
     """
 
-    kind: str
-    value: object = None
+    degree_one: object = QQ(1)
+    quartic: bool = False
 
-    def degree_one_value(self):
-        if self.kind == "standard":
-            return QQ(1)
-        if self.kind == "rescaled":
-            return QQ(self.value)
-        return QQ(0)
-
-    @property
-    def quartic_seeds(self) -> bool:
-        return self.kind == "vanishing"
+    def __post_init__(self):
+        if self.quartic and self.degree_one:
+            raise ValueError("quartic seeds need a vanishing degree-one value")
 
     def token(self) -> str:
-        if self.kind == "rescaled":
-            return f"rescaled:{format_rational(self.value)}"
-        return self.kind
+        if self.degree_one == 1:
+            return "standard"
+        if self.degree_one:
+            return f"rescaled:{format_rational(self.degree_one)}"
+        return "vanishing" if self.quartic else "vanishing-no-quartic"
 
     @classmethod
     def from_token(cls, token: str) -> "SeedMode":
         token = token.strip()
-        if token == "standard":
-            return STANDARD
-        if token == "vanishing":
-            return VANISHING
-        if token == "vanishing-no-quartic":
-            return VANISHING_NO_QUARTIC
+        for mode in (STANDARD, VANISHING, VANISHING_NO_QUARTIC):
+            if token == mode.token():
+                return mode
         if token.startswith("rescaled:"):
             return rescaled_mode(parse_rational(token.partition(":")[2]))
         raise ValueError(f"unknown seed mode {token!r}")
 
 
-STANDARD = SeedMode("standard")
-VANISHING = SeedMode("vanishing")
-VANISHING_NO_QUARTIC = SeedMode("vanishing-no-quartic")
+STANDARD = SeedMode()
+VANISHING = SeedMode(QQ(0), quartic=True)
+VANISHING_NO_QUARTIC = SeedMode(QQ(0))
 
 
 def rescaled_mode(a) -> SeedMode:
     a = QQ(a)
     if a == 0:
         raise ValueError("rescaled seed value must be nonzero (use vanishing mode)")
-    return SeedMode("rescaled", a)
+    return STANDARD if a == 1 else SeedMode(a)
 
 
 # -- seeding ------------------------------------------------------------
@@ -183,17 +176,14 @@ def _seed_with_provenance(geom: Geometry, mode: SeedMode, m_max: int):
         if len(support_sectors(geom, alpha)) >= 2:
             put(SeriesKey(alpha, 0), QQ(0), "sector-purity")
 
-    # Degree-one stratum of length <= r.
+    # Degree-one stratum of length <= r: the product key, then the rest.
     product_alpha = alpha_from_pairs(geom, [((i, 1), 1) for i in range(1, geom.r + 1)])
+    put(SeriesKey(product_alpha, 1), mode.degree_one, "degree-one")
     for alpha in admissible_keys(geom, 1):
-        if alpha_length(alpha) > geom.r:
-            continue
-        if alpha == product_alpha:
-            put(SeriesKey(alpha, 1), mode.degree_one_value(), "degree-one")
-        else:
+        if alpha_length(alpha) <= geom.r and alpha != product_alpha:
             put(SeriesKey(alpha, 1), QQ(0), "degree-one-support")
 
-    if mode.quartic_seeds:
+    if mode.quartic:
         for i, a in enumerate(geom.orders, start=1):
             alpha = alpha_from_pairs(geom, [((i, 1), 2), ((i, a - 1), 2)])
             value = QQ(-1, 96) if a == 2 else QQ(-1, 4 * a * a)
@@ -336,40 +326,29 @@ def guided_candidates(geom: Geometry, target: SeriesKey):
 
 
 def build_schedule(pot: Potential) -> list[SeriesKey]:
-    """The unknown coefficients of pot (a freshly seeded potential), in the
+    """Every unknown key of pot (a freshly seeded potential), in the
     induction order.
 
-    The order-0 stratum is finite (wdeg == 2 bounds the length by
-    2 max(a_i)) and is always scheduled completely, whatever max_order;
-    likewise order 1.  The two are interleaved by length: at each level
-    the order-0 keys containing their sector's top index e_{i,a_i-1}
-    come first, then the order-1 keys, then the remaining order-0 keys.
-    Orders 2..max_order follow, ordered by (m, length, exponents).
+    The order-0 and order-1 strata are interleaved by level: level k holds
+    the order-0 keys of length k + 4 and the order-1 keys of length
+    k + r + 1.  Within a level the order-0 keys containing their sector's
+    top index e_{i,a_i-1} come first, then the order-1 keys, then the
+    remaining order-0 keys.  Orders 2..max_order follow, ordered by
+    (m, length, exponents).  A key below level 0 sorts first.
     """
     geom = pot.geometry
-    by_len0: dict[int, list[SeriesKey]] = {}
-    by_len1: dict[int, list[SeriesKey]] = {}
-    for key in pot.unknown:
-        if key.m <= 1:
-            (by_len1 if key.m else by_len0).setdefault(alpha_length(key.alpha), []).append(key)
 
-    def has_top(key: SeriesKey) -> bool:
+    def induction_key(key: SeriesKey):
+        if key.m >= 2:
+            return (1, 0, 0) + key_sort_key(key)
+        length = alpha_length(key.alpha)
+        if key.m == 1:
+            return (0, length - geom.r - 1, 1) + key_sort_key(key)
         sector = next(iter(support_sectors(geom, key.alpha)))
-        return key.alpha[geom.slot[Twisted(sector, geom.order(sector) - 1)]] >= 1
+        has_top = key.alpha[geom.slot[Twisted(sector, geom.order(sector) - 1)]] >= 1
+        return (0, length - 4, 0 if has_top else 2) + key_sort_key(key)
 
-    max_k = -1
-    if by_len0:
-        max_k = max(max_k, max(by_len0) - 4)
-    if by_len1:
-        max_k = max(max_k, max(by_len1) - geom.r - 1)
-    targets: list[SeriesKey] = []
-    for k in range(max_k + 1):
-        level0 = sorted(by_len0.get(k + 4, ()), key=key_sort_key)
-        level1 = sorted(by_len1.get(k + geom.r + 1, ()), key=key_sort_key)
-        targets += [key for key in level0 if has_top(key)]
-        targets += level1
-        targets += [key for key in level0 if not has_top(key)]
-    return targets + sorted((key for key in pot.unknown if key.m > 1), key=key_sort_key)
+    return sorted(pot.unknown, key=induction_key)
 
 
 # -- probing ------------------------------------------------------------
@@ -585,7 +564,8 @@ class SolveStep:
 
 @dataclass
 class ReconstructionTrace:
-    """Audit record: which equation determined which coefficient."""
+    """Audit record: which equation determined which coefficient.  The
+    seeds are listed in the order seeding imposed them."""
 
     geometry: Geometry
     mode: SeedMode
@@ -606,11 +586,7 @@ class ReconstructionTrace:
                 lines.append(
                     f"seed | t1^1 ({i},{j})^1 ({i},{jc})^1 | {format_rational(value)} | pairing"
                 )
-        order = {"limit-cubic": 0, "sector-purity": 1, "degree-one": 2,
-                 "degree-one-support": 3, "quartic": 4}
-        for key, value, provenance in sorted(
-            self.seeds, key=lambda e: (order.get(e[2], 9),) + key_sort_key(e[0])
-        ):
+        for key, value, provenance in self.seeds:
             lines.append(
                 f"seed | {format_key(geom, key)} | {format_rational(value)} | {provenance}"
             )
@@ -701,7 +677,7 @@ def reconstruct(
                 # Escalate once: rerun the stalled set with the fallback.
                 use_fallback = True
                 continue
-            if mode.kind == "vanishing-no-quartic" and all(t.m == 0 for t in pending):
+            if mode == VANISHING_NO_QUARTIC and all(t.m == 0 for t in pending):
                 trace.free = sorted(pending, key=key_sort_key)
                 break
             if any_blocked:
@@ -722,9 +698,8 @@ def rescale_novikov(pot: Potential, a) -> Potential:
     if a == 0:
         raise ValueError("rescaling factor must be nonzero")
     mode = pot.seed_mode
-    if mode is not None and mode.kind in ("standard", "rescaled"):
-        scale = a if mode.kind == "standard" else a * QQ(mode.value)
-        mode = STANDARD if scale == 1 else rescaled_mode(scale)
+    if mode is not None and mode.degree_one:
+        mode = rescaled_mode(mode.degree_one * a)
     out = Potential(pot.geometry, mode)
     out.max_order, out.unknown = pot.max_order, set(pot.unknown)
     for key, value in pot.coeffs.items():

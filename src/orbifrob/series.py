@@ -143,14 +143,12 @@ def effective_max_order(geom: Geometry, m_max: int) -> int:
 def exponents_with_scaled_degree(geom: Geometry, target: int) -> tuple[tuple[int, ...], ...]:
     """All alpha >= 0 with sum alpha_s * deg_scaled[s] == target.
 
-    The sets are cached per geometry (they recur constantly in the solver
-    and the scan) and returned sorted by (length, tuple), the canonical
-    order.
+    Enumerated afresh on every call (a reconstruct asks for only a few
+    degrees, mostly once each) and returned in the canonical order,
+    alpha_sort_key.
     """
     if target < 0:
         return ()
-    if target in geom._exponent_cache:
-        return geom._exponent_cache[target]
 
     degs = geom.deg_scaled
     n = geom.n_twisted
@@ -175,9 +173,7 @@ def exponents_with_scaled_degree(geom: Geometry, target: int) -> tuple[tuple[int
         walk(0, target)
     elif target == 0:
         out.append(())
-    result = tuple(sorted(out, key=alpha_sort_key))
-    geom._exponent_cache[target] = result
-    return result
+    return tuple(sorted(out, key=alpha_sort_key))
 
 
 def admissible_keys(geom: Geometry, m: int) -> list[tuple[int, ...]]:

@@ -103,6 +103,28 @@ def test_verify_checks_selection(tmp_path, capsys):
     assert run(capsys, "verify", str(pot), "--checks", "bogus")[0] == 1
 
 
+def test_verify_checks_naming_no_check_is_usage_error(tmp_path, capsys):
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,2,2", "-m", "1", "-o", str(pot))
+    for value in ("", ",", " ", " , "):
+        code, out, err = run(capsys, "verify", str(pot), "--checks", value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_verify_accepts_rescaled_one_header(tmp_path, capsys):
+    # Files written before rescaled:1 was spelled standard still verify.
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))
+    text = pot.read_text()
+    assert "\nmode: standard\n" in text
+    pot.write_text(text.replace("\nmode: standard\n", "\nmode: rescaled:1\n"))
+    code, out, _ = run(capsys, "verify", str(pot))
+    assert code == 0
+    assert "CHECK vanishing" not in out
+
+
 def test_verify_vanishing_mode_runs_vanishing_check(tmp_path, capsys):
     pot = tmp_path / "van.txt"
     run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "--mode", "vanishing", "-o", str(pot))
@@ -219,6 +241,8 @@ def test_diff_standard_vs_rescaled_one(tmp_path, capsys):
     run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(a))
     run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "--mode", "rescaled:1", "-o", str(b))
     assert run(capsys, "diff", str(a), str(b))[0] == 0
+    # The two tokens name the same seeds, so the files are identical.
+    assert a.read_text() == b.read_text()
 
 
 def test_strategy_flag_produces_identical_files(tmp_path, capsys):

@@ -54,15 +54,25 @@ def test_seed_imposes_sector_purity():
     assert pot.get_coefficient(mixed) == 0
 
 
-def test_seed_mode_tokens():
+def test_seed_mode_tokens(reconstructed):
     assert SeedMode.from_token("standard") is of.STANDARD
     assert SeedMode.from_token("vanishing-no-quartic") is of.VANISHING_NO_QUARTIC
     assert SeedMode.from_token("rescaled:7/3").token() == "rescaled:7/3"
+    for token in ("standard", "vanishing", "vanishing-no-quartic", "rescaled:-2/3"):
+        assert SeedMode.from_token(token).token() == token
+    # rescaled:1 names the standard seeds.
+    assert SeedMode.from_token("rescaled:1") is of.STANDARD
+    assert of.rescaled_mode(1) is of.STANDARD
     for retired in ("bogus", "vanishing-no-vii"):
         with pytest.raises(ValueError):
             SeedMode.from_token(retired)
     with pytest.raises(ValueError):
         of.rescaled_mode(0)
+    # The quartic seeds go with a vanishing degree-one value only.
+    with pytest.raises(ValueError):
+        SeedMode(QQ(2), quartic=True)
+    vanishing, _ = reconstructed("2,2,3", 2, of.VANISHING)
+    assert of.rescale_novikov(vanishing, QQ(7, 3)).seed_mode is of.VANISHING
 
 
 # -- schedule -------------------------------------------------------------
@@ -82,6 +92,23 @@ def test_schedule_covers_exactly_the_unseeded_keys(reconstructed):
             if key not in seeded:
                 expected.add(key)
     assert set(targets) == expected
+
+
+def test_schedule_covers_every_unknown_key():
+    # The one degree-one-support seed of 2,3,4 (length 3 = r, below the
+    # first order-1 level), put back into unknown, is scheduled too.
+    geom = of.build_geometry("2,3,4")
+    pot = of.seed(geom, of.STANDARD, 3)
+    support = [
+        SeriesKey(alpha, 1)
+        for alpha in of.admissible_keys(geom, 1)
+        if alpha_length(alpha) <= geom.r and SeriesKey(alpha, 1) != product_key(geom)
+    ]
+    assert len(support) == 1
+    pot.unknown.update(support)
+    targets = of.build_schedule(pot)
+    assert len(targets) == len(set(targets))
+    assert set(targets) == pot.unknown
 
 
 def test_schedule_entry_for_top_order_222():
