@@ -154,6 +154,7 @@ def _cmd_verify(args) -> int:
     pot = read_potential(args.potential)
     if args.checks is not None:
         selected = [name.strip() for name in args.checks.split(",") if name.strip()]
+        selected = list(dict.fromkeys(selected))  # once each, as first named
         if not selected:
             raise UsageError(f"--checks {args.checks!r} names no check")
         unknown = set(selected) - set(CHECKS)

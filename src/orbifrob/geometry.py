@@ -18,15 +18,16 @@ deliberately not part of this data: rank, grading, pairing and all
 reconstruction formulas depend on the orders alone, so carrying the points
 around would only suggest a dependence that does not exist.
 
-The data of a Geometry is fixed at construction, but the object is not
-immutable: three caches on it are filled lazily, the derivative profiles
-by series, the quad plans by wdvv and the fallback's socket table by
-reconstruct.  Every cached entry depends on the fixed data alone.
+There is one immutable Geometry per multiplet; build it with
+build_geometry.  Tables derived from it (derivative profiles, quad plans,
+the fallback's socket table) are memoised by the functions that compute
+them, keyed by the geometry, and never stored on it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,8 +135,6 @@ class Geometry:
     """
 
     def __init__(self, multiplet: Multiplet):
-        if not isinstance(multiplet, Multiplet):
-            multiplet = Multiplet(tuple(multiplet))
         self.multiplet = multiplet
         orders = multiplet.orders
         self.mu = 2 + sum(a - 1 for a in orders)
@@ -167,12 +166,6 @@ class Geometry:
             a = orders[lab.sector - 1]
             pairs.append((lab, Twisted(lab.sector, a - lab.j), a))
         self.eta_inverse_pairs: tuple = tuple(pairs)
-
-        self._profile_cache: dict[tuple, tuple] = {}
-        # Filled on first use by the exhaustive fallback of the solver.
-        self._socket_cache: tuple | None = None
-        # WDVV quad -> its contraction plan, built on the quad's first probe.
-        self._plan_cache: dict = {}
 
     # -- basic data ----------------------------------------------------
 
@@ -238,10 +231,13 @@ class Geometry:
         return f"Geometry({self.multiplet}, mu={self.mu}, chi={self.chi})"
 
 
+_geometry = functools.cache(Geometry)
+
+
 def build_geometry(multiplet) -> Geometry:
-    """Validate the multiplet and assemble its geometry."""
+    """Validate the multiplet and return its one shared geometry."""
     if isinstance(multiplet, str):
         multiplet = Multiplet.parse(multiplet)
     elif not isinstance(multiplet, Multiplet):
         multiplet = Multiplet(tuple(multiplet))
-    return Geometry(multiplet)
+    return _geometry(multiplet)

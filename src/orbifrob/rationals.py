@@ -1,11 +1,12 @@
 """Exact rational arithmetic backend.
 
 Every coefficient in this package is an exact rational; no floating point
-enters the core anywhere.  gmpy2's mpq is used when available (it is
-several times faster inside the convolution loops), with a transparent
-fallback to fractions.Fraction.  Both types normalise to lowest terms with
-a positive denominator and print as "p/q" (or "p" for integers), which is
-exactly the wire format required by the potential files.
+enters the core anywhere.  gmpy2's mpq is used when available, with a
+transparent fallback to fractions.Fraction; the backend matters where QQ
+arithmetic runs, in the probe kernel (wdvv.contract_at) and in parsing,
+while the residual scan convolves Python integers.  Both types normalise
+to lowest terms with a positive denominator and print as "p/q" (or "p"
+for integers), which is exactly the wire format of the potential files.
 """
 
 from __future__ import annotations

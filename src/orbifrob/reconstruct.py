@@ -28,6 +28,7 @@ seed and every solved equation, making the realized order auditable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 from dataclasses import dataclass, field
@@ -44,9 +45,9 @@ from .series import (
     alpha_length,
     alpha_sub,
     basis_alpha,
-    derivative_profile,
     effective_max_order,
     format_key,
+    indexed_profile,
     key_sort_key,
     s_factor,
     support_sectors,
@@ -419,8 +420,9 @@ class _Sockets(NamedTuple):
     shift: array
 
 
+@functools.cache
 def _fallback_sockets(geom: Geometry):
-    """The exhaustive fallback's socket table, built on first use per geometry.
+    """The exhaustive fallback's socket table, built once per geometry.
 
     A socket is a way for the target to sit in a derivative of one side of
     a WDVV equation: in the triple (x, y, sigma) with twisted indicators
@@ -435,17 +437,13 @@ def _fallback_sockets(geom: Geometry):
 
     Returns (quads, shifts, analytic, series): the canonical WdvvQuads,
     the distinct shift vectors as (vec, p), and one _Sockets per phase.
-    The table is kept on the geometry, which reconstruct builds afresh
-    on every call.
     """
-    if geom._socket_cache is not None:
-        return geom._socket_cache
-    labels = [lab for lab in geom.labels if lab is not UNIT]
-    pos = {lab: k for k, lab in enumerate(labels)}
-    point = pos[POINT]
-    eta = [(pos[s], pos[t]) for s, t, _ in geom.eta_inverse_pairs if UNIT not in (s, t)]
+    labels, index = geom.labels, geom.label_index
+    point = index[POINT]
+    eta = [(index[s], index[t]) for s, t, _ in geom.eta_inverse_pairs if UNIT not in (s, t)]
     paired = set(eta)
-    pairs = [(i, j) for i in range(len(labels)) for j in range(i, len(labels))]
+    series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
+    pairs = [(i, j) for n, i in enumerate(series_labels) for j in series_labels[n:]]
 
     # Shift vectors are numbered in first-seen order.
     vec_id: dict[tuple, int] = {}
@@ -454,7 +452,7 @@ def _fallback_sockets(geom: Geometry):
     def shift(triple):
         got = triple_id.get(triple)
         if got is None:
-            vec = derivative_profile(geom, [labels[k] for k in triple])[2]
+            vec = indexed_profile(geom, tuple(sorted(triple)))[2]
             got = triple_id[triple] = vec_id.setdefault(vec, len(vec_id))
         return got
 
@@ -488,13 +486,12 @@ def _fallback_sockets(geom: Geometry):
     def grouped(groups):
         return tuple(shifts[v] + (numbers,) for v, numbers in groups.items())
 
-    geom._socket_cache = (
+    return (
         tuple(quads),
         shifts,
         _Sockets(grouped(a_groups), a_quad, array("l")),
         _Sockets(grouped(s_groups), s_quad, s_shift),
     )
-    return geom._socket_cache
 
 
 def _fitting(groups, key: SeriesKey):

@@ -24,6 +24,7 @@ are SeriesKey(alpha, m) named tuples, cheap to hash and compare.
 
 from __future__ import annotations
 
+import functools
 from operator import add
 from typing import NamedTuple
 
@@ -221,17 +222,13 @@ def derivative_profile(geom: Geometry, labels):
     return indexed_profile(geom, tuple(sorted(geom.label_index[lab] for lab in labels)))
 
 
+@functools.cache
 def indexed_profile(geom: Geometry, indices: tuple[int, ...]):
     """derivative_profile of the labels with these sorted label indices.
 
-    Cached per geometry: the quad plans of the WDVV kernel, the fallback's
-    socket table and the derivative maps ask for the same few hundred
-    triples.
+    Memoised: the quad plans of the WDVV kernel, the fallback's socket
+    table and the derivative maps ask for the same few hundred triples.
     """
-    cache = geom._profile_cache
-    got = cache.get(indices)
-    if got is not None:
-        return got
     units = 0
     points = 0
     mults: dict[int, int] = {}
@@ -247,9 +244,7 @@ def indexed_profile(geom: Geometry, indices: tuple[int, ...]):
     vec = [0] * geom.n_twisted
     for slot, k in mults.items():
         vec[slot] = k
-    result = (units, points, tuple(vec), tuple(sorted(mults.items())))
-    cache[indices] = result
-    return result
+    return units, points, tuple(vec), tuple(sorted(mults.items()))
 
 
 def multiplicity(key: SeriesKey, points: int, mults) -> int:

@@ -12,8 +12,8 @@ with the formal unknown TARGET, so the same contraction serves the solver
 and wdvv_coefficient on a complete store.  Everything about an equation
 that does not depend on the monomial or the store (the degree gate, the
 derivative profile of every (eta pair, side) row, its sign and eta
-constants) is compiled once per quad into a plan, built on the quad's
-first probe and kept on the geometry; a call then only checks the degree
+constants) is compiled once per (geometry, quad) into a memoised plan,
+built on the quad's first probe; a call then only checks the degree
 gate, enumerates the splits of the monomial, looks up and multiplies.
 The module also enumerates all degree-admissible target monomials of an
 equation (admissible_targets) and sweeps every equation of a sealed
@@ -36,6 +36,7 @@ not truncations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -126,11 +127,9 @@ class _QuadPlan(NamedTuple):
     rows: tuple
 
 
+@functools.cache
 def _quad_plan(geom: Geometry, quad: WdvvQuad) -> _QuadPlan:
-    """The plan of quad, built on its first probe and kept on the geometry."""
-    plan = geom._plan_cache.get(quad)
-    if plan is not None:
-        return plan
+    """The plan of quad, built on its first probe and memoised."""
     index, labels = geom.label_index, geom.labels
 
     def const(triple):
@@ -159,8 +158,7 @@ def _quad_plan(geom: Geometry, quad: WdvvQuad) -> _QuadPlan:
                 top = two - wdeg_scaled(geom, vec1, 0)
                 rows.append((weight, p1, vec1, mults1, p2, vec2, mults2, top))
     rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
-    plan = geom._plan_cache[quad] = _QuadPlan(rhs, origin, tuple(rows))
-    return plan
+    return _QuadPlan(rhs, origin, tuple(rows))
 
 
 def contract_at(geom: Geometry, quad: WdvvQuad, xkey: SeriesKey, lookup):
@@ -312,14 +310,10 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     scale = math.lcm(*geom.orders, *(int(c.denominator) for c in pot.coeffs.values()), 1)
 
     # Packing: one slot of `shift` bits per twisted coordinate plus low
-    # bits for m; headroom for sums of two admissible keys.
-    max_entry = 1
-    for m in range(m_max + 1):
-        budget = 2 * geom.scale - m * geom.chi_scaled
-        if budget < 0:
-            continue
-        for d in geom.deg_scaled:
-            max_entry = max(max_entry, budget // d)
+    # bits for m.  A product's exponent is the sum of two derivative-map
+    # exponents, each at most a stored exponent, so the stored keys size
+    # the slots.
+    max_entry = max((k for key in pot.coeffs for k in key.alpha), default=1)
     shift = (2 * max_entry + 1).bit_length()
     mbits = max((2 * m_max + 1).bit_length(), 1)
     mask = (1 << shift) - 1

@@ -259,3 +259,31 @@ def test_strategy_flag_produces_identical_files(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     assert run(capsys, "verify", "/nonexistent/path.txt")[0] == 1
     assert run(capsys, "show", "/nonexistent/path.txt", "1 m=0")[0] == 1
+
+
+def test_verify_runs_each_named_check_once(tmp_path, capsys):
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))
+    code, out, _ = run(capsys, "verify", str(pot), "--checks", "euler,euler,wdvv,wdvv")
+    assert code == 0
+    assert out.count("CHECK euler: PASS") == 1
+    assert out.count("residual-scan:") == 1
+    code, out, _ = run(capsys, "verify", str(pot), "--checks", "symmetry,symmetry")
+    assert code == 0
+    assert out == "CHECK symmetry(1,2): PASS\n"
+    # Order of first mention.
+    code, out, _ = run(capsys, "verify", str(pot), "--checks", "separation,euler,separation")
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "CHECK separation", "CHECK euler",
+    ]
+
+
+def test_reconstruct_deadlock_exits_2(capsys):
+    code, out, err = run(
+        capsys,
+        "reconstruct", "-A", "2,2,2,2,2", "-m", "2", "--mode", "vanishing-no-quartic",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("solver stuck: worklist deadlock on: ")
+    assert "(1,1)^4 | m=0" in err

@@ -134,3 +134,10 @@ def test_classify_partitions_all_multiplets():
             else MultipletClass.GENERAL
         )
         assert got == expected
+
+
+def test_build_geometry_returns_one_geometry_per_multiplet():
+    geom = of.build_geometry("3,4,5")
+    assert of.build_geometry(Multiplet((3, 4, 5))) is geom
+    assert of.build_geometry((3, 4, 5)) is geom
+    assert of.build_geometry("2,3,7") is not geom

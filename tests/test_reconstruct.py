@@ -225,6 +225,34 @@ def test_reconstruct_rejects_bad_order():
         of.reconstruct("2,2,2", 0)
 
 
+def test_reconstruct_reports_a_worklist_deadlock():
+    # The order-2 keys wait on the quartics, which no seed fixes here.
+    with pytest.raises(of.NoProgress) as info:
+        of.reconstruct("2,2,2,2,2", 2, of.VANISHING_NO_QUARTIC)
+    assert "(1,1)^4 | m=0" in str(info.value)
+
+
+def test_geometry_is_not_written_by_reconstruct_or_scan():
+    # The tables derived from a geometry live in memoised functions, not
+    # on the shared object.
+    geom = of.build_geometry("2,2,3")
+    before = dict(vars(geom))
+    pot, _ = of.reconstruct("2,2,3", 2, strategy="exhaustive")
+    assert pot.geometry is geom
+    of.residual_scan(pot, 2)
+    after = vars(geom)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+    assert not any(name.startswith("_") for name in after)
+
+
+def test_fallback_socket_table_is_built_once_per_multiplet():
+    from orbifrob.reconstruct import _fallback_sockets
+
+    table = _fallback_sockets(of.build_geometry("2,2,3"))
+    assert _fallback_sockets(of.build_geometry("2,2,3")) is table
+
+
 
 def _kronecker3(d):
     return (0, 1, -1)[d % 3]
