@@ -9,9 +9,9 @@ Run from the repository root:  python demos/04_limit_ring.py
 """
 
 from orbifrob import (
+    LimitRing,
     POINT,
     build_geometry,
-    build_limit_ring,
     check_limit_product,
     format_label,
     format_rational,
@@ -19,7 +19,7 @@ from orbifrob import (
 )
 
 geom = build_geometry("2,3,4")
-ring = build_limit_ring(geom)
+ring = LimitRing(geom)
 print(f"limit ring of (2,3,4): dimension {ring.dimension} (= mu)")
 print(f"associative: {ring.is_associative()}")
 print()
@@ -42,4 +42,4 @@ for u in twisted:
 print()
 pot, _ = reconstruct("2,3,4", 1)
 print("against the product computed from the potential's seeds:")
-print(" ", check_limit_product(pot, ring).line())
+print(" ", check_limit_product(pot).line())

@@ -27,7 +27,6 @@ from .reconstruct import (
     reconstruct,
 )
 from .verify import (
-    build_limit_ring,
     check_euler,
     check_limit_product,
     check_separation,
@@ -144,7 +143,7 @@ CHECKS = {
     "euler": lambda pot: [check_euler(pot)],
     "separation": lambda pot: [check_separation(pot)],
     "symmetry": _symmetry_reports,
-    "limit": lambda pot: [check_limit_product(pot, build_limit_ring(pot.geometry))],
+    "limit": lambda pot: [check_limit_product(pot)],
     "vanishing": lambda pot: [check_vanishing(pot)],
     "wdvv": lambda pot: [],
 }
@@ -207,10 +206,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverStuck, NoProgress) as exc:

@@ -85,8 +85,7 @@ def serialize_potential(pot: Potential) -> str:
 
 
 def parse_potential(text: str) -> Potential:
-    lines = [line.rstrip("\n") for line in text.splitlines()]
-    lines = [line for line in lines if line.strip()]
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != MAGIC:
         raise ValueError(f"not a potential file (expected {MAGIC!r} header)")
 

@@ -82,11 +82,6 @@ def alpha_length(alpha: tuple[int, ...]) -> int:
     return sum(alpha)
 
 
-def sparse_items(geom: Geometry, alpha: tuple[int, ...]):
-    """Nonzero entries as (Twisted label, exponent) in canonical order."""
-    return [(geom.twisted[s], k) for s, k in enumerate(alpha) if k]
-
-
 def support_sectors(geom: Geometry, alpha: tuple[int, ...]) -> set[int]:
     return {geom.twisted[s].sector for s, k in enumerate(alpha) if k}
 
@@ -103,7 +98,7 @@ def key_sort_key(key: "SeriesKey"):
 
 def format_exponents(geom: Geometry, alpha: tuple[int, ...]) -> str:
     """Monomial part of a record: "(i,j)^k ..." or "1" when empty."""
-    items = sparse_items(geom, alpha)
+    items = [(geom.twisted[s], k) for s, k in enumerate(alpha) if k]
     if not items:
         return "1"
     return " ".join(f"({lab.sector},{lab.j})^{k}" for lab, k in items)

@@ -40,18 +40,19 @@ class CheckReport:
         return f"CHECK {self.name}: FAIL{suffix}"
 
 
-def _sorted_keys(pot: Potential):
-    return sorted(pot.coeffs, key=key_sort_key)
+def _first_failure(pot: Potential, name: str, fails) -> CheckReport:
+    """Fail at the first stored key, in canonical order, where fails(key)."""
+    geom = pot.geometry
+    for key in sorted(pot.coeffs, key=key_sort_key):
+        if fails(key):
+            return CheckReport(name, False, format_key(geom, key))
+    return CheckReport(name, True)
 
 
 def check_euler(pot: Potential) -> CheckReport:
     """Every stored key satisfies wdeg == 2 (independent re-check of the
     insertion-time assertion)."""
-    geom = pot.geometry
-    for key in _sorted_keys(pot):
-        if not is_admissible(geom, key):
-            return CheckReport("euler", False, format_key(geom, key))
-    return CheckReport("euler", True)
+    return _first_failure(pot, "euler", lambda key: not is_admissible(pot.geometry, key))
 
 
 def check_separation(pot: Potential) -> CheckReport:
@@ -61,10 +62,11 @@ def check_separation(pot: Potential) -> CheckReport:
     confirms that the imposed sector-purity constraints survived solving.
     """
     geom = pot.geometry
-    for key in _sorted_keys(pot):
-        if key.m == 0 and len(support_sectors(geom, key.alpha)) > 1:
-            return CheckReport("separation", False, format_key(geom, key))
-    return CheckReport("separation", True)
+    return _first_failure(
+        pot,
+        "separation",
+        lambda key: key.m == 0 and len(support_sectors(geom, key.alpha)) > 1,
+    )
 
 
 def _swap_alpha(geom: Geometry, alpha, i1: int, i2: int):
@@ -86,12 +88,12 @@ def check_symmetry(pot: Potential, i1: int, i2: int) -> CheckReport:
             f"sectors {i1} and {i2} have different orders "
             f"({geom.order(i1)} vs {geom.order(i2)})"
         )
-    name = f"symmetry({i1},{i2})"
-    for key in _sorted_keys(pot):
+
+    def fails(key):
         mirror = SeriesKey(_swap_alpha(geom, key.alpha, i1, i2), key.m)
-        if pot.get_coefficient(key) != pot.get_coefficient(mirror):
-            return CheckReport(name, False, format_key(geom, key))
-    return CheckReport(name, True)
+        return pot.get_coefficient(key) != pot.get_coefficient(mirror)
+
+    return _first_failure(pot, f"symmetry({i1},{i2})", fails)
 
 
 def sector_restriction(pot: Potential, sector: int):
@@ -133,11 +135,7 @@ def check_sector_universality(
 
 def check_vanishing(pot: Potential) -> CheckReport:
     """No coefficient of positive exponential order is nonzero."""
-    geom = pot.geometry
-    for key in _sorted_keys(pot):
-        if key.m >= 1:
-            return CheckReport("vanishing", False, format_key(geom, key))
-    return CheckReport("vanishing", True)
+    return _first_failure(pot, "vanishing", lambda key: key.m >= 1)
 
 
 class LimitRing:
@@ -199,10 +197,6 @@ class LimitRing:
         return True
 
 
-def build_limit_ring(geom: Geometry) -> LimitRing:
-    return LimitRing(geom)
-
-
 def limit_product_from_potential(pot: Potential, u, v) -> dict:
     """The product u o v at the limit, computed from the potential.
 
@@ -220,9 +214,11 @@ def limit_product_from_potential(pot: Potential, u, v) -> dict:
     return {lab: c for lab, c in out.items() if c}
 
 
-def check_limit_product(pot: Potential, ring: LimitRing) -> CheckReport:
-    """Structure constants from the seeds match the presented ring."""
+def check_limit_product(pot: Potential) -> CheckReport:
+    """Structure constants from the seeds match the presented ring of the
+    potential's multiplet."""
     geom = pot.geometry
+    ring = LimitRing(geom)
     for u in geom.labels:
         for v in geom.labels:
             got = limit_product_from_potential(pot, u, v)

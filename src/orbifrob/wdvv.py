@@ -365,8 +365,7 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     products: dict[tuple, dict[int, int]] = {}  # of the current multiset
 
     def product(p1: tuple[int, int], p2: tuple[int, int]) -> dict[int, int]:
-        if p2 < p1:
-            p1, p2 = p2, p1
+        # Both sides of the loop below pass p1 <= p2, so the key is canonical.
         cache_key = (p1, p2)
         got = products.get(cache_key)
         if got is not None:

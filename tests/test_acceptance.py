@@ -135,10 +135,9 @@ def test_criterion_8_rescaling_covariance(tmp_path, reconstructed, capsys):
 def test_criterion_9_limit_ring(reconstructed):
     for name in ("2,2,2", "2,3,4", "3,3,3"):
         geom = of.build_geometry(name)
-        ring = of.build_limit_ring(geom)
-        assert ring.dimension == geom.mu
+        assert of.LimitRing(geom).dimension == geom.mu
         pot, _ = reconstructed(name, 1)
-        assert of.check_limit_product(pot, ring).passed
+        assert of.check_limit_product(pot).passed
     report(9, "limit ring dimension mu and product match on 3 multiplets")
 
 

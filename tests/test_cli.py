@@ -1,4 +1,7 @@
+import orbifrob as of
+from orbifrob import POINT, SeriesKey, Twisted, WdvvQuad
 from orbifrob.cli import main
+from orbifrob.rationals import QQ
 
 
 def run(capsys, *argv):
@@ -261,6 +264,16 @@ def test_missing_file_is_usage_error(capsys):
     assert run(capsys, "show", "/nonexistent/path.txt", "1 m=0")[0] == 1
 
 
+def test_verify_rejects_a_duplicate_record(tmp_path, capsys):
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))
+    good = pot.read_text()
+    pot.write_text(_add_record(good, good.splitlines()[5]))
+    code, out, err = run(capsys, "verify", str(pot))
+    assert code == 1
+    assert out == "" and err.startswith("error: duplicate record for ")
+
+
 def test_verify_runs_each_named_check_once(tmp_path, capsys):
     pot = tmp_path / "pot.txt"
     run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))
@@ -287,3 +300,23 @@ def test_reconstruct_deadlock_exits_2(capsys):
     assert out == ""
     assert err.startswith("solver stuck: worklist deadlock on: ")
     assert "(1,1)^4 | m=0" in err
+
+
+def test_inconsistent_seeds_exit_3(monkeypatch, capsys):
+    # No CLI input is known to reach an inconsistent system, so the
+    # solver is replaced by one that reports a contradiction.
+    geom = of.build_geometry("2,2,2")
+    quad = WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT)
+    xkey = SeriesKey(of.zero_alpha(geom), 1)
+
+    def contradiction(*args, **kwargs):
+        raise of.InconsistentSeed(geom, quad, xkey, QQ(1, 2))
+
+    monkeypatch.setattr("orbifrob.cli.reconstruct", contradiction)
+    code, out, err = run(capsys, "reconstruct", "-A", "2,2,2", "-m", "1")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "inconsistent seeds: equation ((1,1),(1,1),tmu,tmu) at 1 | m=1 "
+        "evaluates to 1/2 != 0\n"
+    )

@@ -67,6 +67,18 @@ def test_parse_rejects_malformed():
     broken = good.replace("(1,1)^4 | m=0", "(1,1)^3 | m=0", 1)
     with pytest.raises(ValueError):
         of.parse_potential(broken)
+    # A file cut short, a record without three fields, and a repeated
+    # record whose count was raised to match.
+    lines = good.splitlines()
+    count = int(lines[4].partition(":")[2])
+    repeated = [*lines[:4], f"coefficients: {count + 1}", *lines[5:], lines[5]]
+    for text, message in [
+        ("\n".join(lines[:2]) + "\n", "missing 'mode' header line"),
+        (good.replace(" |", "", 1), "malformed record"),
+        ("\n".join(repeated) + "\n", "duplicate record"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            of.parse_potential(text)
 
 
 def test_key_query_parsing():

@@ -13,6 +13,7 @@ from orbifrob import (
 )
 from orbifrob.rationals import QQ
 from orbifrob.series import alpha_length
+from orbifrob.wdvv import TARGET, contract_at
 
 
 def key_of(geom, pairs, m):
@@ -162,6 +163,24 @@ def test_probe_reports_blocked_on_missing_prerequisites():
     result = of.probe_candidate(pot, quad, origin, origin)
     assert result.status == "blocked"
     assert result.blocker is not None
+
+
+def test_probe_reports_self_pair_useless(reconstructed):
+    # In WDVV((3,1),(3,2),(3,1),(3,2)) at (3,3)^2 the target multiplies
+    # itself.  Dropping that x^2 term would leave 0 + 1/2 x and "solve"
+    # the target as 0, but its value is -1/32.
+    pot, _ = reconstructed("2,3,4", 2)
+    geom = pot.geometry
+    quad = WdvvQuad(Twisted(3, 1), Twisted(3, 2), Twisted(3, 1), Twisted(3, 2))
+    xkey = key_of(geom, {(3, 3): 2}, 0)
+    target = key_of(geom, {(3, 1): 1, (3, 2): 2, (3, 3): 1}, 0)
+
+    def lookup(key):
+        return TARGET if key == target else pot.coeffs.get(key, 0)
+
+    assert contract_at(geom, quad, xkey, lookup) == (0, QQ(1, 2), 16)
+    assert pot.coeffs[target] == QQ(-1, 32)
+    assert of.probe_candidate(pot, quad, xkey, target).status == "useless"
 
 
 def test_solve_target_raises_when_stuck():

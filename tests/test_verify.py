@@ -96,14 +96,14 @@ def test_check_vanishing(reconstructed):
 
 def test_limit_ring_structure():
     geom = of.build_geometry("2,2,2")
-    ring = of.build_limit_ring(geom)
+    ring = of.LimitRing(geom)
     assert ring.dimension == 5
     assert ring.product(Twisted(1, 1), Twisted(1, 1)) == {POINT: QQ(1, 2)}
     assert ring.product(Twisted(1, 1), Twisted(2, 1)) == {}
     assert ring.product(UNIT, POINT) == {POINT: QQ(1)}
     assert ring.product(POINT, POINT) == {}
     g234 = of.build_geometry("2,3,4")
-    r234 = of.build_limit_ring(g234)
+    r234 = of.LimitRing(g234)
     assert r234.product(Twisted(3, 1), Twisted(3, 2)) == {Twisted(3, 3): QQ(1)}
     assert r234.product(Twisted(3, 2), Twisted(3, 2)) == {POINT: QQ(1, 4)}
     assert r234.product(Twisted(3, 3), Twisted(3, 2)) == {}
@@ -111,14 +111,13 @@ def test_limit_ring_structure():
 
 @pytest.mark.parametrize("orders", ["2,2,2", "2,3,4", "3,3,3", "2,3,7"])
 def test_limit_ring_associative(orders):
-    assert of.build_limit_ring(of.build_geometry(orders)).is_associative()
+    assert of.LimitRing(of.build_geometry(orders)).is_associative()
 
 
 @pytest.mark.parametrize("orders", ["2,2,2", "2,3,4", "3,3,3"])
 def test_limit_product_matches_potential(orders, reconstructed):
     pot, _ = reconstructed(orders, 1)
-    ring = of.build_limit_ring(pot.geometry)
-    assert of.check_limit_product(pot, ring).passed
+    assert of.check_limit_product(pot).passed
 
 
 def test_limit_product_detects_wrong_seeds(reconstructed):
@@ -126,7 +125,7 @@ def test_limit_product_detects_wrong_seeds(reconstructed):
     broken = copy_potential(pot)
     victim = key_of(broken.geometry, {(2, 1): 3}, 0)
     broken.coeffs[victim] = broken.coeffs[victim] * 2
-    report = of.check_limit_product(broken, of.build_limit_ring(broken.geometry))
+    report = of.check_limit_product(broken)
     assert not report.passed
     assert "(2,1)" in report.detail
 
@@ -136,7 +135,7 @@ def test_checks_are_pure(reconstructed):
     before = dict(pot.coeffs)
     of.check_euler(pot)
     of.check_separation(pot)
-    of.check_limit_product(pot, of.build_limit_ring(pot.geometry))
+    of.check_limit_product(pot)
     first = of.check_vanishing(pot)
     second = of.check_vanishing(pot)
     assert (first.passed, first.detail) == (second.passed, second.detail)
