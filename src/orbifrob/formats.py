@@ -26,7 +26,7 @@ from .series import (
     Potential,
     SeriesKey,
     alpha_from_pairs,
-    format_exponents,
+    format_key,
     key_sort_key,
     zero_alpha,
 )
@@ -78,9 +78,7 @@ def serialize_potential(pot: Potential) -> str:
         f"coefficients: {len(records)}",
     ]
     for key, value in records:
-        lines.append(
-            f"{format_exponents(geom, key.alpha)} | m={key.m} | {format_rational(value)}"
-        )
+        lines.append(f"{format_key(geom, key)} | {format_rational(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -149,8 +147,7 @@ def diff_potentials(pot1: Potential, pot2: Potential):
         v2 = pot2.get_coefficient(key)
         if v1 != v2:
             return (
-                f"{format_exponents(g1, key.alpha)} | m={key.m}: "
-                f"{format_rational(v1)} vs {format_rational(v2)}",
+                f"{format_key(g1, key)}: {format_rational(v1)} vs {format_rational(v2)}",
                 key,
             )
     return None

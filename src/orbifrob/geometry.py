@@ -13,6 +13,11 @@ flat coordinates carry three kinds of labels:
                       series layer books the grading of its exponential as
                       chi per order.
 
+UNIT and POINT are the two instances of one label class, each printed as
+its name.  Every label pairs with exactly one other (UNIT with POINT,
+(i, j) with (i, a_i - j)); methods taking labels raise ValueError, through
+check_label, on a label outside the multiplet.
+
 The tuple of deformation parameters attached to the r special points is
 deliberately not part of this data: rank, grading, pairing and all
 reconstruction formulas depend on the orders alone, so carrying the points
@@ -34,26 +39,20 @@ from dataclasses import dataclass
 from .rationals import QQ, parse_natural
 
 
-class _Unit:
-    """Singleton label for the unit coordinate."""
+class _Label:
+    """Singleton label of an untwisted coordinate; its repr is its name."""
 
-    __slots__ = ()
+    __slots__ = ("name",)
 
-    def __repr__(self):
-        return "UNIT"
-
-
-class _Point:
-    """Singleton label for the exponential coordinate."""
-
-    __slots__ = ()
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "POINT"
+        return self.name
 
 
-UNIT = _Unit()
-POINT = _Point()
+UNIT = _Label("UNIT")
+POINT = _Label("POINT")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class Twisted:
     j: int
 
     def __repr__(self):
-        return f"({self.sector},{self.j})"
+        return format_label(self)
 
 
 def format_label(label) -> str:
@@ -186,13 +185,8 @@ class Geometry:
 
     def degree(self, label):
         """Quasi-homogeneous degree: 1 for UNIT, (a_i-j)/a_i, 0 for POINT."""
-        if label is UNIT:
-            return QQ(1)
-        if label is POINT:
-            return QQ(0)
         self.check_label(label)
-        a = self.order(label.sector)
-        return QQ(a - label.j, a)
+        return QQ(self.degree_scaled(label), self.scale)
 
     def degree_scaled(self, label) -> int:
         if label is UNIT:
@@ -216,16 +210,13 @@ class Geometry:
         return QQ(0)
 
     def pairing_inverse(self, u, v):
-        """Entry eta^(u,v) of the inverse matrix of the pairing."""
-        self.check_label(u)
-        self.check_label(v)
-        if (u is UNIT and v is POINT) or (u is POINT and v is UNIT):
-            return QQ(1)
-        if isinstance(u, Twisted) and isinstance(v, Twisted):
-            a = self.order(u.sector)
-            if u.sector == v.sector and v.j == a - u.j:
-                return QQ(a)
-        return QQ(0)
+        """Entry eta^(u,v) of the inverse matrix of the pairing.
+
+        Every label pairs with exactly one other label, so the inverse
+        entry is 1/eta(u, v) where eta(u, v) is nonzero and 0 elsewhere.
+        """
+        value = self.pairing(u, v)
+        return 1 / value if value else QQ(0)
 
     def __repr__(self):
         return f"Geometry({self.multiplet}, mu={self.mu}, chi={self.chi})"

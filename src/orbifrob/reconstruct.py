@@ -443,7 +443,7 @@ def _fallback_sockets(geom: Geometry):
     eta = [(index[s], index[t]) for s, t, _ in geom.eta_inverse_pairs if UNIT not in (s, t)]
     paired = set(eta)
     series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
-    pairs = [(i, j) for n, i in enumerate(series_labels) for j in series_labels[n:]]
+    pairs = list(itertools.combinations_with_replacement(series_labels, 2))
 
     # Shift vectors are numbered in first-seen order.
     vec_id: dict[tuple, int] = {}
@@ -461,25 +461,24 @@ def _fallback_sockets(geom: Geometry):
     a_quad = array("l")
     s_groups: dict[int, array] = {}
     s_quad, s_shift = array("l"), array("l")
-    for k, p1 in enumerate(pairs):
-        for p2 in pairs[k:]:
-            qi = len(quads)
-            a, b, c, d = p1 + p2
-            quads.append(WdvvQuad(labels[a], labels[b], labels[c], labels[d]))
-            analytic: dict[int, None] = {}
-            series: dict[tuple, None] = {}
-            for x, y, z, t in ((a, b, c, d), (c, d, a, b), (a, c, b, d), (b, d, a, c)):
-                if (z, t) in paired:
-                    analytic[shift((x, y, point))] = None
-                for sigma, tau in eta:
-                    series[shift((x, y, sigma)), shift((z, t, tau))] = None
-            for v1 in analytic:
-                a_groups.setdefault(v1, array("l")).append(len(a_quad))
-                a_quad.append(qi)
-            for v1, v2 in series:
-                s_groups.setdefault(v1, array("l")).append(len(s_quad))
-                s_quad.append(qi)
-                s_shift.append(v2)
+    for p1, p2 in itertools.combinations_with_replacement(pairs, 2):
+        qi = len(quads)
+        a, b, c, d = p1 + p2
+        quads.append(WdvvQuad(labels[a], labels[b], labels[c], labels[d]))
+        analytic: dict[int, None] = {}
+        series: dict[tuple, None] = {}
+        for x, y, z, t in ((a, b, c, d), (c, d, a, b), (a, c, b, d), (b, d, a, c)):
+            if (z, t) in paired:
+                analytic[shift((x, y, point))] = None
+            for sigma, tau in eta:
+                series[shift((x, y, sigma)), shift((z, t, tau))] = None
+        for v1 in analytic:
+            a_groups.setdefault(v1, array("l")).append(len(a_quad))
+            a_quad.append(qi)
+        for v1, v2 in series:
+            s_groups.setdefault(v1, array("l")).append(len(s_quad))
+            s_quad.append(qi)
+            s_shift.append(v2)
 
     shifts = tuple((vec, 3 - sum(vec)) for vec in vec_id)
 
@@ -600,7 +599,8 @@ class ReconstructionTrace:
 
 def _attempt(pot: Potential, target: SeriesKey, guided: bool, use_fallback: bool):
     """Try the guided candidates (when guided), then the fallback (when
-    use_fallback); returns ("solved", step) or ("stalled", had_blocked)."""
+    use_fallback); returns the SolveStep, or else whether a candidate was
+    blocked."""
     stream = guided_candidates(pot.geometry, target) if guided else ()
     if use_fallback:
         stream = itertools.chain(stream, exhaustive_candidates(pot, target))
@@ -608,10 +608,10 @@ def _attempt(pot: Potential, target: SeriesKey, guided: bool, use_fallback: bool
     for quad, xkey in stream:
         result = probe_candidate(pot, quad, xkey, target)
         if result.status == "solved":
-            return "solved", SolveStep(target, quad, xkey, result.slope, result.value)
+            return SolveStep(target, quad, xkey, result.slope, result.value)
         if result.status == "blocked":
             blocked = True
-    return "stalled", blocked
+    return blocked
 
 
 def solve_target(pot: Potential, target: SeriesKey):
@@ -621,9 +621,9 @@ def solve_target(pot: Potential, target: SeriesKey):
     no candidate (guided, then the exhaustive fallback) has nonzero slope,
     and InconsistentSeed if a fully-known candidate is violated.
     """
-    status, payload = _attempt(pot, target, guided=True, use_fallback=True)
-    if status == "solved":
-        return payload.value
+    step = _attempt(pot, target, guided=True, use_fallback=True)
+    if isinstance(step, SolveStep):
+        return step.value
     raise SolverStuck(pot.geometry, [target])
 
 
@@ -660,13 +660,13 @@ def reconstruct(
         still: list[SeriesKey] = []
         any_blocked = False
         for target in pending:
-            status, payload = _attempt(pot, target, guided, use_fallback)
-            if status == "solved":
-                pot.set_coefficient(target, payload.value)
-                trace.steps.append(payload)
+            step = _attempt(pot, target, guided, use_fallback)
+            if isinstance(step, SolveStep):
+                pot.set_coefficient(target, step.value)
+                trace.steps.append(step)
                 progressed = True
             else:
-                any_blocked = any_blocked or payload
+                any_blocked = any_blocked or step
                 still.append(target)
         pending = still
         if pending and not progressed:

@@ -18,17 +18,19 @@ exactly; insertion asserts it.  The store holds nonzero values only: an
 absent key is 0 unless the potential still counts it as unknown.
 
 Exponent vectors are dense integer tuples in the canonical twisted-label
-order of the geometry (sparse pairs only appear in serialisation).  Keys
-are SeriesKey(alpha, m) named tuples, cheap to hash and compare.
+order of the geometry (sparse pairs only appear in serialisation, spelt by
+geometry.format_label).  Keys are SeriesKey(alpha, m) named tuples, cheap
+to hash and compare.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from operator import add
 from typing import NamedTuple
 
-from .geometry import POINT, UNIT, Geometry, Twisted
+from .geometry import POINT, UNIT, Geometry, Twisted, format_label
 from .rationals import QQ
 
 
@@ -93,7 +95,7 @@ def alpha_sort_key(alpha: tuple[int, ...]):
 
 def key_sort_key(key: "SeriesKey"):
     """Canonical key order: (m, length, canonical exponent order)."""
-    return (key.m, sum(key.alpha), tuple(-k for k in key.alpha))
+    return (key.m, *alpha_sort_key(key.alpha))
 
 
 def format_exponents(geom: Geometry, alpha: tuple[int, ...]) -> str:
@@ -101,7 +103,7 @@ def format_exponents(geom: Geometry, alpha: tuple[int, ...]) -> str:
     items = [(geom.twisted[s], k) for s, k in enumerate(alpha) if k]
     if not items:
         return "1"
-    return " ".join(f"({lab.sector},{lab.j})^{k}" for lab, k in items)
+    return " ".join(f"{format_label(lab)}^{k}" for lab, k in items)
 
 
 def format_key(geom: Geometry, key: SeriesKey) -> str:
@@ -201,19 +203,15 @@ def s_factor(a: int, b: int, c: int) -> int:
     return 2
 
 
-def falling(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
-
-
 def derivative_profile(geom: Geometry, labels):
     """Split derivative labels into (unit count, point count, twisted multiset).
 
     The twisted multiset is returned as the indicator exponent vector and
-    a list of (slot, multiplicity) pairs.
+    a list of (slot, multiplicity) pairs.  Raises ValueError on a label
+    outside the geometry.
     """
+    for lab in labels:
+        geom.check_label(lab)
     return indexed_profile(geom, tuple(sorted(geom.label_index[lab] for lab in labels)))
 
 
@@ -247,7 +245,7 @@ def multiplicity(key: SeriesKey, points: int, mults) -> int:
     derivative and a falling factorial per differentiated twisted slot."""
     mult = key.m ** points
     for slot, k in mults:
-        mult *= falling(key.alpha[slot], k)
+        mult *= math.perm(key.alpha[slot], k)
     return mult
 
 
@@ -257,9 +255,9 @@ def unit_constant(geom: Geometry, labels):
     F_triv is quadratic in the other coordinates, so the derivative is the
     constant eta of the two labels left after dropping one UNIT.
     """
-    rest = [lab for lab in labels if lab is not UNIT]
-    rest += [UNIT] * (2 - len(rest))
-    return geom.pairing(rest[0], rest[1])
+    rest = list(labels)
+    rest.remove(UNIT)
+    return geom.pairing(*rest)
 
 
 # -- the potential ------------------------------------------------------
@@ -326,8 +324,6 @@ class Potential:
         """
         geom = self.geometry
         labels = (d1, d2, d3)
-        for lab in labels:
-            geom.check_label(lab)
         units, points, vec, mults = derivative_profile(geom, labels)
         if units:
             if target.m == 0 and not any(target.alpha):
@@ -343,6 +339,8 @@ class Potential:
         """Full coefficient map of one third derivative (0 entries absent).
 
         Computed fresh on every call; nothing is cached on the potential.
+        Like third_derivative_coefficient, raises ValueError on a label
+        outside the geometry.
         """
         geom = self.geometry
         labels = (d1, d2, d3)

@@ -37,6 +37,7 @@ not truncations.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -339,27 +340,19 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     index = geom.label_index
     eta_pairs = [(index[sigma], index[tau], w) for sigma, tau, w in geom.eta_inverse_pairs]
 
-    # Scaled, packed derivative maps, one per sorted label-index triple,
-    # grouped by order: {m: {packed key: integer coefficient}}.
-    dmaps: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
-
-    def dmap(pair: tuple[int, int], sigma: int) -> dict[int, dict[int, int]]:
-        triple = tuple(sorted((*pair, sigma)))
-        got = dmaps.get(triple)
-        if got is not None:
-            return got
-        raw = pot.third_derivative_map(*(labels[k] for k in triple))
+    @functools.cache
+    def dmap(triple: tuple[int, ...]) -> dict[int, dict[int, int]]:
+        """Scaled, packed derivative map of a sorted label-index triple,
+        grouped by order: {m: {packed key: integer coefficient}}."""
         out: dict[int, dict[int, int]] = {}
-        for key, value in raw.items():
+        for key, value in pot.third_derivative_map(*(labels[k] for k in triple)).items():
             if key.m > m_max:
                 continue
             scaled = value * scale
             num = int(scaled)
             if num != scaled:  # pragma: no cover - scale is an lcm, always exact
                 raise AssertionError("denominator not cleared")
-            if num:
-                out.setdefault(key.m, {})[pack(key)] = num
-        dmaps[triple] = out
+            out.setdefault(key.m, {})[pack(key)] = num
         return out
 
     products: dict[tuple, dict[int, int]] = {}  # of the current multiset
@@ -373,10 +366,10 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         out: dict[int, int] = {}
         get = out.get
         for sigma, tau, w in eta_pairs:
-            d1 = dmap(p1, sigma)
+            d1 = dmap(tuple(sorted((*p1, sigma))))
             if not d1:
                 continue
-            d2 = dmap(p2, tau)
+            d2 = dmap(tuple(sorted((*p2, tau))))
             if not d2:
                 continue
             for m1, map1 in d1.items():
@@ -393,19 +386,16 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         return out
 
     series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
-    pairs = [
-        (i, j) for n, i in enumerate(series_labels) for j in series_labels[n:]
-    ]
+    pairs = list(itertools.combinations_with_replacement(series_labels, 2))
 
     # Both sides of an equation are products of two label pairs drawn from
     # the same 4-label multiset, and each product belongs to exactly one
     # multiset; so the equations are scanned one multiset at a time and
     # only that multiset's (at most three) products are held.
     groups: dict[tuple[int, ...], list] = {}
-    for i1, p1 in enumerate(pairs):
-        for p2 in pairs[i1:]:
-            groups.setdefault(tuple(sorted(p1 + p2)), []).append((p1, p2))
-            report.quads_checked += 1
+    for p1, p2 in itertools.combinations_with_replacement(pairs, 2):
+        groups.setdefault(tuple(sorted(p1 + p2)), []).append((p1, p2))
+        report.quads_checked += 1
 
     denom = scale * scale
     target_counts: dict[int, int] = {m: 0 for m in range(m_max + 1)}

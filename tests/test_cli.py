@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, WdvvQuad
 from orbifrob.cli import main
@@ -289,6 +293,29 @@ def test_verify_runs_each_named_check_once(tmp_path, capsys):
     assert [line.split(":")[0] for line in out.splitlines()] == [
         "CHECK separation", "CHECK euler",
     ]
+
+
+@pytest.mark.parametrize(
+    "multiplet, m_max, mode, digest",
+    [
+        ("2,3,4", "3", "standard", "dd5cffd59d705d89f1fcf4610f7fc19eac3df1401cf80e9f23904f55746ecfc5"),
+        (
+            "2,2,3",
+            "4",
+            "vanishing-no-quartic",
+            "d5b94b3fcab35378a7ded0787220ec7b753eb1252198499114da70c8d4ff6f9f",
+        ),
+        ("3,3,3", "2", "vanishing", "ef1cc27897d891adc8e407c3b40f818850bfc246653c2428f3b4d7af23fc9fa0"),
+    ],
+)
+def test_verify_stdout_pinned(tmp_path, capsys, multiplet, m_max, mode, digest):
+    # sha256 of the whole verify report: every check line, the scan's
+    # counts and the residual total.
+    pot = tmp_path / "pot.txt"
+    args = ("reconstruct", "-A", multiplet, "-m", m_max, "--mode", mode, "-o", str(pot))
+    assert run(capsys, *args)[0] == 0
+    code, out, _ = run(capsys, "verify", str(pot))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 def test_reconstruct_deadlock_exits_2(capsys):

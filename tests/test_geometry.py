@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import orbifrob as of
@@ -80,6 +82,19 @@ def test_pairing_inverse_values():
     assert geom.pairing_inverse(Twisted(3, 1), Twisted(3, 3)) == 4
     assert geom.pairing_inverse(POINT, UNIT) == 1
     assert geom.pairing_inverse(Twisted(2, 1), Twisted(2, 1)) == 0
+
+
+def test_labels_outside_the_multiplet_raise_value_error():
+    geom = of.build_geometry("2,3,4")
+    for outside in (Twisted(4, 1), Twisted(1, 2)):
+        for call in (
+            lambda: geom.degree(outside),
+            lambda: geom.pairing(UNIT, outside),
+            lambda: geom.pairing_inverse(outside, POINT),
+            lambda: geom.pairing_inverse(UNIT, outside),
+        ):
+            with pytest.raises(ValueError, match=re.escape(repr(outside))):
+                call()
 
 
 @pytest.mark.parametrize("orders", ["2,2,2", "2,3,4", "2,3,7", "2,2,2,3"])

@@ -42,3 +42,47 @@ def test_reconstruction_properties(multiplet, m_max, mode):
     exhaustive, _ = of.reconstruct(multiplet, m_max, mode, strategy="exhaustive")
     assert of.serialize_potential(exhaustive) == text
     assert of.residual_scan(pot, m_max).ok
+
+
+# A 2,3,4 m=2 file, mutated by the parser fuzz below with characters drawn
+# from its own alphabet.
+FUZZ_FILE = of.serialize_potential(of.reconstruct("2,3,4", 2)[0])
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "insert", "replace")),
+        st.integers(0, len(FUZZ_FILE)),
+        st.sampled_from(sorted(set(FUZZ_FILE))),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(edits=EDITS)
+def test_parse_potential_fails_only_with_value_error(edits):
+    text = FUZZ_FILE
+    for op, pos, char in edits:
+        pos = min(pos, len(text) - (op != "insert"))
+        tail = text[pos + (op != "insert"):]
+        text = text[:pos] + ("" if op == "delete" else char) + tail
+    try:
+        of.parse_potential(text)
+    except ValueError:
+        pass
+
+
+# Fragments of key queries, valid and not, with a non-ASCII digit among them.
+QUERY_FRAGMENTS = (
+    "(", ")", ",", "^", " ", "\t", "m=", "0", "1", "2", "3", "9", "-", "/", "|", "x",
+    "\u0661", "(1,1)", "(3,2)^", "(4,1)", "m=1", " m=0",
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=st.lists(st.sampled_from(QUERY_FRAGMENTS), max_size=10).map("".join))
+def test_parse_key_query_fails_only_with_value_error(text):
+    try:
+        of.parse_key_query(of.build_geometry("2,3,4"), text)
+    except ValueError:
+        pass

@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 
 import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, UNIT
 from orbifrob.rationals import QQ
-from orbifrob.series import alpha_length, falling, wdeg_scaled
+from orbifrob.series import alpha_length, multiplicity, wdeg_scaled
 
 from oracle import SymbolicOracle
 
@@ -151,7 +152,23 @@ def test_third_derivative_quartic_multiplicity():
     lab = Twisted(1, 1)
     got = pot.third_derivative_coefficient(lab, lab, lab, key_of(geom, {(1, 1): 1}, 0))
     assert got == 24 * QQ(-1, 96)
-    assert falling(4, 3) == 24
+    assert multiplicity(quartic, 0, [(geom.slot[lab], 3)]) == 24
+
+
+def test_third_derivatives_reject_labels_outside_the_geometry(reconstructed):
+    pot, _ = reconstructed("2,3,4", 2)
+    key = SeriesKey(of.zero_alpha(pot.geometry), 0)
+    for outside in (Twisted(4, 1), Twisted(1, 2)):
+        with pytest.raises(ValueError, match=re.escape(repr(outside))):
+            pot.third_derivative_map(outside, UNIT, POINT)
+        with pytest.raises(ValueError):
+            pot.third_derivative_coefficient(POINT, outside, UNIT, key)
+
+
+def test_alpha_from_pairs_rejects_negative_exponents():
+    geom = of.build_geometry("2,3,4")
+    with pytest.raises(ValueError, match="non-negative"):
+        of.alpha_from_pairs(geom, {(1, 1): 1, (3, 2): -1})
 
 
 def test_third_derivative_against_symbolic_oracle(reconstructed):

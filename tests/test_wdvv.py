@@ -1,4 +1,7 @@
+import ast
 import hashlib
+import importlib
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -252,6 +255,48 @@ def test_residual_values_stable_under_extending_store(reconstructed):
     }
     assert low == high
     assert low  # the perturbation is visible at low order
+
+
+def test_scan_and_targets_reject_negative_orders(reconstructed):
+    pot, _ = reconstructed("2,2,2", 2)
+    with pytest.raises(ValueError, match="-1"):
+        of.residual_scan(pot, -1)
+    quad = WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        of.admissible_targets(pot.geometry, quad, -1)
+
+
+# The solver's kernel, probe and candidate builders.  The read side (the
+# residual scan and the verify checks) must name none of them, so that it
+# stays an independent re-check of what the solver wrote.
+SOLVER_NAMES = {
+    "contract_at",
+    "_quad_plan",
+    "_splits",
+    "probe_candidate",
+    "guided_candidates",
+    "exhaustive_candidates",
+    "_fallback_sockets",
+    "Blocked",
+    "TARGET",
+    "wdvv_coefficient",
+}
+
+
+def _names(source):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname
+
+
+def test_read_side_names_no_solver_code():
+    for obj in (of.residual_scan, importlib.import_module("orbifrob.verify")):
+        assert not SOLVER_NAMES & set(_names(inspect.getsource(obj))), obj
 
 
 def test_residual_scan_requires_sealed_and_complete(reconstructed):
