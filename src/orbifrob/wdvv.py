@@ -21,16 +21,19 @@ potential (residual_scan).
 
 The scan deliberately does not use the kernel.  It is the independent
 re-check of what the solver wrote, and it computes every target of an
-equation at once: it clears denominators once (a single lcm over the store
-and the pairing entries) and convolves integer maps whose keys are
-exponent vectors packed into single machine integers, so residuals are
-exact and the sweep stays fast.  Both sides of an equation are pair
-products drawn from one 4-label multiset, so the scan streams the
-equations one multiset at a time: it computes each pair product once,
-holds at most three of them, and keeps only the packed derivative maps
-(one per label triple) and the nonzero residuals for the whole sweep.
-For a target of order m only stored orders m1 + m2 = m contribute, all
-<= m_max, hence reported residuals are exact values of the equations,
+equation at once in integers: it clears denominators once (a single lcm
+over the store and the pairing entries) and packs each exponent vector
+into a single machine integer.  One pass over the store builds the
+derivative map of every label triple, each stored key feeding the triples
+that fit under it, so the set-up costs one step per map entry; each map is
+held once for the call, as item lists per stored order.  Both sides of an
+equation are pair products drawn from one 4-label multiset, so the scan
+streams the equations one multiset at a time: it computes each pair
+product once and holds at most three of them.  Equal sides, as on a
+correct potential, are compared with one dict comparison and their
+monomials counted per order in C; only unequal sides are walked key by
+key.  For a target of order m only stored orders m1 + m2 = m contribute,
+all <= m_max, hence reported residuals are exact values of the equations,
 not truncations.
 """
 
@@ -39,10 +42,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import Geometry, UNIT, format_label
+from .geometry import POINT, UNIT, Geometry, format_label
 from .rationals import QQ
 from .series import (
     Potential,
@@ -281,6 +285,93 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
 
+class _ScanMaps(NamedTuple):
+    """Every nonzero third derivative of a store, as the scan reads it.
+
+    scale clears every denominator of the store and of the pairing.  A key
+    (alpha, m) packs into one integer: m in the low mbits bits, then one
+    slot of shift bits per twisted coordinate.  maps holds the derivative
+    map of each sorted label-index triple once, as (m, items) pairs in
+    increasing order m, where items lists the (packed key, scale * value)
+    entries of that order; triples whose map is empty are absent.
+    """
+
+    scale: int
+    mbits: int
+    shift: int
+    maps: dict[tuple[int, ...], list[tuple[int, list[tuple[int, int]]]]]
+
+
+def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
+    """The integer derivative maps of pot up to order m_max, in one pass.
+
+    A stored key feeds the derivative along each triple whose twisted
+    multiset fits under its exponents, the rest of the triple being POINT
+    (only at m > 0, where the multiplicity m^points is nonzero): the entry
+    sits at the key minus the multiset and is the scaled coefficient times
+    its multiplicity.  Triples containing UNIT derive F_triv and carry one
+    constant at the monomial 1.  So the work is one step per map entry,
+    whatever the number of triples.
+    """
+    geom = pot.geometry
+    # One denominator for the whole store: entries of the scaled maps are
+    # plain integers and products/sums stay exact.
+    scale = math.lcm(*geom.orders, *(int(c.denominator) for c in pot.coeffs.values()), 1)
+
+    # A product's exponent is the sum of two derivative-map exponents,
+    # each at most a stored exponent, so the stored keys size the slots.
+    max_entry = max((k for key in pot.coeffs for k in key.alpha), default=1)
+    shift = (2 * max_entry + 1).bit_length()
+    mbits = max((2 * m_max + 1).bit_length(), 1)
+
+    def cleared(value) -> int:
+        scaled = value * scale
+        if scaled.denominator != 1:  # pragma: no cover - scale is an lcm
+            raise AssertionError("denominator not cleared")
+        return int(scaled.numerator)
+
+    def pack(alpha: tuple[int, ...], m: int) -> int:
+        packed = m
+        for s, k in enumerate(alpha):
+            if k:
+                packed |= k << (mbits + s * shift)
+        return packed
+
+    point = geom.label_index[POINT]
+    shapes = {}  # sorted triple -> (POINT count, slot multiplicities, packed shift)
+    for triple in itertools.combinations_with_replacement(range(1, point + 1), 3):
+        _, points, vec, mults = indexed_profile(geom, triple)
+        shapes[triple] = points, mults, pack(vec, 0)
+
+    # Only stored orders get an item list, so nothing here grows with
+    # m_max, which a file header may make huge.
+    orders: dict[tuple[int, ...], dict[int, list[tuple[int, int]]]] = {}
+    for key, value in pot.coeffs.items():
+        if key.m > m_max:
+            continue
+        num = cleared(value)
+        packed = pack(key.alpha, key.m)
+        # Label indices of the slots alpha uses: slot s is label s + 1.
+        support = [s + 1 for s, k in enumerate(key.alpha) if k]
+        for size in range(4):
+            for slots in itertools.combinations_with_replacement(support, size):
+                triple = slots + (point,) * (3 - size)
+                points, mults, vec = shapes[triple]
+                # Zero exactly when the triple does not apply to the key: a
+                # slot taken more often than alpha holds it, or POINT at m=0.
+                mult = multiplicity(key, points, mults)
+                if mult:
+                    by_order = orders.setdefault(triple, {})
+                    by_order.setdefault(key.m, []).append((packed - vec, num * mult))
+    maps = {triple: sorted(by_order.items()) for triple, by_order in orders.items()}
+    labels = geom.labels
+    for i, j in itertools.combinations_with_replacement(range(len(labels)), 2):
+        value = unit_constant(geom, [UNIT, labels[i], labels[j]])
+        if value:
+            maps[0, i, j] = [(0, [(0, cleared(value))])]
+    return _ScanMaps(scale, mbits, shift, maps)
+
+
 def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     """Evaluate every WDVV equation of a sealed potential up to order m_max.
 
@@ -288,9 +379,14 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     (a,b)<->(c,d); quads containing the unit label are skipped (their
     equations vanish identically).  For chi > 0 the scan stops at
     floor(2/chi), as the reconstruction does, and reports that order.
-    The scan is sequential and streams the equations one 4-label multiset
-    at a time, holding only that multiset's pair products; the residuals
-    are reported in quad order whatever order the multisets take.
+    The scan is sequential.  It builds every derivative map in one integer
+    pass over the store (_scan_maps) and holds each once for the call; a
+    table gives the map of a (label pair, label) without sorting.  It then
+    streams the equations one 4-label multiset at a time, holding only
+    that multiset's pair products.  Two sides that are equal dicts, as on
+    a correct potential, are compared and counted in C; only unequal sides
+    are walked key by key.  The residuals are reported in quad order
+    whatever order the multisets take.
     """
     if not pot.sealed:
         raise ValueError("residual_scan requires a sealed potential")
@@ -305,27 +401,9 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             f"potential is complete up to order {pot.max_order}, cannot scan to {m_max}"
         )
     report = ResidualReport(geom, m_max)
-
-    # One denominator for the whole store: entries of the scaled maps are
-    # plain integers and products/sums stay exact.
-    scale = math.lcm(*geom.orders, *(int(c.denominator) for c in pot.coeffs.values()), 1)
-
-    # Packing: one slot of `shift` bits per twisted coordinate plus low
-    # bits for m.  A product's exponent is the sum of two derivative-map
-    # exponents, each at most a stored exponent, so the stored keys size
-    # the slots.
-    max_entry = max((k for key in pot.coeffs for k in key.alpha), default=1)
-    shift = (2 * max_entry + 1).bit_length()
-    mbits = max((2 * m_max + 1).bit_length(), 1)
+    scale, mbits, shift, maps = _scan_maps(pot, m_max)
     mask = (1 << shift) - 1
     mmask = (1 << mbits) - 1
-
-    def pack(key: SeriesKey) -> int:
-        packed = key.m
-        for s, k in enumerate(key.alpha):
-            if k:
-                packed |= k << (mbits + s * shift)
-        return packed
 
     def unpack(packed: int) -> SeriesKey:
         m = packed & mmask
@@ -339,21 +417,13 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     labels = geom.labels
     index = geom.label_index
     eta_pairs = [(index[sigma], index[tau], w) for sigma, tau, w in geom.eta_inverse_pairs]
-
-    @functools.cache
-    def dmap(triple: tuple[int, ...]) -> dict[int, dict[int, int]]:
-        """Scaled, packed derivative map of a sorted label-index triple,
-        grouped by order: {m: {packed key: integer coefficient}}."""
-        out: dict[int, dict[int, int]] = {}
-        for key, value in pot.third_derivative_map(*(labels[k] for k in triple)).items():
-            if key.m > m_max:
-                continue
-            scaled = value * scale
-            num = int(scaled)
-            if num != scaled:  # pragma: no cover - scale is an lcm, always exact
-                raise AssertionError("denominator not cleared")
-            out.setdefault(key.m, {})[pack(key)] = num
-        return out
+    series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
+    pairs = list(itertools.combinations_with_replacement(series_labels, 2))
+    # table[pair][label]: the map of the sorted triple pair + label, or None.
+    table = {
+        pair: [maps.get(tuple(sorted((*pair, k)))) for k in range(len(labels))]
+        for pair in pairs
+    }
 
     products: dict[tuple, dict[int, int]] = {}  # of the current multiset
 
@@ -365,28 +435,26 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             return got
         out: dict[int, int] = {}
         get = out.get
+        left, right = table[p1], table[p2]
         for sigma, tau, w in eta_pairs:
-            d1 = dmap(tuple(sorted((*p1, sigma))))
-            if not d1:
+            d1 = left[sigma]
+            if d1 is None:
                 continue
-            d2 = dmap(tuple(sorted((*p2, tau))))
-            if not d2:
+            d2 = right[tau]
+            if d2 is None:
                 continue
-            for m1, map1 in d1.items():
-                for m2, map2 in d2.items():
+            for m1, items1 in d1:
+                for m2, items2 in d2:
                     if m1 + m2 > m_max:
-                        continue
-                    for k1, v1 in map1.items():
+                        break
+                    for k1, v1 in items1:
                         wv1 = w * v1
-                        for k2, v2 in map2.items():
+                        for k2, v2 in items2:
                             k = k1 + k2
                             prev = get(k)
                             out[k] = wv1 * v2 if prev is None else prev + wv1 * v2
         products[cache_key] = out
         return out
-
-    series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
-    pairs = list(itertools.combinations_with_replacement(series_labels, 2))
 
     # Both sides of an equation are products of two label pairs drawn from
     # the same 4-label multiset, and each product belongs to exactly one
@@ -407,6 +475,10 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             rhs = product(
                 tuple(sorted((p1[0], p2[0]))), tuple(sorted((p1[1], p2[1])))
             )
+            if lhs == rhs:
+                for m, n in Counter(map(mmask.__and__, lhs)).items():
+                    target_counts[m] += n
+                continue
             bad = []
             for k in lhs.keys() | rhs.keys():
                 target_counts[k & mmask] += 1

@@ -86,3 +86,23 @@ def test_parse_key_query_fails_only_with_value_error(text):
         of.parse_key_query(of.build_geometry("2,3,4"), text)
     except ValueError:
         pass
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    multiplet=st.sampled_from(MULTIPLETS),
+    m_max=st.integers(1, 2),
+    p=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    q=st.integers(1, 3),
+)
+def test_rescaling_covariance(multiplet, m_max, p, q):
+    # Seeding the degree-one coefficient a is the Novikov rescaling by a
+    # of the standard potential, coefficient for coefficient, and the
+    # rescaled store (numerators and denominators grown by a^m) scans clean.
+    a = QQ(p, q)
+    rescaled, _ = of.reconstruct(multiplet, m_max, of.rescaled_mode(a))
+    standard, _ = of.reconstruct(multiplet, m_max)
+    expected = of.rescale_novikov(standard, a)
+    assert rescaled.coeffs == expected.coeffs
+    assert rescaled.seed_mode == expected.seed_mode
+    assert of.residual_scan(rescaled, m_max).ok

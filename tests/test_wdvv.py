@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import orbifrob as of
+from orbifrob import wdvv
 from orbifrob import POINT, SeriesKey, Twisted, UNIT, WdvvQuad
 
 from oracle import SymbolicOracle
@@ -295,7 +296,11 @@ def _names(source):
 
 
 def test_read_side_names_no_solver_code():
-    for obj in (of.residual_scan, importlib.import_module("orbifrob.verify")):
+    for obj in (
+        of.residual_scan,
+        wdvv._scan_maps,
+        importlib.import_module("orbifrob.verify"),
+    ):
         assert not SOLVER_NAMES & set(_names(inspect.getsource(obj))), obj
 
 
@@ -381,3 +386,84 @@ def test_residual_scan_holds_one_multiset_at_a_time(reconstructed):
         tracemalloc.stop()
     assert report.ok
     assert peak < 350_000
+
+
+@pytest.mark.parametrize(
+    "multiplet, m_max, mode, scan_to",
+    [
+        ("2,3,4", 3, of.STANDARD, 3),
+        ("3,4,5", 3, of.rescaled_mode(-2), 3),
+        ("2,3,7", 4, of.STANDARD, 4),
+        ("2,3,7", 4, of.STANDARD, 2),
+        ("2,2,2,2", 6, of.STANDARD, 6),
+    ],
+    ids=["234-m3", "345-m3-rescaled-2", "237-m4", "237-m4-scan2", "2222-m6"],
+)
+def test_scan_maps_are_scaled_third_derivative_maps(
+    reconstructed, multiplet, m_max, mode, scan_to
+):
+    # The scan builds its integer derivative maps in one pass over the
+    # store.  For every sorted label triple, UNIT and empty ones included,
+    # the map must be scale times Potential.third_derivative_map up to the
+    # scan order, each entry filed under its own order, orders increasing.
+    pot, _ = reconstructed(multiplet, m_max, mode)
+    geom = pot.geometry
+    scale, mbits, shift, maps = wdvv._scan_maps(pot, scan_to)
+
+    def pack(key):
+        return key.m + sum(k << (mbits + s * shift) for s, k in enumerate(key.alpha))
+
+    triples = list(itertools.combinations_with_replacement(range(len(geom.labels)), 3))
+    assert set(maps) <= set(triples)
+    entries = 0
+    for triple in triples:
+        labels = [geom.labels[k] for k in triple]
+        expected = {
+            pack(key): value * scale
+            for key, value in pot.third_derivative_map(*labels).items()
+            if key.m <= scan_to
+        }
+        got = {}
+        orders = [m for m, _ in maps.get(triple, [])]
+        assert orders == sorted(set(orders)), triple
+        for m, items in maps.get(triple, []):
+            assert items, triple
+            for packed, value in items:
+                assert type(value) is int and packed & ((1 << mbits) - 1) == m
+                got[packed] = value
+                entries += 1
+        assert got == expected, labels
+    assert entries == sum(len(items) for lists in maps.values() for _, items in lists)
+    assert any(m == scan_to for lists in maps.values() for m, _ in lists)
+
+
+# One admissible m=8 record of the 2,3,7 m=8 potential under a huge header.
+_HUGE_HEADER_FILE = """frobenius-potential v1
+multiplet: 2,3,7
+mode: standard
+max-order: 200000
+coefficients: 1
+(2,1)^2 (3,1)^1 | m=8 | 1
+"""
+
+
+def test_residual_scan_is_sized_by_the_store_not_the_header():
+    # The derivative maps are sized by the highest stored order.  Sized by
+    # the header instead, this scan took 1.7 s and 189 MB.  The report is
+    # the one the scan printed before its maps were built in one pass
+    # (sha256 recorded then), and the traced peak stays within 10% of the
+    # 21,533,552 bytes measured then, nearly all of it the per-order
+    # targets-checked counts.
+    pot = of.parse_potential(_HUGE_HEADER_FILE)
+    tracemalloc.start()
+    try:
+        report = of.residual_scan(pot, pot.max_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = report.to_text()
+    assert text.count("residual |") == 45
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b33a49e550d560dd48ed10e270259999245648b5e094b217d22d9a1d573670f1"
+    )
+    assert peak <= 1.1 * 21_533_552
