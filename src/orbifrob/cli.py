@@ -19,13 +19,7 @@ from .formats import (
     write_trace,
 )
 from .rationals import format_rational, parse_natural
-from .reconstruct import (
-    InconsistentSeed,
-    NoProgress,
-    SeedMode,
-    SolverStuck,
-    reconstruct,
-)
+from .reconstruct import InconsistentSeed, ReconstructionError, SeedMode, reconstruct
 from .verify import (
     check_euler,
     check_limit_product,
@@ -195,7 +189,8 @@ def _cmd_diff(args) -> int:
     pot2 = read_potential(args.potential2)
     difference = diff_potentials(pot1, pot2)
     if difference is None:
-        print("potentials agree")
+        orders = {pot1.max_order, pot2.max_order}
+        print("potentials agree" + ("" if len(orders) == 1 else f" up to order {min(orders)}"))
         return EXIT_OK
     print(f"first difference: {difference[0]}")
     return EXIT_VERIFY
@@ -209,12 +204,12 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverStuck, NoProgress) as exc:
-        print(f"solver stuck: {exc}", file=sys.stderr)
-        return EXIT_STUCK
     except InconsistentSeed as exc:
         print(f"inconsistent seeds: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except ReconstructionError as exc:  # SolverStuck or NoProgress
+        print(f"solver stuck: {exc}", file=sys.stderr)
+        return EXIT_STUCK
 
 
 if __name__ == "__main__":  # pragma: no cover

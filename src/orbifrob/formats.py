@@ -138,11 +138,15 @@ def diff_potentials(pot1: Potential, pot2: Potential):
 
     Returns (description, key) with keys compared in canonical order;
     absent coefficients count as 0.  Multiplets must match to compare.
+    Only orders up to the smaller max_order are compared: a potential
+    knows nothing above its own max_order.
     """
     g1, g2 = pot1.geometry, pot2.geometry
     if g1.multiplet != g2.multiplet:
         return (f"multiplets differ: {g1.multiplet} vs {g2.multiplet}", None)
-    for key in sorted(pot1.coeffs.keys() | pot2.coeffs.keys(), key=key_sort_key):
+    top = min(pot1.max_order, pot2.max_order)
+    keys = [key for key in pot1.coeffs.keys() | pot2.coeffs.keys() if key.m <= top]
+    for key in sorted(keys, key=key_sort_key):
         v1 = pot1.get_coefficient(key)
         v2 = pot2.get_coefficient(key)
         if v1 != v2:

@@ -22,8 +22,11 @@ the store (absent means 0).  Targets are scheduled in the induction
 order of the underlying uniqueness argument (joint order-0/order-1
 induction on the length, then order by order), with a worklist that
 defers targets whose prerequisites are not known yet, and an exhaustive
-candidate search as fallback for every target.  The trace records every
-seed and every solved equation, making the realized order auditable.
+candidate search as fallback for every target.  This worklist is the only
+solver: when a pass with the fallback solves nothing, it raises NoProgress
+if some candidate was blocked and SolverStuck if every one was useless.
+The trace records every seed and, for every solved equation, the probe
+result that solved it, making the realized order auditable.
 """
 
 from __future__ import annotations
@@ -59,19 +62,24 @@ class ReconstructionError(Exception):
     """Base class for solver failures."""
 
 
-def _name_targets(geom: Geometry, targets: list[SeriesKey]) -> str:
-    names = ", ".join(format_key(geom, t) for t in targets[:6])
-    more = "" if len(targets) <= 6 else f" (+{len(targets) - 6} more)"
-    return names + more
+class _Stuck(ReconstructionError):
+    """The worklist ended with targets left over: targets lists them, and
+    the message names up to six after the subclass's reason."""
 
-
-class SolverStuck(ReconstructionError):
-    """Every candidate equation (including the exhaustive fallback) for
-    some target has slope zero: the seeds do not determine it."""
+    reason: str
 
     def __init__(self, geom: Geometry, targets):
         self.targets = list(targets)
-        super().__init__(f"no candidate determines: {_name_targets(geom, self.targets)}")
+        names = ", ".join(format_key(geom, t) for t in self.targets[:6])
+        more = "" if len(self.targets) <= 6 else f" (+{len(self.targets) - 6} more)"
+        super().__init__(f"{self.reason}: {names}{more}")
+
+
+class SolverStuck(_Stuck):
+    """Every candidate equation (including the exhaustive fallback) for
+    some target has slope zero: the seeds do not determine it."""
+
+    reason = "no candidate determines"
 
 
 class InconsistentSeed(ReconstructionError):
@@ -88,12 +96,10 @@ class InconsistentSeed(ReconstructionError):
         )
 
 
-class NoProgress(ReconstructionError):
+class NoProgress(_Stuck):
     """A full worklist pass solved nothing while targets remain blocked."""
 
-    def __init__(self, geom: Geometry, targets):
-        self.targets = list(targets)
-        super().__init__(f"worklist deadlock on: {_name_targets(geom, self.targets)}")
+    reason = "worklist deadlock on"
 
 
 # -- seed modes ---------------------------------------------------------
@@ -203,12 +209,6 @@ def seed(geom: Geometry, mode: SeedMode, m_max: int) -> Potential:
 # -- schedule -----------------------------------------------------------
 
 
-def _product_alpha_except(geom: Geometry, skip_sector: int):
-    return alpha_from_pairs(
-        geom, [((k, 1), 1) for k in range(1, geom.r + 1) if k != skip_sector]
-    )
-
-
 def _minus_pairs(geom: Geometry, alpha, sector: int, budget=None):
     """Yield (j, j', alpha - e_{i,j} - e_{i,j'}) for 1 <= j <= j' < a_i in
     sector i, wherever the difference is >= 0 and, given a budget, the
@@ -234,7 +234,9 @@ def _candidates_order0(geom: Geometry, gamma):
     sector = next(iter(support_sectors(geom, gamma)))
     a = geom.order(sector)
     lab = lambda j: Twisted(sector, j)
-    others = _product_alpha_except(geom, sector)
+    others = alpha_from_pairs(
+        geom, [((k, 1), 1) for k in range(1, geom.r + 1) if k != sector]
+    )
     cands = []
 
     # Top-index family: target contains e_{i,a_i-1} and pairs against the
@@ -357,9 +359,14 @@ def build_schedule(pot: Potential) -> list[SeriesKey]:
 
 @dataclass
 class ProbeResult:
-    """Affine data of one extraction: coefficient = -intercept/slope when
-    the slope is nonzero and the equation is fully known."""
+    """Affine data of one extraction of quad at xkey as a function of
+    target: the target's value is -intercept/slope when the slope is
+    nonzero and the equation is fully known.  A solved result is the
+    trace's record of that step."""
 
+    target: SeriesKey
+    quad: WdvvQuad
+    xkey: SeriesKey
     status: str  # "solved" | "blocked" | "useless"
     value: object = None
     slope: object = None
@@ -379,6 +386,7 @@ def probe_candidate(
     annihilated by a known zero makes the candidate blocked.
     """
     coeffs, unknown, max_order = pot.coeffs, pot.unknown, pot.max_order
+    result = functools.partial(ProbeResult, target, quad, xkey)
 
     def lookup(key: SeriesKey):
         if key == target:
@@ -393,14 +401,14 @@ def probe_candidate(
     try:
         intercept, slope, self_pair = contract_at(pot.geometry, quad, xkey, lookup)
     except Blocked as blocked:
-        return ProbeResult("blocked", blocker=blocked.key)
+        return result("blocked", blocker=blocked.key)
     if self_pair:
-        return ProbeResult("useless")
+        return result("useless")
     if slope == 0:
         if intercept != 0:
             raise InconsistentSeed(pot.geometry, quad, xkey, intercept)
-        return ProbeResult("useless")
-    return ProbeResult("solved", value=-intercept / slope, slope=slope)
+        return result("useless")
+    return result("solved", value=-intercept / slope, slope=slope)
 
 
 # -- exhaustive fallback -------------------------------------------------
@@ -550,15 +558,6 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
 
 
 @dataclass
-class SolveStep:
-    target: SeriesKey
-    quad: WdvvQuad
-    xkey: SeriesKey
-    slope: object
-    value: object
-
-
-@dataclass
 class ReconstructionTrace:
     """Audit record: which equation determined which coefficient.  The
     seeds are listed in the order seeding imposed them."""
@@ -566,7 +565,7 @@ class ReconstructionTrace:
     geometry: Geometry
     mode: SeedMode
     seeds: list[tuple[SeriesKey, object, str]] = field(default_factory=list)
-    steps: list[SolveStep] = field(default_factory=list)
+    steps: list[ProbeResult] = field(default_factory=list)
     free: list[SeriesKey] = field(default_factory=list)
 
     def to_text(self) -> str:
@@ -595,36 +594,6 @@ class ReconstructionTrace:
         for key in self.free:
             lines.append(f"free | {format_key(geom, key)}")
         return "\n".join(lines) + "\n"
-
-
-def _attempt(pot: Potential, target: SeriesKey, guided: bool, use_fallback: bool):
-    """Try the guided candidates (when guided), then the fallback (when
-    use_fallback); returns the SolveStep, or else whether a candidate was
-    blocked."""
-    stream = guided_candidates(pot.geometry, target) if guided else ()
-    if use_fallback:
-        stream = itertools.chain(stream, exhaustive_candidates(pot, target))
-    blocked = False
-    for quad, xkey in stream:
-        result = probe_candidate(pot, quad, xkey, target)
-        if result.status == "solved":
-            return SolveStep(target, quad, xkey, result.slope, result.value)
-        if result.status == "blocked":
-            blocked = True
-    return blocked
-
-
-def solve_target(pot: Potential, target: SeriesKey):
-    """Solve one target from a potential holding all its prerequisites.
-
-    Returns the solved value without storing it.  Raises SolverStuck when
-    no candidate (guided, then the exhaustive fallback) has nonzero slope,
-    and InconsistentSeed if a fully-known candidate is violated.
-    """
-    step = _attempt(pot, target, guided=True, use_fallback=True)
-    if isinstance(step, SolveStep):
-        return step.value
-    raise SolverStuck(pot.geometry, [target])
 
 
 def reconstruct(
@@ -656,20 +625,22 @@ def reconstruct(
     use_fallback = not guided
 
     while pending:
-        progressed = False
         still: list[SeriesKey] = []
         any_blocked = False
         for target in pending:
-            step = _attempt(pot, target, guided, use_fallback)
-            if isinstance(step, SolveStep):
-                pot.set_coefficient(target, step.value)
-                trace.steps.append(step)
-                progressed = True
+            stream = guided_candidates(geom, target) if guided else ()
+            if use_fallback:
+                stream = itertools.chain(stream, exhaustive_candidates(pot, target))
+            for quad, xkey in stream:
+                result = probe_candidate(pot, quad, xkey, target)
+                if result.status == "solved":
+                    pot.set_coefficient(target, result.value)
+                    trace.steps.append(result)
+                    break
+                any_blocked = any_blocked or result.status == "blocked"
             else:
-                any_blocked = any_blocked or step
                 still.append(target)
-        pending = still
-        if pending and not progressed:
+        if len(still) == len(pending):  # the pass solved nothing
             if not use_fallback:
                 # Escalate once: rerun the stalled set with the fallback.
                 use_fallback = True
@@ -680,6 +651,7 @@ def reconstruct(
             if any_blocked:
                 raise NoProgress(geom, pending)
             raise SolverStuck(geom, pending)
+        pending = still
 
     pot.seal(pot.max_order)
     return pot, trace

@@ -16,13 +16,7 @@ from orbifrob import SeriesKey, UNIT, WdvvQuad
 from orbifrob.cli import main as cli_main
 from orbifrob.rationals import QQ
 
-
-def key_of(geom, pairs, m):
-    return SeriesKey(of.alpha_from_pairs(geom, pairs), m)
-
-
-def product_key(geom):
-    return key_of(geom, {(i, 1): 1 for i in range(1, geom.r + 1)}, 1)
+from helpers import key_of, product_key
 
 
 def report(number, text):

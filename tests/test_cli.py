@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, WdvvQuad
 from orbifrob.cli import main
 from orbifrob.rationals import QQ
+
+from helpers import leave_only_useless_candidates
 
 
 def run(capsys, *argv):
@@ -242,6 +248,25 @@ def test_diff(tmp_path, capsys):
     assert "(1,1)^1 (2,1)^1 (3,1)^1 | m=1" in out
 
 
+def test_diff_compares_up_to_the_smaller_max_order(tmp_path, capsys):
+    # The m=2 file knows nothing at m=3, so the m=3 records of the m=4
+    # file are not differences.
+    low = tmp_path / "low.txt"
+    high = tmp_path / "high.txt"
+    run(capsys, "reconstruct", "-A", "2,3,7", "-m", "2", "-o", str(low))
+    run(capsys, "reconstruct", "-A", "2,3,7", "-m", "4", "-o", str(high))
+    for pair in ((low, high), (high, low)):
+        assert run(capsys, "diff", *map(str, pair)) == (
+            0, "potentials agree up to order 2\n", ""
+        )
+    edited = high.read_text().replace("| m=2 | 1/7\n", "| m=2 | 2/7\n", 1)
+    assert edited != high.read_text()
+    high.write_text(edited)
+    code, out, _ = run(capsys, "diff", str(low), str(high))
+    assert code == 4
+    assert out.startswith("first difference: ") and "| m=2: 1/7 vs 2/7" in out
+
+
 def test_diff_standard_vs_rescaled_one(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -327,6 +352,31 @@ def test_reconstruct_deadlock_exits_2(capsys):
     assert out == ""
     assert err.startswith("solver stuck: worklist deadlock on: ")
     assert "(1,1)^4 | m=0" in err
+
+
+def test_reconstruct_solver_stuck_exits_2(monkeypatch, capsys):
+    leave_only_useless_candidates(monkeypatch)
+    code, out, err = run(capsys, "reconstruct", "-A", "2,2,3", "-m", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("solver stuck: no candidate determines: ")
+
+
+def test_module_run_as_a_program_exits_with_the_code(tmp_path, capsys):
+    # The other tests call main() in-process; this one runs the module, so
+    # the exit status comes from sys.exit(main()).
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))
+    pot.write_text(pot.read_text().replace("-1/96", "-1/97"))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "orbifrob.cli", "verify", str(pot)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 4
+    assert "residual |" in done.stdout and done.stderr == ""
 
 
 def test_inconsistent_seeds_exit_3(monkeypatch, capsys):

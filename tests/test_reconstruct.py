@@ -15,13 +15,7 @@ from orbifrob.rationals import QQ
 from orbifrob.series import alpha_length
 from orbifrob.wdvv import TARGET, contract_at
 
-
-def key_of(geom, pairs, m):
-    return SeriesKey(of.alpha_from_pairs(geom, pairs), m)
-
-
-def product_key(geom):
-    return key_of(geom, {(i, 1): 1 for i in range(1, geom.r + 1)}, 1)
+from helpers import copy_potential, key_of, leave_only_useless_candidates, product_key
 
 
 # -- seeds ----------------------------------------------------------------
@@ -183,28 +177,15 @@ def test_probe_reports_self_pair_useless(reconstructed):
     assert of.probe_candidate(pot, quad, xkey, target).status == "useless"
 
 
-def test_solve_target_raises_when_stuck():
-    geom = of.build_geometry("2,2,2")
-    pot = of.seed(geom, of.STANDARD, 4)
-    origin = SeriesKey(of.zero_alpha(geom), 4)
-    with pytest.raises(of.SolverStuck):
-        of.solve_target(pot, origin)
-
-
 def test_inconsistent_seed_detected(reconstructed):
     complete, _ = reconstructed("2,2,2", 4)
     geom = complete.geometry
-    broken = of.Potential(geom, complete.seed_mode)
-    broken.max_order = 4
     origin = SeriesKey(of.zero_alpha(geom), 4)
-    for key, value in complete.coeffs.items():
-        if key == origin:
-            continue
-        broken.set_coefficient(key, value)
     # Zeroing the quartic violates the fully-known equation that tied it
     # to the degree-one seed; the probe of an unrelated target sees a
     # nonzero constant with zero slope.
-    broken.set_coefficient(key_of(geom, {(1, 1): 4}, 0), 0)
+    quartic = key_of(geom, {(1, 1): 4}, 0)
+    broken = copy_potential(complete, {origin: 0, quartic: 0}, seal=False)
     quad = WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT)
     with pytest.raises(of.InconsistentSeed):
         of.probe_candidate(broken, quad, product_key(geom), origin)
@@ -242,6 +223,18 @@ def test_reconstruct_negative_chi_terminates(reconstructed):
 def test_reconstruct_rejects_bad_order():
     with pytest.raises(ValueError):
         of.reconstruct("2,2,2", 0)
+
+
+def test_reconstruct_raises_solver_stuck_when_every_candidate_is_useless(monkeypatch):
+    # No blocked candidate and no solved one: the worklist's last pass,
+    # with the fallback, ends in SolverStuck, not NoProgress, and names
+    # the first six targets.
+    leave_only_useless_candidates(monkeypatch)
+    with pytest.raises(of.SolverStuck) as info:
+        of.reconstruct("2,2,3", 1)
+    assert len(info.value.targets) > 6
+    assert str(info.value).startswith("no candidate determines: ")
+    assert str(info.value).endswith(f" (+{len(info.value.targets) - 6} more)")
 
 
 def test_reconstruct_reports_a_worklist_deadlock():
@@ -359,16 +352,11 @@ def test_cross_equation_consistency(reconstructed):
     # Any other nonzero-slope candidate for a solved target reproduces the
     # stored value.
     pot, trace = reconstructed("2,2,3", 2)
-    geom = pot.geometry
     checked = 0
     for step in trace.steps:
         if step.target.m == 0:
             continue
-        probe = of.Potential(geom, pot.seed_mode)
-        probe.max_order = pot.max_order
-        for key, value in pot.coeffs.items():
-            if key != step.target:
-                probe.set_coefficient(key, value)
+        probe = copy_potential(pot, {step.target: 0}, seal=False)
         count = 0
         for quad, xkey in of.exhaustive_candidates(probe, step.target):
             result = of.probe_candidate(probe, quad, xkey, step.target)

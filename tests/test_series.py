@@ -9,11 +9,8 @@ from orbifrob import POINT, SeriesKey, Twisted, UNIT
 from orbifrob.rationals import QQ
 from orbifrob.series import alpha_length, multiplicity, wdeg_scaled
 
+from helpers import key_of
 from oracle import SymbolicOracle
-
-
-def key_of(geom, pairs, m):
-    return SeriesKey(of.alpha_from_pairs(geom, pairs), m)
 
 
 def test_weighted_degree_examples():

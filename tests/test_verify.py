@@ -1,20 +1,10 @@
 import pytest
 
 import orbifrob as of
-from orbifrob import POINT, SeriesKey, Twisted, UNIT
+from orbifrob import POINT, Twisted, UNIT
 from orbifrob.rationals import QQ
 
-
-def key_of(geom, pairs, m):
-    return SeriesKey(of.alpha_from_pairs(geom, pairs), m)
-
-
-def copy_potential(pot):
-    out = of.Potential(pot.geometry, pot.seed_mode)
-    for key, value in pot.coeffs.items():
-        out.set_coefficient(key, value)
-    out.seal(pot.max_order)
-    return out
+from helpers import copy_potential, key_of
 
 
 def test_check_euler(reconstructed):

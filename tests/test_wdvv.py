@@ -12,11 +12,8 @@ import orbifrob as of
 from orbifrob import wdvv
 from orbifrob import POINT, SeriesKey, Twisted, UNIT, WdvvQuad
 
+from helpers import copy_potential, key_of
 from oracle import SymbolicOracle
-
-
-def key_of(geom, pairs, m):
-    return SeriesKey(of.alpha_from_pairs(geom, pairs), m)
 
 
 def all_targets(geom, quad, m_max):
@@ -197,10 +194,7 @@ def test_kernel_matches_scan_on_every_target(reconstructed):
     pot, _ = reconstructed("2,3,4", 2)
     geom = pot.geometry
     victim = key_of(geom, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1)
-    broken = of.Potential(geom, pot.seed_mode)
-    for key, value in pot.coeffs.items():
-        broken.set_coefficient(key, value + (key == victim))
-    broken.seal(2)
+    broken = copy_potential(pot, {victim: pot.get_coefficient(victim) + 1})
     scan = {(q, k): v for q, k, v in of.residual_scan(broken, 2).nonzero}
     labels = [lab for lab in geom.labels if lab is not UNIT]
     pairs = [(i, j) for i in range(len(labels)) for j in range(i, len(labels))]
@@ -219,12 +213,8 @@ def test_kernel_matches_scan_on_every_target(reconstructed):
 def test_residual_scan_detects_perturbation(reconstructed):
     pot, _ = reconstructed("2,2,3", 2)
     geom = pot.geometry
-    broken = of.Potential(geom, pot.seed_mode)
-    for key, value in pot.coeffs.items():
-        broken.set_coefficient(key, value)
     victim = key_of(geom, {(1, 1): 4}, 0)
-    broken.set_coefficient(victim, pot.get_coefficient(victim) + 1)
-    broken.seal(pot.max_order)
+    broken = copy_potential(pot, {victim: pot.get_coefficient(victim) + 1})
     report = of.residual_scan(broken, 2)
     assert not report.ok
     assert "residual |" in report.to_text()
@@ -244,12 +234,8 @@ def test_residual_values_stable_under_extending_store(reconstructed):
     # the m_max=2 and m_max=4 scans.
     pot, _ = reconstructed("2,2,3", 4)
     geom = pot.geometry
-    broken = of.Potential(geom, pot.seed_mode)
-    for key, value in pot.coeffs.items():
-        broken.set_coefficient(key, value)
     victim = key_of(geom, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1)
-    broken.set_coefficient(victim, broken.get_coefficient(victim) + 1)
-    broken.seal(4)
+    broken = copy_potential(pot, {victim: pot.get_coefficient(victim) + 1})
     low = {(q, k): v for q, k, v in of.residual_scan(broken, 2).nonzero}
     high = {
         (q, k): v for q, k, v in of.residual_scan(broken, 4).nonzero if k.m <= 2
@@ -319,15 +305,13 @@ def test_solve_step_slopes_against_symbolic_oracle(reconstructed):
     # it vanishes on the potential, and raising the target by 1 moves it by
     # exactly the slope.  The oracle shares no code with the kernel.
     pot, trace = reconstructed("2,2,3", 2)
-    geom = pot.geometry
     steps = [next(s for s in trace.steps if s.target.m == m) for m in range(3)]
     oracle = SymbolicOracle(pot)
     for step in steps:
         assert oracle.wdvv_coefficient(step.quad, step.xkey) == 0
-        raised = of.Potential(geom, pot.seed_mode)
-        for key, value in pot.coeffs.items():
-            raised.set_coefficient(key, value)
-        raised.set_coefficient(step.target, pot.get_coefficient(step.target) + 1)
+        raised = copy_potential(
+            pot, {step.target: pot.get_coefficient(step.target) + 1}, seal=False
+        )
         assert SymbolicOracle(raised).wdvv_coefficient(step.quad, step.xkey) == step.slope
 
 
@@ -335,12 +319,7 @@ def _perturbed(reconstructed, multiplet, m_max, pairs, m, delta):
     pot, _ = reconstructed(multiplet, m_max)
     geom = pot.geometry
     victim = key_of(geom, pairs, m)
-    broken = of.Potential(geom, pot.seed_mode)
-    for key, value in pot.coeffs.items():
-        broken.set_coefficient(key, value)
-    broken.set_coefficient(victim, pot.get_coefficient(victim) + delta)
-    broken.seal(m_max)
-    return broken
+    return copy_potential(pot, {victim: pot.get_coefficient(victim) + delta})
 
 
 @pytest.mark.parametrize(
@@ -374,10 +353,7 @@ def test_residual_scan_holds_one_multiset_at_a_time(reconstructed):
     # product for the whole scan peaks at about 0.7 MB here; streaming
     # them peaks at about 0.16 MB.
     pot, _ = reconstructed("2,3,4", 3)
-    fresh = of.Potential(pot.geometry, pot.seed_mode)
-    for key, value in pot.coeffs.items():
-        fresh.set_coefficient(key, value)
-    fresh.seal(3)
+    fresh = copy_potential(pot)
     tracemalloc.start()
     try:
         report = of.residual_scan(fresh, 3)
