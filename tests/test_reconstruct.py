@@ -488,6 +488,24 @@ def test_fallback_stream_pinned(reconstructed, multiplet, digest):
     assert h.hexdigest() == digest
 
 
+def test_guided_stream_pinned():
+    # The guided candidates of every admissible key up to order 2, element
+    # for element, including the many the worklist never probes because an
+    # earlier candidate already solved the target.
+    h = hashlib.sha256()
+    count = 0
+    for multiplet in ("2,2,3", "2,3,7", "3,4,5", "4,4,4", "2,2,2,2"):
+        geom = of.build_geometry(multiplet)
+        for m in range(3):
+            for alpha in of.admissible_keys(geom, m):
+                candidates = list(of.guided_candidates(geom, SeriesKey(alpha, m)))
+                count += len(candidates)
+                h.update(repr(candidates).encode())
+    assert (count, h.hexdigest()) == (
+        10063, "88b4256f6b524cf80fe8bb5d3f16d671b469a41c47e8de32eb71c3290ecd26b0"
+    )
+
+
 @pytest.mark.parametrize(
     "multiplet, m_max, mode, strategy, calls, digest",
     [
