@@ -23,8 +23,8 @@ order of the underlying uniqueness argument (joint order-0/order-1
 induction on the length, then order by order), with a worklist that
 defers targets whose prerequisites are not known yet, and an exhaustive
 candidate search as fallback for every target.  This worklist is the only
-solver: when a pass with the fallback solves nothing, it raises NoProgress
-if some candidate was blocked and SolverStuck if every one was useless.
+solver: when a pass with the fallback solves nothing, it raises SolverStuck
+on the targets none of whose candidates was blocked, else NoProgress.
 The trace records every seed and, for every solved equation, the probe
 result that solved it, making the realized order auditable.
 """
@@ -47,7 +47,6 @@ from .series import (
     alpha_from_pairs,
     alpha_length,
     alpha_sub,
-    basis_alpha,
     effective_max_order,
     format_key,
     indexed_profile,
@@ -97,7 +96,7 @@ class InconsistentSeed(ReconstructionError):
 
 
 class NoProgress(_Stuck):
-    """A full worklist pass solved nothing while targets remain blocked."""
+    """A full worklist pass solved nothing, and every target left was blocked."""
 
     reason = "worklist deadlock on"
 
@@ -209,22 +208,29 @@ def seed(geom: Geometry, mode: SeedMode, m_max: int) -> Potential:
 # -- schedule -----------------------------------------------------------
 
 
+def _decrement(alpha, s: int):
+    """alpha with one less at slot s, or None where that exponent is 0."""
+    if not alpha[s]:
+        return None
+    return alpha[:s] + (alpha[s] - 1,) + alpha[s + 1 :]
+
+
 def _minus_pairs(geom: Geometry, alpha, sector: int, budget=None):
     """Yield (j, j', alpha - e_{i,j} - e_{i,j'}) for 1 <= j <= j' < a_i in
     sector i, wherever the difference is >= 0 and, given a budget, the
     scaled degrees of (i,j) and (i,j') sum to at most the budget."""
     a = geom.order(sector)
     ds = geom.deg_scaled
-    slot = lambda j: geom.slot[Twisted(sector, j)]
+    base = geom.slot[Twisted(sector, 1)] - 1  # (i,j) sits at slot base + j
     for j in range(1, a):
-        rest1 = alpha_sub(alpha, basis_alpha(geom, sector, j))
+        rest1 = _decrement(alpha, base + j)
         if rest1 is None:
             continue
         for jp in range(j, a):
-            rest2 = alpha_sub(rest1, basis_alpha(geom, sector, jp))
+            rest2 = _decrement(rest1, base + jp)
             if rest2 is None:
                 continue
-            if budget is not None and ds[slot(j)] + ds[slot(jp)] > budget:
+            if budget is not None and ds[base + j] + ds[base + jp] > budget:
                 continue
             yield j, jp, rest2
 
@@ -233,99 +239,78 @@ def _candidates_order0(geom: Geometry, gamma):
     """Guided candidates for a single-sector order-0 target."""
     sector = next(iter(support_sectors(geom, gamma)))
     a = geom.order(sector)
+    base = geom.slot[Twisted(sector, 1)] - 1  # (i,j) sits at slot base + j
     lab = lambda j: Twisted(sector, j)
     others = alpha_from_pairs(
         geom, [((k, 1), 1) for k in range(1, geom.r + 1) if k != sector]
     )
-    cands = []
 
     # Top-index family: target contains e_{i,a_i-1} and pairs against the
     # degree-one product seed through sigma = (i, a_i-1); probe the
     # order-1 extraction of quads ((i,l),(i,l'),P,P).
-    detopped = alpha_sub(gamma, basis_alpha(geom, sector, a - 1))
+    detopped = _decrement(gamma, base + a - 1)
     if detopped is not None:
         for l, lp, rest in _minus_pairs(geom, detopped, sector, geom.scale):
             quad = WdvvQuad(lab(l), lab(lp), POINT, POINT)
-            cands.append((quad, SeriesKey(alpha_add(rest, others), 1)))
+            yield quad, SeriesKey(alpha_add(rest, others), 1)
 
     # Middle family: quads ((i,n),(i,n'),(i,l),P) at the order-1
     # extraction, for targets containing e_{i,1} and e_{i,l-1}.
-    without_one = alpha_sub(gamma, basis_alpha(geom, sector, 1))
+    without_one = _decrement(gamma, base + 1)
     for l in range(2, a) if without_one is not None else ():
-        if alpha_sub(without_one, basis_alpha(geom, sector, l - 1)) is None:
+        if not without_one[base + l - 1]:
             continue
-        rest0 = alpha_sub(gamma, basis_alpha(geom, sector, l - 1))
+        rest0 = _decrement(gamma, base + l - 1)
         for n, np_, rest in _minus_pairs(geom, rest0, sector, l * geom.scale // a):
             quad = WdvvQuad(lab(n), lab(np_), lab(l), POINT)
-            cands.append((quad, SeriesKey(alpha_add(rest, others), 1)))
+            yield quad, SeriesKey(alpha_add(rest, others), 1)
 
     # Quartic-slope family: pure order-0 extraction of quads
     # ((i,1),(i,l),(i,j),(i,j')), for targets containing e_{i,l+1}.
     for l in range(1, a - 1):
-        rest0 = alpha_sub(gamma, basis_alpha(geom, sector, l + 1))
+        rest0 = _decrement(gamma, base + l + 1)
         if rest0 is None:
             continue
         for j, jp, rest in _minus_pairs(geom, rest0, sector):
-            quad = WdvvQuad(lab(1), lab(l), lab(j), lab(jp))
-            cands.append((quad, SeriesKey(rest, 0)))
-    return cands
-
-
-def _shift_candidates(geom: Geometry, gamma, m: int):
-    """Quads ((i,1),(i,j-1),P,P) at the extraction gamma - e_{i,j}, order m,
-    for every coordinate (i,j) with j >= 2 present in gamma."""
-    cands = []
-    for s, k in enumerate(gamma):
-        lab = geom.twisted[s]
-        if k >= 1 and lab.j >= 2:
-            xkey = SeriesKey(alpha_sub(gamma, basis_alpha(geom, lab.sector, lab.j)), m)
-            quad = WdvvQuad(
-                Twisted(lab.sector, 1), Twisted(lab.sector, lab.j - 1), POINT, POINT
-            )
-            cands.append((quad, xkey))
-    return cands
-
-
-def _bottom_row(geom: Geometry, gamma, m: int, sectors):
-    """Quads ((i,1),(i,a_i-1),P,P) at the target itself, for the sectors i
-    in the given order: the candidates of bottom-row-only targets."""
-    return [
-        (WdvvQuad(Twisted(i, 1), Twisted(i, geom.order(i) - 1), POINT, POINT),
-         SeriesKey(gamma, m))
-        for i in sectors
-    ]
+            yield WdvvQuad(lab(1), lab(l), lab(j), lab(jp)), SeriesKey(rest, 0)
 
 
 def guided_candidates(geom: Geometry, target: SeriesKey):
-    """The candidate equations the induction suggests for target, in
-    preference order, as (quad, extraction key) pairs.
+    """An iterator over the candidate equations the induction suggests for
+    target, in preference order, as (quad, extraction key) pairs; each is
+    built only when the caller asks for it.
 
     Order 1 and higher first shift a coordinate e_{i,j}, j >= 2, of the
-    target down to e_{i,j-1}.  A target with bottom-row support only
-    probes its own key: at order 1 on the sectors it does not meet, at
-    higher orders on every sector, those whose e_{i,1} exponent differs
-    from m (nonzero slope) first.
+    target down to e_{i,j-1}: the quad ((i,1),(i,j-1),P,P) at the
+    extraction target - e_{i,j}.  A target with bottom-row support only
+    probes ((i,1),(i,a_i-1),P,P) at its own key: at order 1 on the sectors
+    i it does not meet, at higher orders on every sector, those whose
+    e_{i,1} exponent differs from m (nonzero slope) first.
     """
     gamma, m = target.alpha, target.m
     if m == 0:
-        return _candidates_order0(geom, gamma)
-    shifts = _shift_candidates(geom, gamma, m)
-    if shifts:
-        return shifts
+        yield from _candidates_order0(geom, gamma)
+        return
+    shifted = False
+    for s, lab in enumerate(geom.twisted):
+        if gamma[s] and lab.j >= 2:
+            shifted = True
+            quad = WdvvQuad(
+                Twisted(lab.sector, 1), Twisted(lab.sector, lab.j - 1), POINT, POINT
+            )
+            yield quad, SeriesKey(_decrement(gamma, s), m)
+    if shifted:
+        return
     if m == 1:
         present = support_sectors(geom, gamma)
-        return _bottom_row(
-            geom, gamma, 1, [i for i in range(1, geom.r + 1) if i not in present]
-        )
-    return _bottom_row(
-        geom,
-        gamma,
-        m,
-        sorted(
+        sectors = [i for i in range(1, geom.r + 1) if i not in present]
+    else:
+        sectors = sorted(
             range(1, geom.r + 1),
             key=lambda i: (gamma[geom.slot[Twisted(i, 1)]] == m, i),
-        ),
-    )
+        )
+    for i in sectors:
+        yield WdvvQuad(Twisted(i, 1), Twisted(i, geom.order(i) - 1), POINT, POINT), target
 
 
 def build_schedule(pot: Potential) -> list[SeriesKey]:
@@ -626,20 +611,23 @@ def reconstruct(
 
     while pending:
         still: list[SeriesKey] = []
-        any_blocked = False
+        stuck: list[SeriesKey] = []  # unsolved, and no candidate blocked
         for target in pending:
             stream = guided_candidates(geom, target) if guided else ()
             if use_fallback:
                 stream = itertools.chain(stream, exhaustive_candidates(pot, target))
+            blocked = False
             for quad, xkey in stream:
                 result = probe_candidate(pot, quad, xkey, target)
                 if result.status == "solved":
                     pot.set_coefficient(target, result.value)
                     trace.steps.append(result)
                     break
-                any_blocked = any_blocked or result.status == "blocked"
+                blocked = blocked or result.status == "blocked"
             else:
                 still.append(target)
+                if not blocked:
+                    stuck.append(target)
         if len(still) == len(pending):  # the pass solved nothing
             if not use_fallback:
                 # Escalate once: rerun the stalled set with the fallback.
@@ -648,9 +636,9 @@ def reconstruct(
             if mode == VANISHING_NO_QUARTIC and all(t.m == 0 for t in pending):
                 trace.free = sorted(pending, key=key_sort_key)
                 break
-            if any_blocked:
-                raise NoProgress(geom, pending)
-            raise SolverStuck(geom, pending)
+            if stuck:
+                raise SolverStuck(geom, stuck)
+            raise NoProgress(geom, pending)
         pending = still
 
     pot.seal(pot.max_order)

@@ -48,12 +48,6 @@ def zero_alpha(geom: Geometry) -> tuple[int, ...]:
     return (0,) * geom.n_twisted
 
 
-def basis_alpha(geom: Geometry, sector: int, j: int) -> tuple[int, ...]:
-    """Indicator exponent vector of the twisted coordinate (sector, j)."""
-    slot = geom.slot[Twisted(sector, j)]
-    return tuple(1 if s == slot else 0 for s in range(geom.n_twisted))
-
-
 def alpha_from_pairs(geom: Geometry, pairs) -> tuple[int, ...]:
     """Build an exponent vector from ((sector, j), exponent) items."""
     vec = [0] * geom.n_twisted

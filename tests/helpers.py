@@ -28,16 +28,26 @@ def copy_potential(pot, changes=None, seal=True):
     return out
 
 
-def leave_only_useless_candidates(monkeypatch):
-    """Make the worklist stall with no candidate blocked: no guided
-    candidates, and only the fallback candidates whose probe is useless."""
+def _leave_only(monkeypatch, status):
+    """No guided candidates, and only the fallback candidates whose probe
+    has the given status."""
     module = sys.modules["orbifrob.reconstruct"]
     every = module.exhaustive_candidates
 
-    def useless(pot, target):
+    def kept(pot, target):
         for quad, xkey in every(pot, target):
-            if module.probe_candidate(pot, quad, xkey, target).status == "useless":
+            if module.probe_candidate(pot, quad, xkey, target).status == status:
                 yield quad, xkey
 
     monkeypatch.setattr(module, "guided_candidates", lambda geom, target: [])
-    monkeypatch.setattr(module, "exhaustive_candidates", useless)
+    monkeypatch.setattr(module, "exhaustive_candidates", kept)
+
+
+def leave_only_useless_candidates(monkeypatch):
+    """Make the worklist stall with no candidate blocked."""
+    _leave_only(monkeypatch, "useless")
+
+
+def leave_only_blocked_candidates(monkeypatch):
+    """Make the worklist stall with every candidate blocked."""
+    _leave_only(monkeypatch, "blocked")

@@ -11,7 +11,7 @@ from orbifrob import POINT, SeriesKey, Twisted, WdvvQuad
 from orbifrob.cli import main
 from orbifrob.rationals import QQ
 
-from helpers import leave_only_useless_candidates
+from helpers import leave_only_blocked_candidates, leave_only_useless_candidates
 
 
 def run(capsys, *argv):
@@ -343,15 +343,25 @@ def test_verify_stdout_pinned(tmp_path, capsys, multiplet, m_max, mode, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
-def test_reconstruct_deadlock_exits_2(capsys):
+def test_reconstruct_undetermined_quartics_exit_2(capsys):
     code, out, err = run(
         capsys,
         "reconstruct", "-A", "2,2,2,2,2", "-m", "2", "--mode", "vanishing-no-quartic",
     )
     assert code == 2
     assert out == ""
+    assert err == (
+        "solver stuck: no candidate determines: (1,1)^4 | m=0, (2,1)^4 | m=0,"
+        " (3,1)^4 | m=0, (4,1)^4 | m=0, (5,1)^4 | m=0\n"
+    )
+
+
+def test_reconstruct_no_progress_exits_2(monkeypatch, capsys):
+    leave_only_blocked_candidates(monkeypatch)
+    code, out, err = run(capsys, "reconstruct", "-A", "2,3,4", "-m", "1")
+    assert code == 2
+    assert out == ""
     assert err.startswith("solver stuck: worklist deadlock on: ")
-    assert "(1,1)^4 | m=0" in err
 
 
 def test_reconstruct_solver_stuck_exits_2(monkeypatch, capsys):

@@ -15,7 +15,13 @@ from orbifrob.rationals import QQ
 from orbifrob.series import alpha_length
 from orbifrob.wdvv import TARGET, contract_at
 
-from helpers import copy_potential, key_of, leave_only_useless_candidates, product_key
+from helpers import (
+    copy_potential,
+    key_of,
+    leave_only_blocked_candidates,
+    leave_only_useless_candidates,
+    product_key,
+)
 
 
 # -- seeds ----------------------------------------------------------------
@@ -237,11 +243,24 @@ def test_reconstruct_raises_solver_stuck_when_every_candidate_is_useless(monkeyp
     assert str(info.value).endswith(f" (+{len(info.value.targets) - 6} more)")
 
 
-def test_reconstruct_reports_a_worklist_deadlock():
-    # The order-2 keys wait on the quartics, which no seed fixes here.
-    with pytest.raises(of.NoProgress) as info:
+def test_reconstruct_names_only_the_undetermined_quartics():
+    # No seed fixes the quartics here, and every probe of theirs is
+    # useless; the order-2 keys wait on them, blocked, and are not named.
+    with pytest.raises(of.SolverStuck) as info:
         of.reconstruct("2,2,2,2,2", 2, of.VANISHING_NO_QUARTIC)
-    assert "(1,1)^4 | m=0" in str(info.value)
+    assert str(info.value) == "no candidate determines: " + ", ".join(
+        f"({i},1)^4 | m=0" for i in range(1, 6)
+    )
+
+
+def test_reconstruct_raises_no_progress_when_every_candidate_is_blocked(monkeypatch):
+    # Every candidate left is blocked, so no target is stuck in the
+    # SolverStuck sense: the pass ends in NoProgress on all of them.
+    leave_only_blocked_candidates(monkeypatch)
+    with pytest.raises(of.NoProgress) as info:
+        of.reconstruct("2,3,4", 1)
+    assert len(info.value.targets) > 6
+    assert str(info.value).startswith("worklist deadlock on: ")
 
 
 def test_geometry_is_not_written_by_reconstruct_or_scan():

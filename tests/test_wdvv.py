@@ -262,6 +262,9 @@ SOLVER_NAMES = {
     "_splits",
     "probe_candidate",
     "guided_candidates",
+    "_candidates_order0",
+    "_minus_pairs",
+    "_decrement",
     "exhaustive_candidates",
     "_fallback_sockets",
     "Blocked",
