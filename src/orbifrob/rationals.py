@@ -2,9 +2,11 @@
 
 Every coefficient in this package is an exact rational; no floating point
 enters the core anywhere.  gmpy2's mpq is used when available, with a
-transparent fallback to fractions.Fraction; the backend matters where QQ
-arithmetic runs, in the probe kernel (wdvv.contract_at) and in parsing,
-while the residual scan convolves Python integers.  Both types normalise
+transparent fallback to fractions.Fraction.  The backend matters where QQ
+arithmetic runs: in parsing, and in the probe kernel (wdvv.contract_at),
+which sums each term as integers per denominator and builds one QQ per
+coefficient when it returns.  The residual scan convolves Python
+integers.  Both types normalise
 to lowest terms with a positive denominator and print as "p/q" (or "p"
 for integers), which is exactly the wire format of the potential files.
 """

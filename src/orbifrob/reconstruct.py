@@ -373,13 +373,15 @@ def probe_candidate(
     coeffs, unknown, max_order = pot.coeffs, pot.unknown, pot.max_order
     result = functools.partial(ProbeResult, target, quad, xkey)
 
-    def lookup(key: SeriesKey):
+    def lookup(key: tuple):
+        # The kernel passes plain (alpha, m) tuples; a blocker is reported
+        # as the SeriesKey it names.
         if key == target:
             return TARGET
         value = coeffs.get(key)
         if value is None:
-            if key.m > max_order or key in unknown:
-                raise Blocked(key)
+            if key[1] > max_order or key in unknown:
+                raise Blocked(SeriesKey(*key))
             return 0
         return value
 

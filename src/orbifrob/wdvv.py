@@ -13,8 +13,11 @@ and wdvv_coefficient on a complete store.  Everything about an equation
 that does not depend on the monomial or the store (the degree gate, the
 derivative profile of every (eta pair, side) row, its sign and eta
 constants) is compiled once per (geometry, quad) into a memoised plan,
-built on the quad's first probe; a call then only checks the degree
-gate, enumerates the splits of the monomial, looks up and multiplies.
+built on the quad's first probe, with each row's constant as integers;
+a call then only checks the degree gate, enumerates the splits of the
+monomial, looks up plain (alpha, m) tuples and multiplies integers,
+keeping one numerator sum per denominator until it returns one rational
+per coefficient.
 The module also enumerates all degree-admissible target monomials of an
 equation (admissible_targets) and sweeps every equation of a sealed
 potential (residual_scan).
@@ -44,6 +47,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 from typing import NamedTuple
 
 from .geometry import POINT, UNIT, Geometry, format_label
@@ -51,7 +55,6 @@ from .rationals import QQ
 from .series import (
     Potential,
     SeriesKey,
-    alpha_add,
     effective_max_order,
     exponents_with_scaled_degree,
     format_key,
@@ -113,15 +116,17 @@ class _QuadPlan(NamedTuple):
     rhs is the degree gate: only monomials of scaled degree rhs can carry
     a nonzero coefficient.  origin is the sum of the rows with UNIT on both
     sides, two constants eta that contribute at the monomial 1 of order 0
-    only.  rows holds the other (eta pair, side) rows in kernel order:
+    only.  rows holds the other (eta pair, side) rows in kernel order, each
+    with its constant factor as integers num/den:
 
-    * (coef, p, vec, mults, None, None, None, None) when one side
-      contains UNIT: coef is the signed eta weight times that side's
+    * (num, den, p, vec, mults, None, None, None, None) when one side
+      contains UNIT: num/den is the signed eta weight times that side's
       constant eta (nonzero; rows with a zero constant are dropped), and
       the other side reads one coefficient, shifted by vec;
-    * (weight, p1, vec1, mults1, p2, vec2, mults2, top) for a product of
-      two series sides, where top = 2 - wdeg(vec1) (scaled) is the degree
-      the order-0 part of beta1 must have.
+    * (num, 1, p1, vec1, mults1, p2, vec2, mults2, top) for a product of
+      two series sides, whose weight is a signed entry of the integral
+      eta^-1; top = 2 - wdeg(vec1) (scaled) is the degree the order-0 part
+      of beta1 must have.
 
     p counts POINT derivatives, vec is the twisted indicator vector and
     mults its (slot, multiplicity) pairs, as in derivative_profile.
@@ -158,12 +163,21 @@ def _quad_plan(geom: Geometry, quad: WdvvQuad) -> _QuadPlan:
                 coef = weight * const(triple1 if u1 else triple2)
                 if coef:
                     p, vec, mults = (p2, vec2, mults2) if u1 else (p1, vec1, mults1)
-                    rows.append((coef, p, vec, mults, None, None, None, None))
+                    num, den = int(coef.numerator), int(coef.denominator)
+                    rows.append((num, den, p, vec, mults, None, None, None, None))
             else:
                 top = two - wdeg_scaled(geom, vec1, 0)
-                rows.append((weight, p1, vec1, mults1, p2, vec2, mults2, top))
+                rows.append((weight, 1, p1, vec1, mults1, p2, vec2, mults2, top))
     rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
     return _QuadPlan(rhs, origin, tuple(rows))
+
+
+def _rational(sums: dict):
+    """The rational sum of n/d over the items (d, n) of sums."""
+    if not sums:
+        return QQ(0)
+    lcm = math.lcm(*sums)
+    return QQ(sum(n * (lcm // d) for d, n in sums.items()), lcm)
 
 
 def contract_at(geom: Geometry, quad: WdvvQuad, xkey: SeriesKey, lookup):
@@ -171,63 +185,83 @@ def contract_at(geom: Geometry, quad: WdvvQuad, xkey: SeriesKey, lookup):
 
     lookup(key) returns the stored rational of an admissible key, TARGET
     for the formal unknown x, or raises Blocked(key) for a key that is not
-    known yet.  It is only called on keys obeying the Euler constraint (the
-    others are zero), and the second factor of a product is looked up only
-    when the first is nonzero.  Derivatives containing UNIT come from
-    F_triv and are the constants eta of the remaining pair.
+    known yet.  Its key is a plain (alpha, m) tuple, which hashes and
+    compares like the SeriesKey of the same coefficient.  It is only called
+    on keys obeying the Euler constraint (the others are zero), and the
+    second factor of a product is looked up only when the first is
+    nonzero.  Derivatives containing UNIT come from F_triv and are the
+    constants eta of the remaining pair.
 
     The rows come from the quad's plan (_quad_plan) in a fixed order, so
     the keys looked up, and which of them blocks first, depend only on
-    quad, xkey and the answers of lookup.
+    quad, xkey and the answers of lookup.  The terms are summed as
+    integers: c0 and c1 keep one numerator sum per denominator (the
+    product of the denominators of a term's factors) and become one
+    rational each at the end; c2, whose terms read no stored value, is an
+    integer.
     """
-    c0 = c1 = c2 = QQ(0)
     plan = _quad_plan(geom, quad)
     alpha, m = xkey
     if wdeg_scaled(geom, alpha, m) != plan.rhs:
-        return c0, c1, c2
+        return QQ(0), QQ(0), 0
+    sums0: dict = {}  # denominator -> numerator sum of c0's terms
+    sums1: dict = {}  # the same for c1
+    c2 = 0
     if m == 0 and not any(alpha):
-        c0 += plan.origin
+        sums0[plan.origin.denominator] = plan.origin.numerator
     chi = geom.chi_scaled
+    perm = math.perm
     splits = None
-    for weight, p1, vec1, mults1, p2, vec2, mults2, top in plan.rows:
+    for num, den, p1, vec1, mults1, p2, vec2, mults2, top in plan.rows:
         if vec2 is None:
             if p1 and m == 0:
                 continue
-            key = SeriesKey(alpha_add(alpha, vec1), m)
-            value = lookup(key)
+            shifted = tuple(map(add, alpha, vec1))
+            value = lookup((shifted, m))
             if not value:
                 continue
-            coef = weight * multiplicity(key, p1, mults1)
+            coef = num * m**p1
+            for slot, k in mults1:
+                coef *= perm(shifted[slot], k)
             if value is TARGET:
-                c1 += coef
+                sums1[den] = sums1.get(den, 0) + coef
             else:
-                c0 += coef * value
+                d = den * value.denominator
+                sums0[d] = sums0.get(d, 0) + coef * value.numerator
             continue
 
         if splits is None:
             splits = _splits(geom, alpha)
         for m1 in range(1 if p1 else 0, m if p2 else m + 1):
             m2 = m - m1
+            factor = num * m1**p1 * m2**p2
             for beta1, beta2 in splits.get(top - m1 * chi, ()):
-                k1 = SeriesKey(alpha_add(beta1, vec1), m1)
-                v1 = lookup(k1)
+                alpha1 = tuple(map(add, beta1, vec1))
+                v1 = lookup((alpha1, m1))
                 if not v1:
                     continue
-                k2 = SeriesKey(alpha_add(beta2, vec2), m2)
-                v2 = lookup(k2)
+                alpha2 = tuple(map(add, beta2, vec2))
+                v2 = lookup((alpha2, m2))
                 if not v2:
                     continue
-                coef = weight * multiplicity(k1, p1, mults1) * multiplicity(k2, p2, mults2)
+                coef = factor
+                for slot, k in mults1:
+                    coef *= perm(alpha1[slot], k)
+                for slot, k in mults2:
+                    coef *= perm(alpha2[slot], k)
                 if v1 is TARGET:
                     if v2 is TARGET:
                         c2 += coef
                     else:
-                        c1 += coef * v2
+                        d = v2.denominator
+                        sums1[d] = sums1.get(d, 0) + coef * v2.numerator
                 elif v2 is TARGET:
-                    c1 += coef * v1
+                    d = v1.denominator
+                    sums1[d] = sums1.get(d, 0) + coef * v1.numerator
                 else:
-                    c0 += coef * v1 * v2
-    return c0, c1, c2
+                    d = v1.denominator * v2.denominator
+                    sums0[d] = sums0.get(d, 0) + coef * v1.numerator * v2.numerator
+    return _rational(sums0), _rational(sums1), c2
 
 
 def wdvv_coefficient(pot: Potential, quad: WdvvQuad, target: SeriesKey):

@@ -11,6 +11,7 @@ import pytest
 import orbifrob as of
 from orbifrob import wdvv
 from orbifrob import POINT, SeriesKey, Twisted, UNIT, WdvvQuad
+from orbifrob.rationals import QQ
 
 from helpers import copy_potential, key_of
 from oracle import SymbolicOracle
@@ -186,6 +187,26 @@ def test_residual_scan_counts_the_compared_monomials(reconstructed):
 
 
 
+def _kernel_against_scan(broken):
+    """Compare the kernel's coefficient of every target of every equation
+    with the scan's residuals; returns (label pairs, targets checked,
+    residuals)."""
+    geom = broken.geometry
+    scan = {(q, k): v for q, k, v in of.residual_scan(broken, broken.max_order).nonzero}
+    labels = [lab for lab in geom.labels if lab is not UNIT]
+    pairs = [(i, j) for i in range(len(labels)) for j in range(i, len(labels))]
+    checked = set()
+    for n, (i, j) in enumerate(pairs):
+        for k, l in pairs[n:]:
+            quad = WdvvQuad(labels[i], labels[j], labels[k], labels[l])
+            for target in all_targets(geom, quad, broken.max_order):
+                expected = scan.get((quad, target), 0)
+                assert of.wdvv_coefficient(broken, quad, target) == expected
+                checked.add((quad, target))
+    assert set(scan) <= checked  # every residual sits at a checked target
+    return len(pairs), len(checked), len(scan)
+
+
 def test_kernel_matches_scan_on_every_target(reconstructed):
     # The scan is the independent evaluator of the equations (packed
     # integer pair products, no shared code with contract_at).  With one
@@ -195,20 +216,20 @@ def test_kernel_matches_scan_on_every_target(reconstructed):
     geom = pot.geometry
     victim = key_of(geom, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1)
     broken = copy_potential(pot, {victim: pot.get_coefficient(victim) + 1})
-    scan = {(q, k): v for q, k, v in of.residual_scan(broken, 2).nonzero}
-    labels = [lab for lab in geom.labels if lab is not UNIT]
-    pairs = [(i, j) for i in range(len(labels)) for j in range(i, len(labels))]
-    assert len(pairs) == 28
-    checked = set()
-    for n, (i, j) in enumerate(pairs):
-        for k, l in pairs[n:]:
-            quad = WdvvQuad(labels[i], labels[j], labels[k], labels[l])
-            for target in all_targets(geom, quad, 2):
-                expected = scan.get((quad, target), 0)
-                assert of.wdvv_coefficient(broken, quad, target) == expected
-                checked.add((quad, target))
-    assert set(scan) <= checked  # every residual sits at a checked target
-    assert len(checked) == 14092 and len(scan) == 493
+    assert _kernel_against_scan(broken) == (28, 14092, 493)
+
+
+def test_kernel_matches_scan_on_every_target_rescaled(reconstructed):
+    # The same comparison in a rescaled mode, perturbed by 1/11: the
+    # kernel's terms then fall in denominator buckets with coprime
+    # denominators (powers of 3 from -2/3, 11 from the perturbation, those
+    # of the pairing), which only the final lcm brings together.
+    pot, _ = reconstructed("2,3,4", 2, of.rescaled_mode(QQ(-2, 3)))
+    geom = pot.geometry
+    victim = key_of(geom, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1)
+    broken = copy_potential(pot, {victim: pot.get_coefficient(victim) + QQ(1, 11)})
+    assert _kernel_against_scan(broken) == (28, 14092, 493)
+
 
 def test_residual_scan_detects_perturbation(reconstructed):
     pot, _ = reconstructed("2,2,3", 2)
