@@ -6,9 +6,9 @@ transparent fallback to fractions.Fraction.  The backend matters where QQ
 arithmetic runs: in parsing, and in the probe kernel (wdvv.contract_at),
 which sums each term as integers per denominator and builds one QQ per
 coefficient when it returns.  The residual scan convolves Python
-integers.  Both types normalise
-to lowest terms with a positive denominator and print as "p/q" (or "p"
-for integers), which is exactly the wire format of the potential files.
+integers.  Both types normalise to lowest terms with a positive
+denominator and print as "p/q" (or "p" for integers), which is exactly
+the wire format of the potential files.
 """
 
 from __future__ import annotations
