@@ -23,6 +23,7 @@ from .reconstruct import InconsistentSeed, ReconstructionError, SeedMode, recons
 from .verify import (
     check_euler,
     check_limit_product,
+    check_selection,
     check_separation,
     check_symmetry,
     check_vanishing,
@@ -131,14 +132,16 @@ def _symmetry_reports(pot) -> list:
 
 
 # name -> reports of the check, in the default output order.  By default
-# every check runs, "vanishing" only on files of a vanishing seed mode.
-# The wdvv scan is run and printed after all the other reports.
+# every check runs but "selection", which runs only when named, and
+# "vanishing" only on files of a vanishing seed mode.  The wdvv scan is
+# run and printed after all the other reports.
 CHECKS = {
     "euler": lambda pot: [check_euler(pot)],
     "separation": lambda pot: [check_separation(pot)],
     "symmetry": _symmetry_reports,
     "limit": lambda pot: [check_limit_product(pot)],
     "vanishing": lambda pot: [check_vanishing(pot)],
+    "selection": lambda pot: [check_selection(pot)],
     "wdvv": lambda pot: [],
 }
 
@@ -155,7 +158,8 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"unknown checks: {', '.join(sorted(unknown))}")
     else:
         vanishing = not pot.seed_mode.degree_one
-        selected = [name for name in CHECKS if name != "vanishing" or vanishing]
+        skipped = {"selection"} if vanishing else {"selection", "vanishing"}
+        selected = [name for name in CHECKS if name not in skipped]
 
     reports = [report for name in selected for report in CHECKS[name](pot)]
     ok = True

@@ -40,13 +40,13 @@ from typing import NamedTuple
 from .geometry import Geometry, POINT, Twisted, UNIT, build_geometry
 from .rationals import QQ, format_rational, parse_rational
 from .series import (
+    KeyLayout,
     Potential,
     SeriesKey,
     admissible_keys,
     alpha_add,
     alpha_from_pairs,
     alpha_length,
-    alpha_sub,
     effective_max_order,
     format_key,
     indexed_profile,
@@ -368,27 +368,30 @@ def probe_candidate(
     pathological fallback candidates) are detected and reported useless,
     as are extractions of the wrong degree, whose coefficient is 0.
     Touching an unknown coefficient other than the target that is not
-    annihilated by a known zero makes the candidate blocked.
+    annihilated by a known zero makes the candidate blocked.  The kernel
+    reads pot.packed(), the store under packed keys, whose layout holds
+    every extraction of order <= 2 max_order; contract_at raises
+    ValueError on a key it cannot hold.
     """
-    coeffs, unknown, max_order = pot.coeffs, pot.unknown, pot.max_order
+    layout, coeffs, unknown = pot.packed()
+    max_order, mmask = pot.max_order, layout.mmask
+    packed_target = layout.pack(*target)
     result = functools.partial(ProbeResult, target, quad, xkey)
 
-    def lookup(key: tuple):
-        # The kernel passes plain (alpha, m) tuples; a blocker is reported
-        # as the SeriesKey it names.
-        if key == target:
+    def lookup(key: int):
+        if key == packed_target:
             return TARGET
         value = coeffs.get(key)
         if value is None:
-            if key[1] > max_order or key in unknown:
-                raise Blocked(SeriesKey(*key))
+            if (key & mmask) > max_order or key in unknown:
+                raise Blocked(key)
             return 0
         return value
 
     try:
-        intercept, slope, self_pair = contract_at(pot.geometry, quad, xkey, lookup)
+        intercept, slope, self_pair = contract_at(layout, quad, xkey, lookup)
     except Blocked as blocked:
-        return result("blocked", blocker=blocked.key)
+        return result("blocked", blocker=layout.unpack(blocked.key))
     if self_pair:
         return result("useless")
     if slope == 0:
@@ -406,8 +409,9 @@ class _Sockets(NamedTuple):
 
     Socket n sits in the quad numbered quad[n]; in the stored-partner
     phase its partner shift is shifts[shift[n]].  groups holds
-    (vec1, p1, socket numbers) once per distinct target-side shift vec1,
-    so a target costs one alpha_sub per group, not one per socket.
+    (shift number of vec1, socket numbers) once per distinct target-side
+    shift vec1, so a target costs one containment test per group, not one
+    per socket.
     """
 
     groups: tuple
@@ -475,30 +479,38 @@ def _fallback_sockets(geom: Geometry):
             s_quad.append(qi)
             s_shift.append(v2)
 
-    shifts = tuple((vec, 3 - sum(vec)) for vec in vec_id)
-
-    def grouped(groups):
-        return tuple(shifts[v] + (numbers,) for v, numbers in groups.items())
-
     return (
         tuple(quads),
-        shifts,
-        _Sockets(grouped(a_groups), a_quad, array("l")),
-        _Sockets(grouped(s_groups), s_quad, s_shift),
+        tuple((vec, 3 - sum(vec)) for vec in vec_id),
+        _Sockets(tuple(a_groups.items()), a_quad, array("l")),
+        _Sockets(tuple(s_groups.items()), s_quad, s_shift),
     )
 
 
-def _fitting(groups, key: SeriesKey):
-    """(item, key.alpha - vec) for the items of every (vec, p, items) group
-    whose vec fits under key.alpha, sorted by item.  A POINT derivative
-    carries a factor m, so groups with p > 0 never fit an order-0 key."""
+@functools.cache
+def _packed_shifts(layout: KeyLayout):
+    """The socket table's shift vectors as (packed vec, p) under layout."""
+    return tuple((layout.pack(vec, 0), p) for vec, p in _fallback_sockets(layout.geometry)[1])
+
+
+def _fitting(layout: KeyLayout, groups, packed: int):
+    """(item, packed - vec) for the items of every (shift number, items)
+    group whose shift vec fits under the packed key, sorted by item.
+
+    One guarded subtraction tests the fit: a field whose component is
+    smaller than vec's borrows its guard bit, and only that field.  A
+    POINT derivative carries a factor m, so shifts with p > 0 never fit an
+    order-0 key."""
+    shifts, guards = _packed_shifts(layout), layout.guards
+    raised = packed | guards
+    order0 = not packed & layout.mmask
     hits = []
-    for vec, p, items in groups:
-        if p and key.m == 0:
+    for v, items in groups:
+        vec, p = shifts[v]
+        if p and order0:
             continue
-        beta = alpha_sub(key.alpha, vec)
-        if beta is not None:
-            hits += zip(items, itertools.repeat(beta))
+        if (raised - vec) & guards == guards:
+            hits += zip(items, itertools.repeat(packed - vec))
     hits.sort()
     return hits
 
@@ -513,32 +525,34 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
     partners in canonical key order, each in socket order; a repeated
     candidate is dropped at its first occurrence.  The target is matched
     once per distinct vec1 of the socket table (_fallback_sockets), and
-    each partner once per distinct vec2 among the sockets the target fits.
+    each partner once per distinct vec2 among the sockets the target fits,
+    all on packed keys; an extraction key is unpacked only when yielded.
     """
-    quads, shifts, analytic, series = _fallback_sockets(pot.geometry)
+    quads, _, analytic, series = _fallback_sockets(pot.geometry)
+    layout = pot.packed().layout
+    packed_target = layout.pack(*target)
     seen: set[tuple] = set()
 
     # Analytic marks are distinct: sockets are distinct per (quad, vec1).
-    for n, beta1 in _fitting(analytic.groups, target):
-        qi, xkey = analytic.quad[n], SeriesKey(beta1, target.m)
-        seen.add((qi, xkey))
-        yield quads[qi], xkey
+    for n, beta1 in _fitting(layout, analytic.groups, packed_target):
+        qi = analytic.quad[n]
+        seen.add((qi, beta1))
+        yield quads[qi], layout.unpack(beta1)
 
-    viable = _fitting(series.groups, target)
+    viable = _fitting(layout, series.groups, packed_target)
     by_shift: dict[int, array] = {}
     for k, (n, _) in enumerate(viable):
         by_shift.setdefault(series.shift[n], array("l")).append(k)
-    partner_groups = [shifts[v] + (ks,) for v, ks in by_shift.items()]
+    partner_groups = tuple(by_shift.items())
     for k2, _ in pot.items_sorted():
         if k2 == target:
             continue
-        m = target.m + k2.m
-        for k, beta2 in _fitting(partner_groups, k2):
+        for k, beta2 in _fitting(layout, partner_groups, layout.pack(*k2)):
             n, beta1 = viable[k]
-            qi, xkey = series.quad[n], SeriesKey(alpha_add(beta1, beta2), m)
+            qi, xkey = series.quad[n], beta1 + beta2
             if (qi, xkey) not in seen:
                 seen.add((qi, xkey))
-                yield quads[qi], xkey
+                yield quads[qi], layout.unpack(xkey)
 
 
 # -- the solver ---------------------------------------------------------

@@ -20,7 +20,8 @@ absent key is 0 unless the potential still counts it as unknown.
 Exponent vectors are dense integer tuples in the canonical twisted-label
 order of the geometry (sparse pairs only appear in serialisation, spelt by
 geometry.format_label).  Keys are SeriesKey(alpha, m) named tuples, cheap
-to hash and compare.
+to hash and compare.  The solver's kernel reads them packed into single
+integers instead (KeyLayout, Potential.packed).
 """
 
 from __future__ import annotations
@@ -254,7 +255,70 @@ def unit_constant(geom: Geometry, labels):
     return geom.pairing(*rest)
 
 
+# -- packed keys ---------------------------------------------------------
+
+
+class KeyLayout:
+    """One integer per key: the solver's packed form of (alpha, m).
+
+    m sits in the low bits (mmask), then each twisted slot s has a field
+    at offsets[s]: its value (fmask) below, a guard bit on top (always 0
+    in a packed key).  The widths hold the keys of orders up to 2 m_max
+    whose weighted degree is at most 3: every admissible key of order <=
+    m_max and every WDVV extraction monomial of order <= 2 m_max, each
+    component at most limit, with room for 3 more per slot (a derivative's
+    shift).  So sums of packed keys and shifts never carry across fields,
+    and one guarded subtraction tests a shift against a key: vec fits
+    under alpha exactly when ((packed | guards) - vec) & guards == guards.
+    Build it with key_layout, which returns one layout per (geometry,
+    m_max).
+    """
+
+    __slots__ = ("geometry", "m_max", "mmask", "limit", "fmask", "offsets", "guards")
+
+    def __init__(self, geom: Geometry, m_max: int):
+        self.geometry = geom
+        self.m_max = m_max
+        mbits = (2 * m_max).bit_length() or 1
+        self.mmask = (1 << mbits) - 1
+        growth = 2 * m_max * max(0, -geom.chi_scaled)
+        self.limit = (3 * geom.scale + growth) // min(geom.deg_scaled)
+        bits = (self.limit + 3).bit_length()
+        self.fmask = (1 << bits) - 1
+        self.offsets = tuple(mbits + s * (bits + 1) for s in range(geom.n_twisted))
+        self.guards = sum(1 << (off + bits) for off in self.offsets)
+
+    def pack(self, alpha: tuple[int, ...], m: int) -> int:
+        """The packed key; ValueError for a component past its field."""
+        if not 0 <= m <= self.mmask:
+            raise ValueError(f"order {m} is outside 0..{self.mmask}")
+        packed = m
+        for off, k in zip(self.offsets, alpha):
+            if k:
+                if not 0 < k <= self.limit:
+                    raise ValueError(f"exponent {k} is outside 0..{self.limit}")
+                packed |= k << off
+        return packed
+
+    def unpack(self, packed: int) -> SeriesKey:
+        fmask = self.fmask
+        alpha = tuple((packed >> off) & fmask for off in self.offsets)
+        return SeriesKey(alpha, packed & self.mmask)
+
+
+key_layout = functools.cache(KeyLayout)
+
+
 # -- the potential ------------------------------------------------------
+
+
+class PackedStore(NamedTuple):
+    """The solver's view of a potential under one KeyLayout: coeffs and
+    unknown with every key packed (the values are the same objects)."""
+
+    layout: KeyLayout
+    coeffs: dict[int, object]
+    unknown: set[int]
 
 
 class Potential:
@@ -265,15 +329,41 @@ class Potential:
     max_order is unknown too; any other absent key is a known zero.  Seal
     empties unknown (free keys read as 0); a sealed potential is immutable
     and safe for concurrent reads.
+
+    The WDVV kernel reads the store through packed(), the same coeffs and
+    unknown with packed-integer keys.  It is built on first use and then
+    kept in step by set_coefficient and seal; assigning unknown or a new
+    max_order drops it.  So write the store through those, not into the
+    dict or set in place, once the potential has been probed.
     """
 
     def __init__(self, geometry: Geometry, seed_mode=None):
         self.geometry = geometry
         self.seed_mode = seed_mode
         self.coeffs: dict[SeriesKey, object] = {}
-        self.unknown: set[SeriesKey] = set()
+        self._packed: PackedStore | None = None
+        self._unknown: set[SeriesKey] = set()
+        self._max_order: int | None = None
         self.sealed = False
-        self.max_order: int | None = None
+
+    @property
+    def unknown(self) -> set[SeriesKey]:
+        return self._unknown
+
+    @unknown.setter
+    def unknown(self, keys: set[SeriesKey]) -> None:
+        self._unknown = keys
+        self._packed = None
+
+    @property
+    def max_order(self) -> int | None:
+        return self._max_order
+
+    @max_order.setter
+    def max_order(self, order: int | None) -> None:
+        if order != self._max_order:
+            self._packed = None
+        self._max_order = order
 
     # -- store ----------------------------------------------------------
 
@@ -286,11 +376,23 @@ class Potential:
                 f"key {format_key(self.geometry, key)} violates the Euler "
                 f"constraint: wdeg = {weighted_degree(self.geometry, key)} != 2"
             )
-        self.unknown.discard(key)
+        self._unknown.discard(key)
         if value:
-            self.coeffs[key] = QQ(value)
+            value = self.coeffs[key] = QQ(value)
         else:
             self.coeffs.pop(key, None)
+        store = self._packed
+        if store is None:
+            return
+        if key.m > store.layout.m_max:  # past the layout: rebuilt on next use
+            self._packed = None
+            return
+        packed = store.layout.pack(*key)
+        store.unknown.discard(packed)
+        if value:
+            store.coeffs[packed] = value
+        else:
+            store.coeffs.pop(packed, None)
 
     def get_coefficient(self, key: SeriesKey):
         """Stored value or 0.  The t1-part lives in F_triv, never here."""
@@ -299,7 +401,23 @@ class Potential:
     def seal(self, max_order: int) -> None:
         self.sealed = True
         self.max_order = max_order
-        self.unknown.clear()
+        self._unknown.clear()
+        if self._packed is not None:
+            self._packed.unknown.clear()
+
+    def packed(self) -> PackedStore:
+        """The store with packed keys, under the layout of the largest order
+        among max_order and the keys held."""
+        if self._packed is None:
+            top = max((key.m for key in (*self.coeffs, *self._unknown)), default=0)
+            layout = key_layout(self.geometry, max(top, self._max_order or 0))
+            pack = layout.pack
+            self._packed = PackedStore(
+                layout,
+                {pack(*key): value for key, value in self.coeffs.items()},
+                {pack(*key) for key in self._unknown},
+            )
+        return self._packed
 
     def items_sorted(self):
         """Stored (key, value) pairs in canonical (m, length, alpha) order."""

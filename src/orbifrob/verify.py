@@ -69,6 +69,26 @@ def check_separation(pot: Potential) -> CheckReport:
     )
 
 
+def check_selection(pot: Potential) -> CheckReport:
+    """Every stored key obeys the selection rule of the orbifold group:
+    sum_j j alpha_{i,j} == m (mod a_i) in every sector i.
+
+    The group prod_i mu_{a_i} fixes the seeds, so by uniqueness it fixes
+    the potential.  The rule reads only the multiplet and the keys, which
+    makes it an oracle from outside WDVV.
+    """
+    geom = pot.geometry
+    labels = geom.twisted
+
+    def fails(key):
+        charge = [0] * (geom.r + 1)
+        for lab, k in zip(labels, key.alpha):
+            charge[lab.sector] += lab.j * k
+        return any((charge[i] - key.m) % a for i, a in enumerate(geom.orders, start=1))
+
+    return _first_failure(pot, "selection", fails)
+
+
 def _swap_alpha(geom: Geometry, alpha, i1: int, i2: int):
     swapped = list(alpha)
     a = geom.order(i1)

@@ -9,15 +9,21 @@ extracts the coefficient of a single monomial t^beta exp(m tmu) from the
 left hand side.  It reads coefficients through a lookup that may answer
 with the formal unknown TARGET, so the same contraction serves the solver
 (the coefficient is affine in the unknown: intercept plus slope times x)
-and wdvv_coefficient on a complete store.  Everything about an equation
-that does not depend on the monomial or the store (the degree gate, the
-derivative profile of every (eta pair, side) row, its sign and eta
-constants) is compiled once per (geometry, quad) into a memoised plan,
-built on the quad's first probe, with each row's constant as integers;
-a call then only checks the degree gate, enumerates the splits of the
-monomial, looks up plain (alpha, m) tuples and multiplies integers,
-keeping one numerator sum per denominator until it returns one rational
-per coefficient.
+and wdvv_coefficient on a complete store.  Keys travel as single integers
+under the run's series.KeyLayout: m in the low bits, then one field per
+twisted slot with a guard bit on top, wide enough that adding a
+derivative's shift (at most 3 per slot) or one split to another never
+carries into the next field.  The lookup receives such a packed key, and
+Potential.packed() holds the store under the same keys.  Everything about
+an equation that does not depend on the monomial or the store (the
+degree gate, the derivative profile of every (eta pair, side) row as a
+packed shift, its sign and eta constants) is compiled once per (layout,
+quad) into a memoised plan, built on the quad's first probe, with each
+row's constant as integers; a call then only checks the degree gate,
+enumerates the splits of the monomial over the slots it uses, forms each
+looked-up key by integer additions and multiplies integers, keeping one
+numerator sum per denominator until it returns one rational per
+coefficient.
 The module also enumerates all degree-admissible target monomials of an
 equation (admissible_targets) and sweeps every equation of a sealed
 potential (residual_scan).
@@ -47,12 +53,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add
 from typing import NamedTuple
 
 from .geometry import POINT, UNIT, Geometry, format_label
 from .rationals import QQ
 from .series import (
+    KeyLayout,
     Potential,
     SeriesKey,
     effective_max_order,
@@ -84,30 +90,36 @@ TARGET = object()
 
 
 class Blocked(Exception):
-    """Raised by a lookup on a coefficient that is not known yet."""
+    """Raised by a lookup on a coefficient that is not known yet; key is
+    the packed key it was asked for."""
 
-    def __init__(self, key: SeriesKey):
+    def __init__(self, key: int):
         super().__init__(key)
         self.key = key
 
 
-def _splits(geom: Geometry, alpha: tuple[int, ...]) -> dict[int, list]:
-    """All (beta1, alpha - beta1) with 0 <= beta1 <= alpha, grouped by the
-    scaled degree of beta1."""
-    parts = [((), (), 0)]
-    for k, d in zip(alpha, geom.deg_scaled):
+def _splits(layout: KeyLayout, alpha: tuple[int, ...]) -> dict[int, list[int]]:
+    """Every beta1 <= alpha, packed with order 0, grouped by its scaled
+    degree; each group in lexicographic beta1 order.  Only the slots alpha
+    uses are walked."""
+    parts = [(0, 0)]
+    for k, off, d in zip(alpha, layout.offsets, layout.geometry.deg_scaled):
         if k:
-            parts = [
-                (beta1 + (j,), beta2 + (k - j,), deg + j * d)
-                for beta1, beta2, deg in parts
-                for j in range(k + 1)
-            ]
-        else:
-            parts = [(beta1 + (0,), beta2 + (0,), deg) for beta1, beta2, deg in parts]
-    groups: dict[int, list] = {}
-    for beta1, beta2, deg in parts:
-        groups.setdefault(deg, []).append((beta1, beta2))
+            steps = [(j << off, j * d) for j in range(k + 1)]
+            parts = [(b + jb, g + jd) for b, g in parts for jb, jd in steps]
+    groups: dict[int, list[int]] = {}
+    for b, g in parts:
+        groups.setdefault(g, []).append(b)
     return groups
+
+
+@functools.cache
+def _packed_profile(layout: KeyLayout, triple: tuple[int, ...]):
+    """(points, packed shift, (field offset, multiplicity) pairs) of the
+    derivative along the sorted label-index triple, memoised like
+    indexed_profile so that every plan of a layout shares them."""
+    _, points, vec, mults = indexed_profile(layout.geometry, triple)
+    return points, layout.pack(vec, 0), tuple((layout.offsets[s], k) for s, k in mults)
 
 
 class _QuadPlan(NamedTuple):
@@ -128,8 +140,9 @@ class _QuadPlan(NamedTuple):
       eta^-1; top = 2 - wdeg(vec1) (scaled) is the degree the order-0 part
       of beta1 must have.
 
-    p counts POINT derivatives, vec is the twisted indicator vector and
-    mults its (slot, multiplicity) pairs, as in derivative_profile.
+    p counts POINT derivatives, vec is the packed shift of the twisted
+    indicators and mults their (field offset, multiplicity) pairs, as
+    _packed_profile gives them.
     """
 
     rhs: int
@@ -138,8 +151,9 @@ class _QuadPlan(NamedTuple):
 
 
 @functools.cache
-def _quad_plan(geom: Geometry, quad: WdvvQuad) -> _QuadPlan:
+def _quad_plan(layout: KeyLayout, quad: WdvvQuad) -> _QuadPlan:
     """The plan of quad, built on its first probe and memoised."""
+    geom = layout.geometry
     index, labels = geom.label_index, geom.labels
 
     def const(triple):
@@ -155,21 +169,24 @@ def _quad_plan(geom: Geometry, quad: WdvvQuad) -> _QuadPlan:
             ((a, b, sigma), (c, d, tau), w),
             ((a, c, sigma), (b, d, tau), -w),
         ):
-            u1, p1, vec1, mults1 = indexed_profile(geom, tuple(sorted(triple1)))
-            u2, p2, vec2, mults2 = indexed_profile(geom, tuple(sorted(triple2)))
+            triple1, triple2 = tuple(sorted(triple1)), tuple(sorted(triple2))
+            u1, _, vec1, _ = indexed_profile(geom, triple1)
+            u2 = indexed_profile(geom, triple2)[0]
             if u1 and u2:
                 origin += weight * const(triple1) * const(triple2)
             elif u1 or u2:
                 coef = weight * const(triple1 if u1 else triple2)
                 if coef:
-                    p, vec, mults = (p2, vec2, mults2) if u1 else (p1, vec1, mults1)
+                    p, vec, mults = _packed_profile(layout, triple2 if u1 else triple1)
                     num, den = int(coef.numerator), int(coef.denominator)
                     rows.append((num, den, p, vec, mults, None, None, None, None))
             else:
                 top = two - wdeg_scaled(geom, vec1, 0)
-                rows.append((weight, 1, p1, vec1, mults1, p2, vec2, mults2, top))
+                row = (*_packed_profile(layout, triple1), *_packed_profile(layout, triple2))
+                rows.append((weight, 1, *row, top))
     rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
-    return _QuadPlan(rhs, origin, tuple(rows))
+    # A zero origin (no row has UNIT on both sides) is the shared int 0.
+    return _QuadPlan(rhs, origin or 0, tuple(rows))
 
 
 def _rational(sums: dict):
@@ -180,49 +197,57 @@ def _rational(sums: dict):
     return QQ(sum(n * (lcm // d) for d, n in sums.items()), lcm)
 
 
-def contract_at(geom: Geometry, quad: WdvvQuad, xkey: SeriesKey, lookup):
+def contract_at(layout: KeyLayout, quad: WdvvQuad, xkey: SeriesKey, lookup):
     """Coefficient of t^xkey in WDVV(quad) as (c0, c1, c2): c0 + c1 x + c2 x^2.
 
-    lookup(key) returns the stored rational of an admissible key, TARGET
-    for the formal unknown x, or raises Blocked(key) for a key that is not
-    known yet.  Its key is a plain (alpha, m) tuple, which hashes and
-    compares like the SeriesKey of the same coefficient.  It is only called
-    on keys obeying the Euler constraint (the others are zero), and the
-    second factor of a product is looked up only when the first is
-    nonzero.  Derivatives containing UNIT come from F_triv and are the
-    constants eta of the remaining pair.
+    Keys travel packed under layout (series.KeyLayout): m in the low bits,
+    then one guarded field per twisted slot.  lookup(packed) returns the
+    stored rational of an admissible key, TARGET for the formal unknown x,
+    or raises Blocked(packed) for a key that is not known yet.  It is only
+    called on keys obeying the Euler constraint (the others are zero), and
+    the second factor of a product only when the first is nonzero.
+    Derivatives containing UNIT come from F_triv and are the constants eta
+    of the remaining pair.  xkey itself is a SeriesKey; once past the
+    degree gate it is packed, which raises ValueError for a key the layout
+    cannot hold (none of order <= 2 layout.m_max passes the gate so).
 
-    The rows come from the quad's plan (_quad_plan) in a fixed order, so
-    the keys looked up, and which of them blocks first, depend only on
-    quad, xkey and the answers of lookup.  The terms are summed as
-    integers: c0 and c1 keep one numerator sum per denominator (the
-    product of the denominators of a term's factors) and become one
-    rational each at the end; c2, whose terms read no stored value, is an
-    integer.
+    The rows come from the plan of (layout, quad) (_quad_plan) in a fixed
+    order, so the keys looked up, and which of them blocks first, depend
+    only on quad, xkey and the answers of lookup.  A single row looks up
+    xkey + vec; a product row, for each order split m1 + m2 = m and each
+    split beta1 <= alpha of the right degree (_splits), looks up
+    beta1 + vec1 + m1 and then (alpha + vec2 + m2) - beta1, all integer
+    additions that never carry across fields.  Falling factorials read
+    each field with a shift and a mask.  The terms are summed as integers:
+    c0 and c1 keep one numerator sum per denominator (the product of the
+    denominators of a term's factors) and become one rational each at the
+    end; c2, whose terms read no stored value, is an integer.
     """
-    plan = _quad_plan(geom, quad)
+    plan = _quad_plan(layout, quad)
     alpha, m = xkey
-    if wdeg_scaled(geom, alpha, m) != plan.rhs:
+    if wdeg_scaled(layout.geometry, alpha, m) != plan.rhs:
         return QQ(0), QQ(0), 0
+    packed = layout.pack(alpha, m)
     sums0: dict = {}  # denominator -> numerator sum of c0's terms
     sums1: dict = {}  # the same for c1
     c2 = 0
-    if m == 0 and not any(alpha):
+    if not packed:
         sums0[plan.origin.denominator] = plan.origin.numerator
-    chi = geom.chi_scaled
+    chi = layout.geometry.chi_scaled
+    fmask = layout.fmask
     perm = math.perm
     splits = None
     for num, den, p1, vec1, mults1, p2, vec2, mults2, top in plan.rows:
         if vec2 is None:
             if p1 and m == 0:
                 continue
-            shifted = tuple(map(add, alpha, vec1))
-            value = lookup((shifted, m))
+            key = packed + vec1
+            value = lookup(key)
             if not value:
                 continue
             coef = num * m**p1
-            for slot, k in mults1:
-                coef *= perm(shifted[slot], k)
+            for off, k in mults1:
+                coef *= perm((key >> off) & fmask, k)
             if value is TARGET:
                 sums1[den] = sums1.get(den, 0) + coef
             else:
@@ -231,24 +256,29 @@ def contract_at(geom: Geometry, quad: WdvvQuad, xkey: SeriesKey, lookup):
             continue
 
         if splits is None:
-            splits = _splits(geom, alpha)
+            splits = _splits(layout, alpha)
         for m1 in range(1 if p1 else 0, m if p2 else m + 1):
+            group = splits.get(top - m1 * chi)
+            if group is None:
+                continue
             m2 = m - m1
             factor = num * m1**p1 * m2**p2
-            for beta1, beta2 in splits.get(top - m1 * chi, ()):
-                alpha1 = tuple(map(add, beta1, vec1))
-                v1 = lookup((alpha1, m1))
+            base1 = vec1 + m1
+            base2 = packed - m + vec2 + m2
+            for beta1 in group:
+                key1 = beta1 + base1
+                v1 = lookup(key1)
                 if not v1:
                     continue
-                alpha2 = tuple(map(add, beta2, vec2))
-                v2 = lookup((alpha2, m2))
+                key2 = base2 - beta1
+                v2 = lookup(key2)
                 if not v2:
                     continue
                 coef = factor
-                for slot, k in mults1:
-                    coef *= perm(alpha1[slot], k)
-                for slot, k in mults2:
-                    coef *= perm(alpha2[slot], k)
+                for off, k in mults1:
+                    coef *= perm((key1 >> off) & fmask, k)
+                for off, k in mults2:
+                    coef *= perm((key2 >> off) & fmask, k)
                 if v1 is TARGET:
                     if v2 is TARGET:
                         c2 += coef
@@ -269,8 +299,10 @@ def wdvv_coefficient(pot: Potential, quad: WdvvQuad, target: SeriesKey):
 
     Pure; absent keys of the store count as zero.
     """
-    coeffs = pot.coeffs
-    return contract_at(pot.geometry, quad, target, lambda key: coeffs.get(key, 0))[0]
+    layout, coeffs, _ = pot.packed()
+    if target.m > 2 * layout.m_max:
+        return QQ(0)  # every term has a factor above the orders stored
+    return contract_at(layout, quad, target, lambda key: coeffs.get(key, 0))[0]
 
 
 def admissible_targets(geom: Geometry, quad: WdvvQuad, m: int) -> list[tuple[int, ...]]:

@@ -178,10 +178,13 @@ def test_probe_reports_self_pair_useless(reconstructed):
     xkey = key_of(geom, {(3, 3): 2}, 0)
     target = key_of(geom, {(3, 1): 1, (3, 2): 2, (3, 3): 1}, 0)
 
-    def lookup(key):
+    layout = pot.packed().layout
+
+    def lookup(packed):
+        key = layout.unpack(packed)
         return TARGET if key == target else pot.coeffs.get(key, 0)
 
-    assert contract_at(geom, quad, xkey, lookup) == (0, QQ(1, 2), 16)
+    assert contract_at(layout, quad, xkey, lookup) == (0, QQ(1, 2), 16)
     assert pot.coeffs[target] == QQ(-1, 32)
     assert of.probe_candidate(pot, quad, xkey, target).status == "useless"
 
