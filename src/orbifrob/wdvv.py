@@ -209,7 +209,8 @@ def contract_at(layout: KeyLayout, quad: WdvvQuad, xkey: SeriesKey, lookup):
     Derivatives containing UNIT come from F_triv and are the constants eta
     of the remaining pair.  xkey itself is a SeriesKey; once past the
     degree gate it is packed, which raises ValueError for a key the layout
-    cannot hold (none of order <= 2 layout.m_max passes the gate so).
+    cannot hold.  Every key of order <= 2 layout.m_max that passes the
+    gate fits.
 
     The rows come from the plan of (layout, quad) (_quad_plan) in a fixed
     order, so the keys looked up, and which of them blocks first, depend

@@ -14,6 +14,16 @@ def product_key(geom):
     return key_of(geom, {(i, 1): 1 for i in range(1, geom.r + 1)}, 1)
 
 
+def obeys_selection_rule(geom, key):
+    """Whether sum_j j alpha_{i,j} == m (mod a_i) in every sector i: the
+    selection rule of the orbifold group, read from the multiplet and the
+    key alone."""
+    charge = {i: 0 for i in range(1, geom.r + 1)}
+    for lab, k in zip(geom.twisted, key.alpha):
+        charge[lab.sector] += lab.j * k
+    return all((charge[i] - key.m) % geom.order(i) == 0 for i in charge)
+
+
 def copy_potential(pot, changes=None, seal=True):
     """A fresh copy of pot's coefficients with changes (key -> value; 0
     drops the key) applied, sealed at pot's max_order, or else left open

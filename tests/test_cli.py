@@ -146,6 +146,27 @@ def test_verify_vanishing_mode_runs_vanishing_check(tmp_path, capsys):
     assert "CHECK vanishing: PASS" in out
 
 
+def test_verify_checks_the_selection_rule_only_when_named(tmp_path, capsys):
+    path = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "3,3,3", "-m", "2", "-o", str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--checks", "selection")
+    assert (code, out) == (0, "CHECK selection: PASS\n")
+    assert "selection" not in run(capsys, "verify", str(path))[1]
+    # A nonzero value at an admissible key of charge 1 != m = 0 in
+    # sector 1 (and 2 in sector 2): the check fails and names the key.
+    pot = of.read_potential(path)
+    bad = SeriesKey(of.alpha_from_pairs(pot.geometry, {(1, 1): 1, (2, 2): 1, (3, 2): 3}), 0)
+    assert of.is_admissible(pot.geometry, bad) and bad not in pot.coeffs
+    broken = of.Potential(pot.geometry, pot.seed_mode)
+    for key, value in {**pot.coeffs, bad: QQ(3, 7)}.items():
+        broken.set_coefficient(key, value)
+    broken.seal(pot.max_order)
+    of.write_potential(broken, path)
+    code, out, _ = run(capsys, "verify", str(path), "--checks", "selection")
+    assert code == 4
+    assert out == "CHECK selection: FAIL [(1,1)^1 (2,2)^1 (3,2)^3 | m=0]\n"
+
+
 def test_show(tmp_path, capsys):
     pot = tmp_path / "pot.txt"
     run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import orbifrob as of
 from orbifrob.rationals import QQ
 
+from helpers import obeys_selection_rule
+
 # r in {3, 4}, a_i <= 4 and sum(a_i - 1) <= 6: ten multiplets small enough
 # for the exhaustive strategy at m = 2.
 MULTIPLETS = [
@@ -42,6 +44,23 @@ def test_reconstruction_properties(multiplet, m_max, mode):
     exhaustive, _ = of.reconstruct(multiplet, m_max, mode, strategy="exhaustive")
     assert of.serialize_potential(exhaustive) == text
     assert of.residual_scan(pot, m_max).ok
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    multiplet=st.sampled_from(MULTIPLETS),
+    m_max=st.integers(1, 3),
+    mode=st.sampled_from((of.STANDARD, of.rescaled_mode(QQ(-2, 3)), of.VANISHING)),
+)
+def test_reconstruction_obeys_the_selection_rule(multiplet, m_max, mode):
+    # The orbifold group fixes the seeds, so by uniqueness it fixes the
+    # potential: every stored key obeys sum_j j alpha_{i,j} == m (mod
+    # a_i).  The rule reads only the multiplet and the keys, so it checks
+    # the solver from outside WDVV.
+    pot, _ = of.reconstruct(multiplet, m_max, mode)
+    geom = pot.geometry
+    assert all(obeys_selection_rule(geom, key) for key in pot.coeffs)
+    assert of.check_selection(pot).passed
 
 
 # A 2,3,4 m=2 file, mutated by the parser fuzz below with characters drawn

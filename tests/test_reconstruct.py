@@ -20,6 +20,7 @@ from helpers import (
     key_of,
     leave_only_blocked_candidates,
     leave_only_useless_candidates,
+    obeys_selection_rule,
     product_key,
 )
 
@@ -53,6 +54,25 @@ def test_seed_imposes_sector_purity():
     mixed = key_of(geom, {(1, 1): 2, (2, 1): 2}, 0)
     assert mixed not in pot.unknown
     assert pot.get_coefficient(mixed) == 0
+
+
+def test_seeds_obey_the_selection_rule():
+    # The orbifold group fixes every seed family, so every nonzero seed of
+    # every mode obeys sum_j j alpha_{i,j} == m (mod a_i) in every sector;
+    # zero seeds are zero whatever their charge.
+    from orbifrob.reconstruct import _seed_with_provenance
+
+    modes = (of.STANDARD, of.rescaled_mode(QQ(-2, 3)), of.VANISHING, of.VANISHING_NO_QUARTIC)
+    checked = set()
+    for name in ("2,2,2", "2,2,3", "2,3,4", "3,3,3", "4,4,4", "3,4,5", "2,3,7", "2,2,2,2,2"):
+        geom = of.build_geometry(name)
+        for mode in modes:
+            _, entries = _seed_with_provenance(geom, mode, 3)
+            for key, value, provenance in entries:
+                if value:
+                    assert obeys_selection_rule(geom, key), (name, mode, key)
+                    checked.add(provenance)
+    assert checked == {"limit-cubic", "degree-one", "quartic"}
 
 
 def test_seed_mode_tokens(reconstructed):
@@ -162,7 +182,7 @@ def test_probe_reports_blocked_on_missing_prerequisites():
     quad = WdvvQuad(Twisted(1, 1), Twisted(1, 1), POINT, POINT)
     result = of.probe_candidate(pot, quad, origin, origin)
     assert result.status == "blocked"
-    # The kernel looks keys up as plain tuples; the blocker is still the
+    # The kernel looks keys up as packed integers; the blocker is still the
     # SeriesKey of the first unknown prerequisite, t_{1,1}^2 e^{2 tmu}.
     assert type(result.blocker) is SeriesKey
     assert result.blocker == key_of(geom, {(1, 1): 2}, 2)

@@ -1,15 +1,16 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
 import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, UNIT
 from orbifrob.rationals import QQ
-from orbifrob.series import alpha_length, multiplicity, wdeg_scaled
+from orbifrob.series import alpha_length, key_layout, multiplicity, wdeg_scaled
 
-from helpers import key_of
+from helpers import copy_potential, key_of
 from oracle import SymbolicOracle
 
 
@@ -216,3 +217,138 @@ def test_stored_keys_all_admissible(reconstructed):
     geom = pot.geometry
     for key in pot.coeffs:
         assert wdeg_scaled(geom, key.alpha, key.m) == 2 * geom.scale
+
+
+# -- packed keys ----------------------------------------------------------
+
+
+def _round_trips(layout, key):
+    packed = layout.pack(*key)
+    return layout.unpack(packed) == key and not packed & layout.guards
+
+
+def test_packing_round_trips_at_the_widest_fields_237_m12():
+    # Hyperbolic chi lets exponents grow with the order: the layout of
+    # 2,3,7 at m=12 must hold every admissible key, every extraction of
+    # order up to 24 and each of them shifted by 3 in every slot.
+    geom = of.build_geometry("2,3,7")
+    layout = key_layout(geom, 12)
+    keys = [SeriesKey(a, m) for m in range(13) for a in of.admissible_keys(geom, m)]
+    assert max(k for key in keys for k in key.alpha) == 16
+    assert all(_round_trips(layout, key) for key in keys)
+    # The widest extraction: four POINT labels at order 24 reach the limit.
+    point4 = of.WdvvQuad(POINT, POINT, POINT, POINT)
+    targets = [SeriesKey(b, 24) for b in of.admissible_targets(geom, point4, 24)]
+    assert max(k for key in targets for k in key.alpha) == layout.limit == 25
+    assert all(_round_trips(layout, key) for key in targets)
+    n = geom.n_twisted
+    top = SeriesKey((layout.limit,) * n, 24)
+    assert _round_trips(layout, top)
+    shifted = layout.pack(*top) + layout.pack((3,) * n, 0)
+    assert layout.unpack(shifted) == SeriesKey((layout.limit + 3,) * n, 24)
+    assert not shifted & layout.guards
+
+
+def test_packing_round_trips_the_widest_fallback_extraction_345(monkeypatch):
+    module = sys.modules["orbifrob.reconstruct"]
+    probe = module.probe_candidate
+    xkeys = []
+
+    def recording(pot, quad, xkey, target):
+        xkeys.append(xkey)
+        return probe(pot, quad, xkey, target)
+
+    monkeypatch.setattr(module, "probe_candidate", recording)
+    pot, _ = of.reconstruct("3,4,5", 3, strategy="exhaustive")
+    assert len(xkeys) == 2178
+    layout = pot.packed().layout
+    assert layout is key_layout(pot.geometry, 3)
+    widest = max(xkeys, key=lambda key: max(key.alpha))
+    deepest = max(xkeys, key=lambda key: key.m)
+    assert (max(widest.alpha), deepest.m) == (11, 3)
+    for key in (widest, deepest):
+        assert _round_trips(layout, key)
+        assert max(key.alpha) + 3 <= layout.fmask
+
+
+def test_packing_rejects_a_component_past_its_field():
+    geom = of.build_geometry("2,3,4")
+    layout = key_layout(geom, 2)
+    n = geom.n_twisted
+    with pytest.raises(ValueError, match="order"):
+        layout.pack((0,) * n, layout.mmask + 1)
+    for s in range(n):
+        alpha = [0] * n
+        for bad in (layout.limit + 1, -1):
+            alpha[s] = bad
+            with pytest.raises(ValueError, match="exponent"):
+                layout.pack(tuple(alpha), 0)
+        # The largest component plus a shift of 3 stays in its own field.
+        alpha[s] = layout.limit
+        unit = [0] * n
+        unit[s] = 3
+        packed = layout.pack(tuple(alpha), 4) + layout.pack(tuple(unit), 0)
+        alpha[s] = layout.limit + 3
+        assert layout.unpack(packed) == SeriesKey(tuple(alpha), 4)
+        assert not packed & layout.guards
+
+
+def test_guarded_subtraction_tests_containment():
+    # ((packed | guards) - vec) & guards == guards exactly when vec <= alpha
+    # componentwise; a short field borrows only its own guard bit.
+    geom = of.build_geometry("3,4,5")
+    layout = key_layout(geom, 3)
+    rng = random.Random(5)
+    n = geom.n_twisted
+    for _ in range(500):
+        alpha = tuple(rng.randrange(4) for _ in range(n))
+        vec = tuple(rng.randrange(3) for _ in range(n))
+        packed, shift = layout.pack(alpha, rng.randrange(4)), layout.pack(vec, 0)
+        borrowed = layout.guards & ~((packed | layout.guards) - shift)
+        short = [a < v for a, v in zip(alpha, vec)]
+        assert (borrowed == 0) == (not any(short))
+        bits = layout.fmask.bit_length()
+        assert [bool(borrowed >> (off + bits) & 1) for off in layout.offsets] == short
+
+
+def _assert_packed_image(pot):
+    layout, coeffs, unknown = pot.packed()
+    assert coeffs == {layout.pack(*key): value for key, value in pot.coeffs.items()}
+    assert unknown == {layout.pack(*key) for key in pot.unknown}
+
+
+def test_packed_view_is_the_image_of_the_store():
+    geom = of.build_geometry("2,3,4")
+    pot = of.seed(geom, of.STANDARD, 3)
+    view = pot.packed()
+    _assert_packed_image(pot)
+    # Writes through set_coefficient are mirrored into the same view.
+    target = min(pot.unknown, key=of.series.key_sort_key)
+    cubic = min(pot.coeffs, key=of.series.key_sort_key)
+    pot.set_coefficient(target, QQ(2, 3))
+    pot.set_coefficient(cubic, 0)
+    assert pot.packed() is view
+    _assert_packed_image(pot)
+
+    # rescale_novikov copies through set_coefficient; seal clears unknown.
+    scaled = of.rescale_novikov(pot, QQ(-2, 3))
+    scaled_view = scaled.packed()
+    _assert_packed_image(scaled)
+    scaled.seal(scaled.max_order)
+    assert scaled.packed() is scaled_view and not scaled_view.unknown
+    _assert_packed_image(scaled)
+
+    # The solver builds the view at its first probe and mirrors every
+    # solved value and the final seal into it.
+    solved, _ = of.reconstruct("2,3,4", 3)
+    assert solved._packed is not None
+    _assert_packed_image(solved)
+
+    # copy_potential sets max_order after the writes; assigning a new
+    # max_order or unknown drops the view, rebuilt under its layout.
+    copy = copy_potential(solved, {target: QQ(1, 2)}, seal=False)
+    _assert_packed_image(copy)
+    copy.max_order = 5
+    assert copy.packed().layout is key_layout(geom, 5)
+    copy.unknown = {target}
+    _assert_packed_image(copy)

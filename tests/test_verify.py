@@ -4,7 +4,7 @@ import orbifrob as of
 from orbifrob import POINT, Twisted, UNIT
 from orbifrob.rationals import QQ
 
-from helpers import copy_potential, key_of
+from helpers import copy_potential, key_of, obeys_selection_rule
 
 
 def test_check_euler(reconstructed):
@@ -73,6 +73,23 @@ def test_sector_universality(reconstructed):
     victim = key_of(broken.geometry, {(1, 1): 4}, 0)
     broken.coeffs[victim] = QQ(1)
     assert not of.check_sector_universality(p223, 1, broken, 1).passed
+
+
+def test_check_selection(reconstructed):
+    pot, _ = reconstructed("3,3,3", 2)
+    geom = pot.geometry
+    assert of.check_selection(pot).passed
+    # A nonzero value at the first admissible key that breaks the rule.
+    bad = next(
+        of.SeriesKey(alpha, m)
+        for m in range(3)
+        for alpha in of.admissible_keys(geom, m)
+        if not obeys_selection_rule(geom, of.SeriesKey(alpha, m))
+    )
+    assert bad not in pot.coeffs
+    report = of.check_selection(copy_potential(pot, {bad: QQ(1, 5)}))
+    assert not report.passed
+    assert report.detail == of.format_key(geom, bad)
 
 
 def test_check_vanishing(reconstructed):
