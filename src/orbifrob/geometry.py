@@ -24,9 +24,10 @@ reconstruction formulas depend on the orders alone, so carrying the points
 around would only suggest a dependence that does not exist.
 
 There is one immutable Geometry per multiplet; build it with
-build_geometry.  Tables derived from it (derivative profiles, quad plans,
-the fallback's socket table) are memoised by the functions that compute
-them, keyed by the geometry, and never stored on it.
+build_geometry.  Tables derived from it (derivative profiles, the
+solver's key layouts and quad plans, the fallback's socket table) are
+memoised by the functions that compute them, keyed by the geometry or by
+a layout of it, and never stored on it.
 """
 
 from __future__ import annotations

@@ -350,5 +350,6 @@ def test_packed_view_is_the_image_of_the_store():
     _assert_packed_image(copy)
     copy.max_order = 5
     assert copy.packed().layout is key_layout(geom, 5)
-    copy.unknown = {target}
+    copy.unknown = {SeriesKey(a, 3) for a in of.admissible_keys(geom, 3)} - set(copy.coeffs)
+    assert copy.unknown
     _assert_packed_image(copy)
