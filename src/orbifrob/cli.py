@@ -134,7 +134,7 @@ def _symmetry_reports(pot) -> list:
 # name -> reports of the check, in the default output order.  By default
 # every check runs but "selection", which runs only when named, and
 # "vanishing" only on files of a vanishing seed mode.  The wdvv scan is
-# run and printed after all the other reports.
+# run after all the other checks and printed after their reports.
 CHECKS = {
     "euler": lambda pot: [check_euler(pot)],
     "separation": lambda pot: [check_separation(pot)],
@@ -162,14 +162,18 @@ def _cmd_verify(args) -> int:
         selected = [name for name in CHECKS if name not in skipped]
 
     reports = [report for name in selected for report in CHECKS[name](pot)]
+    scan = None
+    if "wdvv" in selected:
+        # Scanned before any report is printed: a scan order the file
+        # cannot serve is refused with nothing on stdout.
+        m_max = args.max_order if args.max_order is not None else pot.max_order
+        scan = residual_scan(pot, m_max)
     ok = True
     for report in reports:
         print(report.line())
         ok = ok and report.passed
 
-    if "wdvv" in selected:
-        m_max = args.max_order if args.max_order is not None else pot.max_order
-        scan = residual_scan(pot, m_max)
+    if scan is not None:
         sys.stdout.write(scan.to_text())
         ok = ok and scan.ok
 

@@ -25,7 +25,7 @@ around would only suggest a dependence that does not exist.
 
 There is one immutable Geometry per multiplet; build it with
 build_geometry.  Tables derived from it (derivative profiles, the
-solver's key layouts and quad plans, the fallback's socket table) are
+key layouts, the solver's quad plans, the fallback's socket table) are
 memoised by the functions that compute them, keyed by the geometry or by
 a layout of it, and never stored on it.
 """

@@ -497,20 +497,20 @@ def _fitting(layout: KeyLayout, groups, packed: int):
     """(item, packed - vec) for the items of every (shift number, items)
     group whose shift vec fits under the packed key, sorted by item.
 
-    One guarded subtraction tests the fit: a field whose component is
-    smaller than vec's borrows its guard bit, and only that field.  A
-    POINT derivative carries a factor m, so shifts with p > 0 never fit an
-    order-0 key."""
-    shifts, guards = _packed_shifts(layout), layout.guards
-    raised = packed | guards
+    One subtraction tests the fit: vec fits exactly when packed - vec
+    borrows into no field, that is when no start bit of the layout is set
+    in packed ^ vec ^ (packed - vec).  A POINT derivative carries a factor
+    m, so shifts with p > 0 never fit an order-0 key."""
+    shifts, starts = _packed_shifts(layout), layout.starts
     order0 = not packed & layout.mmask
     hits = []
     for v, items in groups:
         vec, p = shifts[v]
         if p and order0:
             continue
-        if (raised - vec) & guards == guards:
-            hits += zip(items, itertools.repeat(packed - vec))
+        rest = packed - vec
+        if not (packed ^ vec ^ rest) & starts:
+            hits += zip(items, itertools.repeat(rest))
     hits.sort()
     return hits
 

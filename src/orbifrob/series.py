@@ -259,22 +259,24 @@ def unit_constant(geom: Geometry, labels):
 
 
 class KeyLayout:
-    """One integer per key: the solver's packed form of (alpha, m).
+    """One integer per key: the package's packed form of (alpha, m).
 
     m sits in the low bits (mmask), then each twisted slot s has a field
-    at offsets[s]: its value (fmask) below, a guard bit on top (always 0
-    in a packed key).  The widths hold the keys of orders up to 2 m_max
-    whose weighted degree is at most 3: every admissible key of order <=
-    m_max and every WDVV extraction monomial of order <= 2 m_max, each
-    component at most limit, with room for 3 more per slot (a derivative's
-    shift).  So sums of packed keys and shifts never carry across fields,
-    and one guarded subtraction tests a shift against a key: vec fits
-    under alpha exactly when ((packed | guards) - vec) & guards == guards.
-    Build it with key_layout, which returns one layout per (geometry,
-    m_max).
+    of fmask at offsets[s], the fields back to back.  The widths hold the
+    keys of orders up to 2 m_max whose weighted degree is at most 3: every
+    admissible key of order <= m_max and every WDVV extraction monomial of
+    order <= 2 m_max, each component at most limit, with room for 3 more
+    per slot (a derivative's shift).  So the solver's sums of keys and
+    shifts, and the residual scan's pair products, never carry across
+    fields.  starts holds the lowest bit of each twisted field and the bit
+    just above the last one: a carry out of a field, or a borrow into one,
+    lands on a start bit.  So vec fits under a packed key exactly when
+    not (packed ^ vec ^ (packed - vec)) & starts, a negative difference
+    setting the top bit.  Build it with key_layout, which returns one
+    layout per (geometry, m_max).
     """
 
-    __slots__ = ("geometry", "m_max", "mmask", "limit", "fmask", "offsets", "guards")
+    __slots__ = ("geometry", "m_max", "mmask", "limit", "fmask", "offsets", "starts")
 
     def __init__(self, geom: Geometry, m_max: int):
         self.geometry = geom
@@ -285,8 +287,9 @@ class KeyLayout:
         self.limit = (3 * geom.scale + growth) // min(geom.deg_scaled)
         bits = (self.limit + 3).bit_length()
         self.fmask = (1 << bits) - 1
-        self.offsets = tuple(mbits + s * (bits + 1) for s in range(geom.n_twisted))
-        self.guards = sum(1 << (off + bits) for off in self.offsets)
+        n = geom.n_twisted
+        self.offsets = tuple(mbits + s * bits for s in range(n))
+        self.starts = sum(1 << off for off in self.offsets) | 1 << (mbits + n * bits)
 
     def pack(self, alpha: tuple[int, ...], m: int) -> int:
         """The packed key; ValueError for a component past its field."""

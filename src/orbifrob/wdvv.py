@@ -11,19 +11,18 @@ with the formal unknown TARGET, so the same contraction serves the solver
 (the coefficient is affine in the unknown: intercept plus slope times x)
 and wdvv_coefficient on a complete store.  Keys travel as single integers
 under the run's series.KeyLayout: m in the low bits, then one field per
-twisted slot with a guard bit on top, wide enough that adding a
-derivative's shift (at most 3 per slot) or one split to another never
-carries into the next field.  The lookup receives such a packed key, and
-Potential.packed() holds the store under the same keys.  Everything about
-an equation that does not depend on the monomial or the store (the
-degree gate, the derivative profile of every (eta pair, side) row as a
-packed shift, its sign and eta constants) is compiled once per (layout,
-quad) into a memoised plan, built on the quad's first probe, with each
-row's constant as integers; a call then only checks the degree gate,
-enumerates the splits of the monomial over the slots it uses, forms each
-looked-up key by integer additions and multiplies integers, keeping one
-numerator sum per denominator until it returns one rational per
-coefficient.
+twisted slot, wide enough that adding a derivative's shift (at most 3 per
+slot) or one split to another never carries into the next field.  The
+lookup receives such a packed key, and Potential.packed() holds the store
+under the same keys.  Everything about an equation that does not depend
+on the monomial or the store (the degree gate, the derivative profile of
+every (eta pair, side) row as a packed shift, its sign and eta constants)
+is compiled once per (layout, quad) into a memoised plan, built on the
+quad's first probe, with each row's constant as integers; a call then
+only checks the degree gate, enumerates the splits of the monomial over
+the slots it uses, forms each looked-up key by integer additions and
+multiplies integers, keeping one numerator sum per denominator until it
+returns one rational per coefficient.
 The module also enumerates all degree-admissible target monomials of an
 equation (admissible_targets) and sweeps every equation of a sealed
 potential (residual_scan).
@@ -31,11 +30,14 @@ potential (residual_scan).
 The scan deliberately does not use the kernel.  It is the independent
 re-check of what the solver wrote, and it computes every target of an
 equation at once in integers: it clears denominators once (a single lcm
-over the store and the pairing entries) and packs each exponent vector
-into a single machine integer.  One pass over the store builds the
-derivative map of every label triple, each stored key feeding the triples
-that fit under it, so the set-up costs one step per map entry; each map is
-held once for the call, as item lists per stored order.  Both sides of an
+over the store and the pairing entries) and packs each key under the
+series.KeyLayout of the highest stored order it reads.  It shares that
+key format with the solver, not the kernel: a pair product's key is one
+integer addition that never carries across fields.  One pass over the
+store builds the derivative map of every label triple, each stored key
+feeding the triples that fit under it, so the set-up costs one step per
+map entry; each map is held once for the call, as item lists per stored
+order.  Both sides of an
 equation are pair products drawn from one 4-label multiset, so the scan
 streams the equations one multiset at a time: it computes each pair
 product once and holds at most three of them.  Equal sides, as on a
@@ -65,6 +67,7 @@ from .series import (
     exponents_with_scaled_degree,
     format_key,
     indexed_profile,
+    key_layout,
     key_sort_key,
     multiplicity,
     unit_constant,
@@ -201,7 +204,7 @@ def contract_at(layout: KeyLayout, quad: WdvvQuad, xkey: SeriesKey, lookup):
     """Coefficient of t^xkey in WDVV(quad) as (c0, c1, c2): c0 + c1 x + c2 x^2.
 
     Keys travel packed under layout (series.KeyLayout): m in the low bits,
-    then one guarded field per twisted slot.  lookup(packed) returns the
+    then one field per twisted slot.  lookup(packed) returns the
     stored rational of an admissible key, TARGET for the formal unknown x,
     or raises Blocked(packed) for a key that is not known yet.  It is only
     called on keys obeying the Euler constraint (the others are zero), and
@@ -355,17 +358,16 @@ class ResidualReport:
 class _ScanMaps(NamedTuple):
     """Every nonzero third derivative of a store, as the scan reads it.
 
-    scale clears every denominator of the store and of the pairing.  A key
-    (alpha, m) packs into one integer: m in the low mbits bits, then one
-    slot of shift bits per twisted coordinate.  maps holds the derivative
-    map of each sorted label-index triple once, as (m, items) pairs in
-    increasing order m, where items lists the (packed key, scale * value)
-    entries of that order; triples whose map is empty are absent.
+    scale clears every denominator of the store and of the pairing.  Keys
+    are packed under layout, the series.KeyLayout of the highest stored
+    order the scan reads.  maps holds the derivative map of each sorted
+    label-index triple once, as (m, items) pairs in increasing order m,
+    where items lists the (packed key, scale * value) entries of that
+    order; triples whose map is empty are absent.
     """
 
     scale: int
-    mbits: int
-    shift: int
+    layout: KeyLayout
     maps: dict[tuple[int, ...], list[tuple[int, list[tuple[int, int]]]]]
 
 
@@ -385,24 +387,19 @@ def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
     # plain integers and products/sums stay exact.
     scale = math.lcm(*geom.orders, *(int(c.denominator) for c in pot.coeffs.values()), 1)
 
-    # A product's exponent is the sum of two derivative-map exponents,
-    # each at most a stored exponent, so the stored keys size the slots.
-    max_entry = max((k for key in pot.coeffs for k in key.alpha), default=1)
-    shift = (2 * max_entry + 1).bit_length()
-    mbits = max((2 * m_max + 1).bit_length(), 1)
+    # A pair product's key is an extraction monomial of weighted degree
+    # <= 3 and order <= 2 top, which the layout of top holds without a
+    # carry.  Sized by the store, not by m_max, which a file header may
+    # make huge.
+    top = max((key.m for key in pot.coeffs if key.m <= m_max), default=0)
+    layout = key_layout(geom, top)
+    pack = layout.pack
 
     def cleared(value) -> int:
         scaled = value * scale
         if scaled.denominator != 1:  # pragma: no cover - scale is an lcm
             raise AssertionError("denominator not cleared")
         return int(scaled.numerator)
-
-    def pack(alpha: tuple[int, ...], m: int) -> int:
-        packed = m
-        for s, k in enumerate(alpha):
-            if k:
-                packed |= k << (mbits + s * shift)
-        return packed
 
     point = geom.label_index[POINT]
     shapes = {}  # sorted triple -> (POINT count, slot multiplicities, packed shift)
@@ -436,7 +433,7 @@ def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
         value = unit_constant(geom, [UNIT, labels[i], labels[j]])
         if value:
             maps[0, i, j] = [(0, [(0, cleared(value))])]
-    return _ScanMaps(scale, mbits, shift, maps)
+    return _ScanMaps(scale, layout, maps)
 
 
 def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
@@ -468,18 +465,8 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             f"potential is complete up to order {pot.max_order}, cannot scan to {m_max}"
         )
     report = ResidualReport(geom, m_max)
-    scale, mbits, shift, maps = _scan_maps(pot, m_max)
-    mask = (1 << shift) - 1
-    mmask = (1 << mbits) - 1
-
-    def unpack(packed: int) -> SeriesKey:
-        m = packed & mmask
-        packed >>= mbits
-        alpha = []
-        for _ in range(geom.n_twisted):
-            alpha.append(packed & mask)
-            packed >>= shift
-        return SeriesKey(tuple(alpha), m)
+    scale, layout, maps = _scan_maps(pot, m_max)
+    mmask, unpack = layout.mmask, layout.unpack
 
     labels = geom.labels
     index = geom.label_index

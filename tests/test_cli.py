@@ -237,6 +237,15 @@ def test_records_outside_the_order_range_are_rejected(tmp_path, capsys):
     assert out == "" and "Euler constraint" in err
 
 
+def test_verify_refuses_a_scan_order_above_the_file_before_any_report(tmp_path, capsys):
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,3,4", "-m", "3", "-o", str(pot))
+    code, out, err = run(capsys, "verify", str(pot), "--max-order", "9")
+    assert code == 1
+    assert out == ""
+    assert err == "error: potential is complete up to order 3, cannot scan to 9\n"
+
+
 def test_verify_caps_the_scan_at_two_over_chi(tmp_path, capsys):
     # chi(2,3,4) = 1/12: no key is admissible above m = 24, so a huge
     # max-order header must not make the scan or its output grow.

@@ -224,7 +224,7 @@ def test_stored_keys_all_admissible(reconstructed):
 
 def _round_trips(layout, key):
     packed = layout.pack(*key)
-    return layout.unpack(packed) == key and not packed & layout.guards
+    return layout.unpack(packed) == key
 
 
 def test_packing_round_trips_at_the_widest_fields_237_m12():
@@ -246,7 +246,6 @@ def test_packing_round_trips_at_the_widest_fields_237_m12():
     assert _round_trips(layout, top)
     shifted = layout.pack(*top) + layout.pack((3,) * n, 0)
     assert layout.unpack(shifted) == SeriesKey((layout.limit + 3,) * n, 24)
-    assert not shifted & layout.guards
 
 
 def test_packing_round_trips_the_widest_fallback_extraction_345(monkeypatch):
@@ -290,25 +289,44 @@ def test_packing_rejects_a_component_past_its_field():
         packed = layout.pack(tuple(alpha), 4) + layout.pack(tuple(unit), 0)
         alpha[s] = layout.limit + 3
         assert layout.unpack(packed) == SeriesKey(tuple(alpha), 4)
-        assert not packed & layout.guards
 
 
-def test_guarded_subtraction_tests_containment():
-    # ((packed | guards) - vec) & guards == guards exactly when vec <= alpha
-    # componentwise; a short field borrows only its own guard bit.
+def test_borrow_check_tests_containment():
+    # (packed ^ vec ^ (packed - vec)) & starts is zero exactly when
+    # vec <= alpha componentwise.  Otherwise the lowest short field borrows
+    # from the next field up, so the lowest start bit set is that field's
+    # successor, or the bit above the top field, which a negative
+    # difference sets.
     geom = of.build_geometry("3,4,5")
     layout = key_layout(geom, 3)
-    rng = random.Random(5)
     n = geom.n_twisted
+    ends = [*layout.offsets[1:], layout.starts.bit_length() - 1]
+
+    def check(alpha, vec, m):
+        packed, shift = layout.pack(alpha, m), layout.pack(vec, 0)
+        borrowed = (packed ^ shift ^ (packed - shift)) & layout.starts
+        short = [s for s, (a, v) in enumerate(zip(alpha, vec)) if a < v]
+        if not short:
+            assert borrowed == 0
+        else:
+            assert borrowed & -borrowed == 1 << ends[short[0]]
+        return borrowed
+
+    rng = random.Random(5)
     for _ in range(500):
         alpha = tuple(rng.randrange(4) for _ in range(n))
         vec = tuple(rng.randrange(3) for _ in range(n))
-        packed, shift = layout.pack(alpha, rng.randrange(4)), layout.pack(vec, 0)
-        borrowed = layout.guards & ~((packed | layout.guards) - shift)
-        short = [a < v for a, v in zip(alpha, vec)]
-        assert (borrowed == 0) == (not any(short))
-        bits = layout.fmask.bit_length()
-        assert [bool(borrowed >> (off + bits) & 1) for off in layout.offsets] == short
+        check(alpha, vec, rng.randrange(4))
+    # Only the lowest field short, and only the top field short (the
+    # difference is then negative).
+    full = (layout.limit,) * n
+    for s in (0, n - 1):
+        vec = [0] * n
+        vec[s] = 1
+        alpha = list(full)
+        alpha[s] = 0
+        assert check(tuple(alpha), tuple(vec), 3)
+    assert check(full, (3,) * n, 3) == 0
 
 
 def _assert_packed_image(pot):

@@ -12,6 +12,7 @@ import orbifrob as of
 from orbifrob import wdvv
 from orbifrob import POINT, SeriesKey, Twisted, UNIT, WdvvQuad
 from orbifrob.rationals import QQ
+from orbifrob.series import key_layout
 
 from helpers import copy_potential, key_of
 from oracle import SymbolicOracle
@@ -408,10 +409,7 @@ def test_scan_maps_are_scaled_third_derivative_maps(
     # scan order, each entry filed under its own order, orders increasing.
     pot, _ = reconstructed(multiplet, m_max, mode)
     geom = pot.geometry
-    scale, mbits, shift, maps = wdvv._scan_maps(pot, scan_to)
-
-    def pack(key):
-        return key.m + sum(k << (mbits + s * shift) for s, k in enumerate(key.alpha))
+    scale, layout, maps = wdvv._scan_maps(pot, scan_to)
 
     triples = list(itertools.combinations_with_replacement(range(len(geom.labels)), 3))
     assert set(maps) <= set(triples)
@@ -419,7 +417,7 @@ def test_scan_maps_are_scaled_third_derivative_maps(
     for triple in triples:
         labels = [geom.labels[k] for k in triple]
         expected = {
-            pack(key): value * scale
+            layout.pack(*key): value * scale
             for key, value in pot.third_derivative_map(*labels).items()
             if key.m <= scan_to
         }
@@ -429,12 +427,54 @@ def test_scan_maps_are_scaled_third_derivative_maps(
         for m, items in maps.get(triple, []):
             assert items, triple
             for packed, value in items:
-                assert type(value) is int and packed & ((1 << mbits) - 1) == m
+                assert type(value) is int and packed & layout.mmask == m
                 got[packed] = value
                 entries += 1
         assert got == expected, labels
     assert entries == sum(len(items) for lists in maps.values() for _, items in lists)
     assert any(m == scan_to for lists in maps.values() for m, _ in lists)
+
+
+@pytest.mark.parametrize(
+    "multiplet, m_max, mode, products",
+    [
+        ("3,4,5", 3, of.rescaled_mode(-2), 868_115),
+        ("2,2,2,2", 6, of.STANDARD, 7_918),
+        ("2,3,4", 3, of.STANDARD, 17_677),
+    ],
+    ids=["345-m3-rescaled-2", "2222-m6", "234-m3"],
+)
+def test_scan_products_never_carry(reconstructed, multiplet, m_max, mode, products):
+    # A pair product's key is the sum of two packed map keys.  It is an
+    # extraction monomial that the scan's layout holds, so the addition
+    # carries out of no field: no start bit of the layout sees a carry.
+    # Checked for every eta-paired pair of map entries that a product of
+    # two label pairs can multiply, within the scan order.
+    pot, _ = reconstructed(multiplet, m_max, mode)
+    geom = pot.geometry
+    _, layout, maps = wdvv._scan_maps(pot, m_max)
+    index = geom.label_index
+    eta = [(index[sigma], index[tau]) for sigma, tau, _ in geom.eta_inverse_pairs]
+    series = [k for k, lab in enumerate(geom.labels) if lab is not UNIT]
+    pairs = list(itertools.combinations_with_replacement(series, 2))
+    paired = {
+        (tuple(sorted((*p1, sigma))), tuple(sorted((*p2, tau))))
+        for p1, p2 in itertools.product(pairs, repeat=2)
+        for sigma, tau in eta
+    }
+    starts = layout.starts
+    checked = carries = 0
+    for triple1, triple2 in paired:
+        for m1, items1 in maps.get(triple1, ()):
+            for m2, items2 in maps.get(triple2, ()):
+                if m1 + m2 > m_max:
+                    break
+                for k1, _ in items1:
+                    for k2, _ in items2:
+                        checked += 1
+                        if (k1 ^ k2 ^ (k1 + k2)) & starts:
+                            carries += 1
+    assert (checked, carries) == (products, 0)
 
 
 # One admissible m=8 record of the 2,3,7 m=8 potential under a huge header.
@@ -455,6 +495,7 @@ def test_residual_scan_is_sized_by_the_store_not_the_header():
     # 21,533,552 bytes measured then, nearly all of it the per-order
     # targets-checked counts.
     pot = of.parse_potential(_HUGE_HEADER_FILE)
+    assert wdvv._scan_maps(pot, pot.max_order).layout is key_layout(pot.geometry, 8)
     tracemalloc.start()
     try:
         report = of.residual_scan(pot, pot.max_order)
