@@ -20,8 +20,9 @@ absent key is 0 unless the potential still counts it as unknown.
 Exponent vectors are dense integer tuples in the canonical twisted-label
 order of the geometry (sparse pairs only appear in serialisation, spelt by
 geometry.format_label).  Keys are SeriesKey(alpha, m) named tuples, cheap
-to hash and compare.  The solver's kernel reads them packed into single
-integers instead (KeyLayout, Potential.packed).
+to hash and compare.  The solver's kernel and the residual scan read them
+packed into single integers instead, all in the one format of KeyLayout
+(Potential.packed holds the store so).
 """
 
 from __future__ import annotations
@@ -262,18 +263,18 @@ class KeyLayout:
     """One integer per key: the package's packed form of (alpha, m).
 
     m sits in the low bits (mmask), then each twisted slot s has a field
-    of fmask at offsets[s], the fields back to back.  The widths hold the
-    keys of orders up to 2 m_max whose weighted degree is at most 3: every
-    admissible key of order <= m_max and every WDVV extraction monomial of
-    order <= 2 m_max, each component at most limit, with room for 3 more
-    per slot (a derivative's shift).  So the solver's sums of keys and
-    shifts, and the residual scan's pair products, never carry across
-    fields.  starts holds the lowest bit of each twisted field and the bit
-    just above the last one: a carry out of a field, or a borrow into one,
-    lands on a start bit.  So vec fits under a packed key exactly when
-    not (packed ^ vec ^ (packed - vec)) & starts, a negative difference
-    setting the top bit.  Build it with key_layout, which returns one
-    layout per (geometry, m_max).
+    at offsets[s], read with fmask, the fields back to back.  The widths
+    hold the keys of orders up to 2 m_max whose weighted degree is at
+    most 3: every admissible key of order <= m_max and every WDVV
+    extraction monomial of order <= 2 m_max, each component at most limit,
+    with room for 3 more per slot (a derivative's shift).  So the solver's
+    sums of keys and shifts, and the residual scan's pair products, never
+    carry across fields.  starts holds the lowest bit of each twisted field
+    and the bit just above the last one: a carry out of a field, or a
+    borrow into one, lands on a start bit.  So vec fits under a packed key
+    exactly when not (packed ^ vec ^ (packed - vec)) & starts, a negative
+    difference setting the top bit.  Build it with key_layout, which
+    returns one layout per (geometry, m_max).
     """
 
     __slots__ = ("geometry", "m_max", "mmask", "limit", "fmask", "offsets", "starts")
