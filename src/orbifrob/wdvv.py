@@ -37,15 +37,14 @@ integer addition that never carries across fields.  One pass over the
 store builds the derivative map of every label triple, each stored key
 feeding the triples that fit under it, so the set-up costs one step per
 map entry; each map is held once for the call, as item lists per stored
-order.  Both sides of an
-equation are pair products drawn from one 4-label multiset, so the scan
-streams the equations one multiset at a time: it computes each pair
-product once and holds at most three of them.  Equal sides, as on a
-correct potential, are compared with one dict comparison and their
-monomials counted per order in C; only unequal sides are walked key by
-key.  For a target of order m only stored orders m1 + m2 = m contribute,
-all <= m_max, hence reported residuals are exact values of the equations,
-not truncations.
+order.  Both sides of an equation are pair products drawn from one
+4-label multiset, so the scan streams the equations one multiset at a
+time: it computes each pair product once and holds at most three of
+them.  Equal sides, as on a correct potential, are compared with one dict
+comparison and their monomials counted per order in C; only unequal
+sides are walked key by key.  For a target of order m only stored
+orders m1 + m2 = m contribute, all <= m_max, hence reported residuals are
+exact values of the equations, not truncations.
 """
 
 from __future__ import annotations
