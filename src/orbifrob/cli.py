@@ -23,6 +23,7 @@ from .reconstruct import InconsistentSeed, ReconstructionError, SeedMode, recons
 from .verify import (
     check_euler,
     check_limit_product,
+    check_seeds,
     check_selection,
     check_separation,
     check_symmetry,
@@ -132,8 +133,8 @@ def _symmetry_reports(pot) -> list:
 
 
 # name -> reports of the check, in the default output order.  By default
-# every check runs but "selection", which runs only when named, and
-# "vanishing" only on files of a vanishing seed mode.  The wdvv scan is
+# every check runs but "selection" and "seeds", which run only when named,
+# and "vanishing" only on files of a vanishing seed mode.  The wdvv scan is
 # run after all the other checks and printed after their reports.
 CHECKS = {
     "euler": lambda pot: [check_euler(pot)],
@@ -142,6 +143,7 @@ CHECKS = {
     "limit": lambda pot: [check_limit_product(pot)],
     "vanishing": lambda pot: [check_vanishing(pot)],
     "selection": lambda pot: [check_selection(pot)],
+    "seeds": lambda pot: [check_seeds(pot)],
     "wdvv": lambda pot: [],
 }
 
@@ -157,8 +159,9 @@ def _cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(sorted(unknown))}")
     else:
-        vanishing = not pot.seed_mode.degree_one
-        skipped = {"selection"} if vanishing else {"selection", "vanishing"}
+        skipped = {"selection", "seeds"}
+        if pot.seed_mode.degree_one:
+            skipped.add("vanishing")
         selected = [name for name in CHECKS if name not in skipped]
 
     reports = [report for name in selected for report in CHECKS[name](pot)]

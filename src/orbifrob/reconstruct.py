@@ -1,15 +1,12 @@
 """Seeding and WDVV-driven reconstruction of the potential.
 
-The initial data (seeds) consists of
-
-* the limit cubics: c(e_{i,j1} + e_{i,j2} + e_{i,j3}, 0) = 1/(a_i s) when
-  j1 + j2 + j3 = a_i, where s is the multiplicity factor of the triple
-  (these encode the limit product together with the pairing),
-* sector purity: every order-0 key touching two different sectors is 0,
-* the degree-one stratum of length <= r: zero except the product key
-  e_{1,1} + ... + e_{r,1} at order 1, whose value the seed mode fixes,
-* in vanishing mode, the quartic coefficients c(2e_{i,1}+2e_{i,a_i-1}, 0)
-  (= c(4 e_{i,1}, 0) for a_i = 2).
+The initial data (seeds) is one stream, seed_entries, of (key, value,
+family) entries in five families: limit-cubic, sector-purity, degree-one,
+degree-one-support and, in vanishing mode, quartic.  Every nonzero value
+is a derivative constant over prod_s alpha_s!, the factor
+series.multiplicity gives along the key's own exponents: 1/a_i for the
+limit cubics, the mode's value for the degree-one key, -1/a_i^2 for the
+quartics and eta(sigma, tau) for F_triv's terms in pairing_entries.
 
 Every other admissible coefficient is solved one at a time: the
 coefficient of a chosen extraction monomial in a chosen WDVV equation is
@@ -33,11 +30,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import Geometry, POINT, Twisted, UNIT, build_geometry
+from .geometry import Geometry, POINT, Twisted, UNIT, build_geometry, format_label
 from .rationals import QQ, format_rational, parse_rational
 from .series import (
     KeyLayout,
@@ -51,7 +49,6 @@ from .series import (
     format_key,
     indexed_profile,
     key_sort_key,
-    s_factor,
     support_sectors,
 )
 from .wdvv import TARGET, Blocked, WdvvQuad, contract_at, format_quad
@@ -155,54 +152,64 @@ def rescaled_mode(a) -> SeedMode:
 # -- seeding ------------------------------------------------------------
 
 
-def _seed_with_provenance(geom: Geometry, mode: SeedMode, m_max: int):
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    pot = Potential(geom, mode)
-    pot.max_order = top = effective_max_order(geom, m_max)
-    pot.unknown = {SeriesKey(a, m) for m in range(top + 1) for a in admissible_keys(geom, m)}
-    entries: list[tuple[SeriesKey, object, str]] = []
+def _value(constant, exponents):
+    """The coefficient whose derivative along its own exponents is constant."""
+    return QQ(constant) / math.prod(map(math.factorial, exponents))
 
-    def put(key, value, provenance):
-        pot.set_coefficient(key, value)
-        entries.append((key, QQ(value), provenance))
 
+def seed_entries(geom: Geometry, mode: SeedMode):
+    """The initial data as (key, value, family) entries, family by family."""
     # Limit cubics: single-sector length-3 keys.  Admissibility already
     # forces j1 + j2 + j3 = a_i, so all of them are nonzero here.
     for i, a in enumerate(geom.orders, start=1):
         for js in itertools.combinations_with_replacement(range(1, a), 3):
-            if sum(js) != a:
-                continue
-            alpha = alpha_from_pairs(geom, [((i, j), 1) for j in js])
-            put(SeriesKey(alpha, 0), QQ(1, a * s_factor(*js)), "limit-cubic")
+            if sum(js) == a:
+                key = SeriesKey(alpha_from_pairs(geom, [((i, j), 1) for j in js]), 0)
+                yield key, _value(QQ(1, a), key.alpha), "limit-cubic"
 
     # Sector purity: all order-0 keys meeting two sectors vanish.  Seeding
     # makes them known zeros, so they are never scheduled.
     for alpha in admissible_keys(geom, 0):
         if len(support_sectors(geom, alpha)) >= 2:
-            put(SeriesKey(alpha, 0), QQ(0), "sector-purity")
+            yield SeriesKey(alpha, 0), QQ(0), "sector-purity"
 
     # Degree-one stratum of length <= r: the product key, then the rest.
-    product_alpha = alpha_from_pairs(geom, [((i, 1), 1) for i in range(1, geom.r + 1)])
-    put(SeriesKey(product_alpha, 1), mode.degree_one, "degree-one")
+    product = alpha_from_pairs(geom, [((i, 1), 1) for i in range(1, geom.r + 1)])
+    yield SeriesKey(product, 1), _value(mode.degree_one, product), "degree-one"
     for alpha in admissible_keys(geom, 1):
-        if alpha_length(alpha) <= geom.r and alpha != product_alpha:
-            put(SeriesKey(alpha, 1), QQ(0), "degree-one-support")
+        if alpha_length(alpha) <= geom.r and alpha != product:
+            yield SeriesKey(alpha, 1), QQ(0), "degree-one-support"
 
     if mode.quartic:
         for i, a in enumerate(geom.orders, start=1):
             alpha = alpha_from_pairs(geom, [((i, 1), 2), ((i, a - 1), 2)])
-            value = QQ(-1, 96) if a == 2 else QQ(-1, 4 * a * a)
-            put(SeriesKey(alpha, 0), value, "quartic")
+            yield SeriesKey(alpha, 0), _value(QQ(-1, a * a), alpha), "quartic"
 
-    return pot, entries
+
+def pairing_entries(geom: Geometry):
+    """F_triv as (sigma, tau, coefficient of t1 t_sigma t_tau), once per
+    unordered pair of labels with eta(sigma, tau) != 0, in label order."""
+    for sigma, tau, _ in geom.eta_inverse_pairs:
+        if geom.label_index[sigma] <= geom.label_index[tau]:
+            labels = (UNIT, sigma, tau)
+            yield sigma, tau, _value(geom.pairing(sigma, tau), map(labels.count, set(labels)))
+
+
+def _seeded(geom: Geometry, mode: SeedMode, m_max: int, entries) -> Potential:
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    pot = Potential(geom, mode)
+    pot.max_order = top = effective_max_order(geom, m_max)
+    pot.unknown = {SeriesKey(a, m) for m in range(top + 1) for a in admissible_keys(geom, m)}
+    for key, value, _ in entries:
+        pot.set_coefficient(key, value)
+    return pot
 
 
 def seed(geom: Geometry, mode: SeedMode, m_max: int) -> Potential:
     """Fresh unsealed potential knowing exactly the seed coefficients; every
     other admissible key up to the effective maximal order is unknown."""
-    pot, _ = _seed_with_provenance(geom, mode, m_max)
-    return pot
+    return _seeded(geom, mode, m_max, seed_entries(geom, mode))
 
 
 # -- schedule -----------------------------------------------------------
@@ -561,7 +568,7 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
 @dataclass
 class ReconstructionTrace:
     """Audit record: which equation determined which coefficient.  The
-    seeds are listed in the order seeding imposed them."""
+    seeds are the entries of seed_entries, in its order."""
 
     geometry: Geometry
     mode: SeedMode
@@ -571,21 +578,13 @@ class ReconstructionTrace:
 
     def to_text(self) -> str:
         geom = self.geometry
-        lines = [
-            f"reconstruction-trace: multiplet={geom.multiplet} mode={self.mode.token()}"
-        ]
-        lines.append("seed | t1^2 tmu^1 | 1/2 | pairing")
-        for i, a in enumerate(geom.orders, start=1):
-            for j in range(1, a // 2 + 1):
-                jc = a - j
-                value = QQ(1, 2 * a) if j == jc else QQ(1, a)
-                lines.append(
-                    f"seed | t1^1 ({i},{j})^1 ({i},{jc})^1 | {format_rational(value)} | pairing"
-                )
-        for key, value, provenance in self.seeds:
-            lines.append(
-                f"seed | {format_key(geom, key)} | {format_rational(value)} | {provenance}"
-            )
+        lines = [f"reconstruction-trace: multiplet={geom.multiplet} mode={self.mode.token()}"]
+        for sigma, tau, value in pairing_entries(geom):
+            # UNIT pairs with POINT only; t1 t_(i,j)^2 reads t1^1 (i,j)^1 (i,j)^1.
+            head = "t1^2" if sigma is UNIT else f"t1^1 {format_label(sigma)}^1"
+            lines.append(f"seed | {head} {format_label(tau)}^1 | {format_rational(value)} | pairing")
+        for key, value, family in self.seeds:
+            lines.append(f"seed | {format_key(geom, key)} | {format_rational(value)} | {family}")
         for step in self.steps:
             lines.append(
                 f"solve | {format_key(geom, step.target)} | {format_rational(step.value)}"
@@ -619,8 +618,8 @@ def reconstruct(
     if strategy not in ("guided", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     geom = build_geometry(multiplet)
-    pot, seed_entries = _seed_with_provenance(geom, mode, m_max)
-    trace = ReconstructionTrace(geom, mode, seeds=seed_entries)
+    trace = ReconstructionTrace(geom, mode, seeds=list(seed_entries(geom, mode)))
+    pot = _seeded(geom, mode, m_max, trace.seeds)
     pending = build_schedule(pot)
     guided = strategy == "guided"
     use_fallback = not guided

@@ -186,12 +186,9 @@ def admissible_keys(geom: Geometry, m: int) -> list[tuple[int, ...]]:
 
 
 def s_factor(a: int, b: int, c: int) -> int:
-    """Multiplicity factor of a triple of indices: 1, 6 or 2.
-
-    1 when pairwise distinct, 6 when all equal, 2 otherwise.  Only used to
-    mirror triple-derivative multiplicities in tests and seed formulas;
-    the generic code paths compute falling factorials directly.
-    """
+    """Multiplicity factor of a triple of indices: 1 when pairwise distinct,
+    6 when all equal, 2 otherwise.  Only the tests use it, as the reference
+    for the limit-cubic seeds; the package computes factorials directly."""
     if a == b == c:
         return 6
     if a != b and b != c and a != c:

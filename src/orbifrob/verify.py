@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .geometry import Geometry, POINT, Twisted, UNIT, format_label
 from .rationals import QQ, format_rational
+from .reconstruct import STANDARD, seed_entries
 from .series import (
     Potential,
     SeriesKey,
@@ -87,6 +88,22 @@ def check_selection(pot: Potential) -> CheckReport:
         return any((charge[i] - key.m) % a for i, a in enumerate(geom.orders, start=1))
 
     return _first_failure(pot, "selection", fails)
+
+
+def check_seeds(pot: Potential) -> CheckReport:
+    """The potential agrees with every seed of its mode up to its
+    max-order, absent meaning 0; a failure names the first disagreeing
+    seed key and its family.
+
+    The seeds are regenerated from the multiplet and the mode, so a file
+    whose coefficients contradict its mode header fails here.
+    """
+    geom = pot.geometry
+    mode = pot.seed_mode if pot.seed_mode is not None else STANDARD
+    for key, value, family in seed_entries(geom, mode):
+        if key.m <= pot.max_order and pot.get_coefficient(key) != value:
+            return CheckReport("seeds", False, f"{format_key(geom, key)} | {family}")
+    return CheckReport("seeds", True)
 
 
 def _swap_alpha(geom: Geometry, alpha, i1: int, i2: int):

@@ -167,6 +167,25 @@ def test_verify_checks_the_selection_rule_only_when_named(tmp_path, capsys):
     assert out == "CHECK selection: FAIL [(1,1)^1 (2,2)^1 (3,2)^3 | m=0]\n"
 
 
+def test_verify_checks_the_seeds_against_the_mode_header(tmp_path, capsys):
+    path = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,3,4", "-m", "3", "-o", str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--checks", "seeds")
+    assert (code, out) == (0, "CHECK seeds: PASS\n")
+    assert "seeds" not in run(capsys, "verify", str(path))[1]
+    # Rescaling keeps every WDVV equation, so only the seeds tell that the
+    # degree-one value 2 contradicts a standard header.
+    of.write_potential(of.rescale_novikov(of.read_potential(path), 2), path)
+    text = path.read_text()
+    assert "\nmode: rescaled:2\n" in text
+    path.write_text(text.replace("\nmode: rescaled:2\n", "\nmode: standard\n"))
+    assert run(capsys, "verify", str(path))[0] == 0
+    code, out, _ = run(capsys, "verify", str(path), "--checks", "seeds,wdvv")
+    assert code == 4
+    assert out.splitlines()[0] == "CHECK seeds: FAIL [(1,1)^1 (2,1)^1 (3,1)^1 | m=1 | degree-one]"
+    assert "nonzero-residuals: 0" in out
+
+
 def test_show(tmp_path, capsys):
     pot = tmp_path / "pot.txt"
     run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import sys
 
 import pytest
@@ -56,23 +58,74 @@ def test_seed_imposes_sector_purity():
     assert pot.get_coefficient(mixed) == 0
 
 
+SEED_FAMILIES = ("limit-cubic", "sector-purity", "degree-one", "degree-one-support", "quartic")
+
+
 def test_seeds_obey_the_selection_rule():
     # The orbifold group fixes every seed family, so every nonzero seed of
     # every mode obeys sum_j j alpha_{i,j} == m (mod a_i) in every sector;
-    # zero seeds are zero whatever their charge.
-    from orbifrob.reconstruct import _seed_with_provenance
-
+    # zero seeds are zero whatever their charge.  Each family's entries
+    # also come as one run, the runs in SEED_FAMILIES order.
     modes = (of.STANDARD, of.rescaled_mode(QQ(-2, 3)), of.VANISHING, of.VANISHING_NO_QUARTIC)
     checked = set()
     for name in ("2,2,2", "2,2,3", "2,3,4", "3,3,3", "4,4,4", "3,4,5", "2,3,7", "2,2,2,2,2"):
         geom = of.build_geometry(name)
         for mode in modes:
-            _, entries = _seed_with_provenance(geom, mode, 3)
-            for key, value, provenance in entries:
+            entries = list(of.seed_entries(geom, mode))
+            for key, value, family in entries:
                 if value:
                     assert obeys_selection_rule(geom, key), (name, mode, key)
-                    checked.add(provenance)
+                    checked.add(family)
+            runs = [family for family, _ in itertools.groupby(e[2] for e in entries)]
+            assert runs == [f for f in SEED_FAMILIES if f in runs], (name, mode, runs)
+            assert ("quartic" in runs) == mode.quartic
     assert checked == {"limit-cubic", "degree-one", "quartic"}
+
+
+@pytest.mark.parametrize("multiplet", ["2,2,2", "2,3,4", "4,4,4", "2,3,6"])
+def test_pairing_lines_are_f_triv(reconstructed, multiplet):
+    # One "| pairing" line per unordered label pair with eta != 0, spelling
+    # the monomial t1 t_sigma t_tau; its coefficient times the product of
+    # the factorials of the monomial's exponents is eta(sigma, tau).
+    _, trace = reconstructed(multiplet, 1)
+    geom = trace.geometry
+    index = geom.label_index
+    by_name = {of.format_label(lab): lab for lab in geom.labels}
+    seen = []
+    for line in trace.to_text().splitlines():
+        if not line.endswith(" | pairing"):
+            continue
+        _, monomial, value, _ = line.split(" | ")
+        labels = []
+        for factor in monomial.split():
+            name, _, exponent = factor.partition("^")
+            labels += [by_name[name]] * int(exponent)
+        factorials = math.prod(math.factorial(labels.count(lab)) for lab in set(labels))
+        labels.remove(of.UNIT)
+        sigma, tau = sorted(labels, key=index.get)
+        assert of.parse_rational(value) * factorials == geom.pairing(sigma, tau), line
+        seen.append((index[sigma], index[tau]))
+    n = len(geom.labels)
+    assert sorted(seen) == [
+        (k, l) for k in range(n) for l in range(k, n)
+        if geom.pairing(geom.labels[k], geom.labels[l])
+    ]
+
+
+def test_reconstruct_generates_the_seeds_once(monkeypatch):
+    # One stream feeds both the store and the trace's seed lines.
+    module = sys.modules["orbifrob.reconstruct"]
+    every = module.seed_entries
+    calls = []
+
+    def counting(geom, mode):
+        calls.append(mode)
+        return every(geom, mode)
+
+    monkeypatch.setattr(module, "seed_entries", counting)
+    pot, trace = of.reconstruct("2,2,3", 2, of.VANISHING)
+    assert calls == [of.VANISHING]
+    assert trace.seeds == list(every(pot.geometry, of.VANISHING))
 
 
 def test_seed_mode_tokens(reconstructed):

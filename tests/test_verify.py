@@ -92,6 +92,26 @@ def test_check_selection(reconstructed):
     assert report.detail == of.format_key(geom, bad)
 
 
+def test_check_seeds(reconstructed):
+    for mode in (of.STANDARD, of.rescaled_mode(QQ(-2, 3)), of.VANISHING, of.VANISHING_NO_QUARTIC):
+        pot, _ = reconstructed("2,2,3", 2, mode)
+        assert of.check_seeds(pot).passed, mode
+    pot, _ = reconstructed("2,2,3", 2, of.VANISHING)
+    geom = pot.geometry
+    # Seeds are compared in stream order: a wrong quartic is found only
+    # once every earlier family agrees.
+    quartic = key_of(geom, {(3, 1): 2, (3, 2): 2}, 0)
+    report = of.check_seeds(copy_potential(pot, {quartic: QQ(1, 36)}))
+    assert report.detail == "(3,1)^2 (3,2)^2 | m=0 | quartic"
+    cubic = key_of(geom, {(3, 1): 3}, 0)
+    report = of.check_seeds(copy_potential(pot, {quartic: 0, cubic: 0}))
+    assert report.detail == "(3,1)^3 | m=0 | limit-cubic"
+    # A potential read as standard must carry the standard degree-one value.
+    standard = copy_potential(pot)
+    standard.seed_mode = of.STANDARD
+    assert of.check_seeds(standard).detail == "(1,1)^1 (2,1)^1 (3,1)^1 | m=1 | degree-one"
+
+
 def test_check_vanishing(reconstructed):
     vanishing, _ = reconstructed("2,2,3", 2, of.VANISHING)
     assert of.check_vanishing(vanishing).passed
