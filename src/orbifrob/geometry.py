@@ -24,10 +24,10 @@ reconstruction formulas depend on the orders alone, so carrying the points
 around would only suggest a dependence that does not exist.
 
 There is one immutable Geometry per multiplet; build it with
-build_geometry.  Tables derived from it (derivative profiles, the
-key layouts, the solver's quad plans, the fallback's socket table) are
-memoised by the functions that compute them, keyed by the geometry or by
-a layout of it, and never stored on it.
+build_geometry.  Tables derived from it are memoised by the functions
+that compute them and never stored on it: the derivative profiles and
+key layouts keyed by the geometry, the packed derivative shifts, the
+solver's quad plans and the fallback's socket table keyed by a layout.
 """
 
 from __future__ import annotations
@@ -159,13 +159,14 @@ class Geometry:
         )
         self.chi_scaled = int(self.chi * self.scale)
 
-        # Nonzero blocks of the inverse pairing: each label sigma pairs
-        # with exactly one tau, with integer entry eta^(sigma,tau).
+        # Each label sigma pairs with exactly one tau: the inverse pairing
+        # has the integer entry eta^(sigma,tau) = w, and eta(sigma,tau) = 1/w.
         pairs = [(UNIT, POINT, 1), (POINT, UNIT, 1)]
         for lab in self.twisted:
             a = orders[lab.sector - 1]
             pairs.append((lab, Twisted(lab.sector, a - lab.j), a))
         self.eta_inverse_pairs: tuple = tuple(pairs)
+        self.eta = {(sigma, tau): QQ(1, w) for sigma, tau, w in pairs}
 
     # -- basic data ----------------------------------------------------
 
@@ -199,16 +200,10 @@ class Geometry:
     # -- pairing -------------------------------------------------------
 
     def pairing(self, u, v):
-        """The flat bilinear form eta on coordinate fields."""
+        """The flat bilinear form eta: its entry in self.eta, else 0."""
         self.check_label(u)
         self.check_label(v)
-        if (u is UNIT and v is POINT) or (u is POINT and v is UNIT):
-            return QQ(1)
-        if isinstance(u, Twisted) and isinstance(v, Twisted):
-            a = self.order(u.sector)
-            if u.sector == v.sector and v.j == a - u.j:
-                return QQ(1, a)
-        return QQ(0)
+        return self.eta.get((u, v), QQ(0))
 
     def pairing_inverse(self, u, v):
         """Entry eta^(u,v) of the inverse matrix of the pairing.

@@ -47,8 +47,8 @@ from .series import (
     alpha_length,
     effective_max_order,
     format_key,
-    indexed_profile,
     key_sort_key,
+    packed_profile,
     support_sectors,
 )
 from .wdvv import TARGET, Blocked, WdvvQuad, contract_at, format_quad
@@ -427,23 +427,24 @@ class _Sockets(NamedTuple):
 
 
 @functools.cache
-def _fallback_sockets(geom: Geometry):
-    """The exhaustive fallback's socket table, built once per geometry.
+def _fallback_sockets(layout: KeyLayout):
+    """The exhaustive fallback's socket table, built once per key layout.
 
     A socket is a way for the target to sit in a derivative of one side of
-    a WDVV equation: in the triple (x, y, sigma) with twisted indicators
-    vec1 and p1 POINT factors, against either the analytic constant
-    eta(z, t) (sigma = POINT pairs tau = UNIT) or a stored partner shifted
-    by vec2 with p2 POINT factors.  No label of a quad and neither sigma
-    nor tau is UNIT, so a shift vector fixes its p = 3 - |vec|, and a
-    socket is named by (quad, vec1) or (quad, vec1, vec2).  Sockets are
-    numbered in stream order: canonical quad order, then the four
-    orientations, then the pairs of eta, first occurrence kept.  Each
-    label triple's derivative profile is computed once.
+    a WDVV equation: in the triple (x, y, sigma) with p1 POINT factors
+    and packed twisted shift vec1, against either the analytic constant
+    eta(z, t) (sigma = POINT pairs tau = UNIT) or a stored partner with
+    p2 POINT factors and shift vec2, as series.packed_profile gives them.
+    No label of a quad and neither sigma nor tau is UNIT, so a socket is
+    named by (quad, vec1) or (quad, vec1, vec2).  Sockets are numbered in
+    stream order: canonical quad order, then the four orientations, then
+    the pairs of eta, first occurrence kept.  Each triple is looked up once.
 
     Returns (quads, shifts, analytic, series): the canonical WdvvQuads,
-    the distinct shift vectors as (vec, p), and one _Sockets per phase.
+    the distinct shifts as (packed vec, p) in first-seen order, and one
+    _Sockets per phase.
     """
+    geom = layout.geometry
     labels, index = geom.labels, geom.label_index
     point = index[POINT]
     eta = [(index[s], index[t]) for s, t, _ in geom.eta_inverse_pairs if UNIT not in (s, t)]
@@ -451,15 +452,14 @@ def _fallback_sockets(geom: Geometry):
     series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
     pairs = list(itertools.combinations_with_replacement(series_labels, 2))
 
-    # Shift vectors are numbered in first-seen order.
-    vec_id: dict[tuple, int] = {}
+    shift_id: dict[tuple, int] = {}  # (packed vec, p) -> shift number
     triple_id: dict[tuple, int] = {}
 
     def shift(triple):
         got = triple_id.get(triple)
         if got is None:
-            vec = indexed_profile(geom, tuple(sorted(triple)))[2]
-            got = triple_id[triple] = vec_id.setdefault(vec, len(vec_id))
+            p, vec, _ = packed_profile(layout, tuple(sorted(triple)))
+            got = triple_id[triple] = shift_id.setdefault((vec, p), len(shift_id))
         return got
 
     quads = []
@@ -488,27 +488,22 @@ def _fallback_sockets(geom: Geometry):
 
     return (
         tuple(quads),
-        tuple((vec, 3 - sum(vec)) for vec in vec_id),
+        tuple(shift_id),
         _Sockets(tuple(a_groups.items()), a_quad, array("l")),
         _Sockets(tuple(s_groups.items()), s_quad, s_shift),
     )
 
 
-@functools.cache
-def _packed_shifts(layout: KeyLayout):
-    """The socket table's shift vectors as (packed vec, p) under layout."""
-    return tuple((layout.pack(vec, 0), p) for vec, p in _fallback_sockets(layout.geometry)[1])
-
-
 def _fitting(layout: KeyLayout, groups, packed: int):
     """(item, packed - vec) for the items of every (shift number, items)
-    group whose shift vec fits under the packed key, sorted by item.
+    group of the layout's socket table whose shift vec fits under the
+    packed key, sorted by item.
 
     One subtraction tests the fit: vec fits exactly when packed - vec
     borrows into no field, that is when no start bit of the layout is set
     in packed ^ vec ^ (packed - vec).  A POINT derivative carries a factor
     m, so shifts with p > 0 never fit an order-0 key."""
-    shifts, starts = _packed_shifts(layout), layout.starts
+    shifts, starts = _fallback_sockets(layout)[1], layout.starts
     order0 = not packed & layout.mmask
     hits = []
     for v, items in groups:
@@ -535,8 +530,8 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
     each partner once per distinct vec2 among the sockets the target fits,
     all on packed keys; an extraction key is unpacked only when yielded.
     """
-    quads, _, analytic, series = _fallback_sockets(pot.geometry)
     layout = pot.packed().layout
+    quads, _, analytic, series = _fallback_sockets(layout)
     packed_target = layout.pack(*target)
     seen: set[tuple] = set()
 

@@ -310,6 +310,18 @@ class KeyLayout:
 key_layout = functools.cache(KeyLayout)
 
 
+@functools.cache
+def packed_profile(layout: KeyLayout, triple: tuple[int, ...]):
+    """(points, packed shift, (field offset, multiplicity) pairs) of the
+    derivative along the sorted label-index triple under layout.
+
+    Memoised like indexed_profile: the quad plans and the fallback's
+    socket table of a layout share them.
+    """
+    _, points, vec, mults = indexed_profile(layout.geometry, triple)
+    return points, layout.pack(vec, 0), tuple((layout.offsets[s], k) for s, k in mults)
+
+
 # -- the potential ------------------------------------------------------
 
 
@@ -332,39 +344,21 @@ class Potential:
     and safe for concurrent reads.
 
     The WDVV kernel reads the store through packed(), the same coeffs and
-    unknown with packed-integer keys.  It is built on first use and then
-    kept in step by set_coefficient and seal; assigning unknown or a new
-    max_order drops it.  So write the store through those, not into the
-    dict or set in place, once the potential has been probed.
+    unknown with packed-integer keys.  It is built on first use, again
+    once max_order or the unknown set object differs from its own, and
+    kept in step by set_coefficient and seal.  So write the store through
+    those, not into the dict or set in place, once it has been probed.
     """
 
     def __init__(self, geometry: Geometry, seed_mode=None):
         self.geometry = geometry
         self.seed_mode = seed_mode
         self.coeffs: dict[SeriesKey, object] = {}
-        self._packed: PackedStore | None = None
-        self._unknown: set[SeriesKey] = set()
-        self._max_order: int | None = None
+        self.unknown: set[SeriesKey] = set()
+        self.max_order: int | None = None
         self.sealed = False
-
-    @property
-    def unknown(self) -> set[SeriesKey]:
-        return self._unknown
-
-    @unknown.setter
-    def unknown(self, keys: set[SeriesKey]) -> None:
-        self._unknown = keys
-        self._packed = None
-
-    @property
-    def max_order(self) -> int | None:
-        return self._max_order
-
-    @max_order.setter
-    def max_order(self, order: int | None) -> None:
-        if order != self._max_order:
-            self._packed = None
-        self._max_order = order
+        # (max_order, unknown, view) of the last packed() view, or None.
+        self._packed: tuple | None = None
 
     # -- store ----------------------------------------------------------
 
@@ -377,14 +371,14 @@ class Potential:
                 f"key {format_key(self.geometry, key)} violates the Euler "
                 f"constraint: wdeg = {weighted_degree(self.geometry, key)} != 2"
             )
-        self._unknown.discard(key)
+        self.unknown.discard(key)
         if value:
             value = self.coeffs[key] = QQ(value)
         else:
             self.coeffs.pop(key, None)
-        store = self._packed
-        if store is None:
+        if self._packed is None:
             return
+        store = self._packed[2]
         if key.m > store.layout.m_max:  # past the layout: rebuilt on next use
             self._packed = None
             return
@@ -402,23 +396,26 @@ class Potential:
     def seal(self, max_order: int) -> None:
         self.sealed = True
         self.max_order = max_order
-        self._unknown.clear()
+        self.unknown.clear()
         if self._packed is not None:
-            self._packed.unknown.clear()
+            self._packed[2].unknown.clear()
 
     def packed(self) -> PackedStore:
         """The store with packed keys, under the layout of the largest order
         among max_order and the keys held."""
-        if self._packed is None:
-            top = max((key.m for key in (*self.coeffs, *self._unknown)), default=0)
-            layout = key_layout(self.geometry, max(top, self._max_order or 0))
-            pack = layout.pack
-            self._packed = PackedStore(
-                layout,
-                {pack(*key): value for key, value in self.coeffs.items()},
-                {pack(*key) for key in self._unknown},
-            )
-        return self._packed
+        built = self._packed
+        if built is not None and built[0] == self.max_order and built[1] is self.unknown:
+            return built[2]
+        top = max((key.m for key in (*self.coeffs, *self.unknown)), default=0)
+        layout = key_layout(self.geometry, max(top, self.max_order or 0))
+        pack = layout.pack
+        store = PackedStore(
+            layout,
+            {pack(*key): value for key, value in self.coeffs.items()},
+            {pack(*key) for key in self.unknown},
+        )
+        self._packed = (self.max_order, self.unknown, store)
+        return store
 
     def items_sorted(self):
         """Stored (key, value) pairs in canonical (m, length, alpha) order."""

@@ -69,6 +69,7 @@ from .series import (
     key_layout,
     key_sort_key,
     multiplicity,
+    packed_profile,
     unit_constant,
     wdeg_scaled,
 )
@@ -115,15 +116,6 @@ def _splits(layout: KeyLayout, alpha: tuple[int, ...]) -> dict[int, list[int]]:
     return groups
 
 
-@functools.cache
-def _packed_profile(layout: KeyLayout, triple: tuple[int, ...]):
-    """(points, packed shift, (field offset, multiplicity) pairs) of the
-    derivative along the sorted label-index triple, memoised like
-    indexed_profile so that every plan of a layout shares them."""
-    _, points, vec, mults = indexed_profile(layout.geometry, triple)
-    return points, layout.pack(vec, 0), tuple((layout.offsets[s], k) for s, k in mults)
-
-
 class _QuadPlan(NamedTuple):
     """The store-independent part of contract_at for one quad.
 
@@ -144,7 +136,7 @@ class _QuadPlan(NamedTuple):
 
     p counts POINT derivatives, vec is the packed shift of the twisted
     indicators and mults their (field offset, multiplicity) pairs, as
-    _packed_profile gives them.
+    series.packed_profile gives them.
     """
 
     rhs: int
@@ -179,12 +171,12 @@ def _quad_plan(layout: KeyLayout, quad: WdvvQuad) -> _QuadPlan:
             elif u1 or u2:
                 coef = weight * const(triple1 if u1 else triple2)
                 if coef:
-                    p, vec, mults = _packed_profile(layout, triple2 if u1 else triple1)
+                    p, vec, mults = packed_profile(layout, triple2 if u1 else triple1)
                     num, den = int(coef.numerator), int(coef.denominator)
                     rows.append((num, den, p, vec, mults, None, None, None, None))
             else:
                 top = two - wdeg_scaled(geom, vec1, 0)
-                row = (*_packed_profile(layout, triple1), *_packed_profile(layout, triple2))
+                row = (*packed_profile(layout, triple1), *packed_profile(layout, triple2))
                 rows.append((weight, 1, *row, top))
     rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
     # A zero origin (no row has UNIT on both sides) is the shared int 0.

@@ -14,7 +14,7 @@ from orbifrob import (
     WdvvQuad,
 )
 from orbifrob.rationals import QQ
-from orbifrob.series import alpha_length
+from orbifrob.series import alpha_length, key_layout
 from orbifrob.wdvv import TARGET, contract_at
 
 from helpers import (
@@ -356,11 +356,13 @@ def test_geometry_is_not_written_by_reconstruct_or_scan():
     assert not any(name.startswith("_") for name in after)
 
 
-def test_fallback_socket_table_is_built_once_per_multiplet():
+def test_fallback_socket_table_is_built_once_per_layout():
     from orbifrob.reconstruct import _fallback_sockets
 
-    table = _fallback_sockets(of.build_geometry("2,2,3"))
-    assert _fallback_sockets(of.build_geometry("2,2,3")) is table
+    geom = of.build_geometry("2,2,3")
+    table = _fallback_sockets(key_layout(geom, 2))
+    assert _fallback_sockets(key_layout(geom, 2)) is table
+    assert _fallback_sockets(key_layout(geom, 3)) is not table
 
 
 

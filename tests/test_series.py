@@ -356,6 +356,28 @@ def test_packed_view_is_the_image_of_the_store():
     assert scaled.packed() is scaled_view and not scaled_view.unknown
     _assert_packed_image(scaled)
 
+    # A seal at a lower order after the view exists rebuilds it under the
+    # layout of the new order (the seeds reach order 1 only).
+    lower = of.seed(geom, of.STANDARD, 3)
+    lower_view = lower.packed()
+    assert lower_view.layout is key_layout(geom, 3)
+    lower.seal(2)
+    assert lower.packed() is not lower_view
+    assert lower.packed().layout is key_layout(geom, 2)
+    _assert_packed_image(lower)
+
+    # An equal but distinct unknown set rebuilds the view too, and later
+    # writes are mirrored into the new one.
+    fresh = of.seed(geom, of.STANDARD, 3)
+    fresh_view = fresh.packed()
+    fresh.unknown = set(fresh.unknown)
+    rebuilt = fresh.packed()
+    assert rebuilt is not fresh_view
+    _assert_packed_image(fresh)
+    fresh.set_coefficient(target, QQ(1, 5))
+    assert fresh.packed() is rebuilt
+    _assert_packed_image(fresh)
+
     # The solver builds the view at its first probe and mirrors every
     # solved value and the final seal into it.
     solved, _ = of.reconstruct("2,3,4", 3)
