@@ -421,7 +421,8 @@ def test_reconstruct_solver_stuck_exits_2(monkeypatch, capsys):
     assert err.startswith("solver stuck: no candidate determines: ")
 
 
-def test_module_run_as_a_program_exits_with_the_code(tmp_path, capsys):
+@pytest.mark.parametrize("module", ["orbifrob", "orbifrob.cli"])
+def test_module_run_as_a_program_exits_with_the_code(tmp_path, capsys, module):
     # The other tests call main() in-process; this one runs the module, so
     # the exit status comes from sys.exit(main()).
     pot = tmp_path / "pot.txt"
@@ -431,7 +432,7 @@ def test_module_run_as_a_program_exits_with_the_code(tmp_path, capsys):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", "orbifrob.cli", "verify", str(pot)],
+        [sys.executable, "-m", module, "verify", str(pot)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 4
