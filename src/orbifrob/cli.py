@@ -133,9 +133,9 @@ def _symmetry_reports(pot) -> list:
 
 
 # name -> reports of the check, in the default output order.  By default
-# every check runs but "selection" and "seeds", which run only when named,
-# and "vanishing" only on files of a vanishing seed mode.  The wdvv scan is
-# run after all the other checks and printed after their reports.
+# every check runs, "vanishing" only on files of a vanishing seed mode.
+# The wdvv scan is run after all the other checks and printed after their
+# reports.
 CHECKS = {
     "euler": lambda pot: [check_euler(pot)],
     "separation": lambda pot: [check_separation(pot)],
@@ -159,10 +159,8 @@ def _cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(sorted(unknown))}")
     else:
-        skipped = {"selection", "seeds"}
-        if pot.seed_mode.degree_one:
-            skipped.add("vanishing")
-        selected = [name for name in CHECKS if name not in skipped]
+        skipped = "vanishing" if pot.seed_mode.degree_one else None
+        selected = [name for name in CHECKS if name != skipped]
 
     reports = [report for name in selected for report in CHECKS[name](pot)]
     scan = None

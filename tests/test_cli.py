@@ -146,12 +146,12 @@ def test_verify_vanishing_mode_runs_vanishing_check(tmp_path, capsys):
     assert "CHECK vanishing: PASS" in out
 
 
-def test_verify_checks_the_selection_rule_only_when_named(tmp_path, capsys):
+def test_verify_checks_the_selection_rule_by_default(tmp_path, capsys):
     path = tmp_path / "pot.txt"
     run(capsys, "reconstruct", "-A", "3,3,3", "-m", "2", "-o", str(path))
     code, out, _ = run(capsys, "verify", str(path), "--checks", "selection")
     assert (code, out) == (0, "CHECK selection: PASS\n")
-    assert "selection" not in run(capsys, "verify", str(path))[1]
+    assert "CHECK selection: PASS" in run(capsys, "verify", str(path))[1]
     # A nonzero value at an admissible key of charge 1 != m = 0 in
     # sector 1 (and 2 in sector 2): the check fails and names the key.
     pot = of.read_potential(path)
@@ -172,14 +172,16 @@ def test_verify_checks_the_seeds_against_the_mode_header(tmp_path, capsys):
     run(capsys, "reconstruct", "-A", "2,3,4", "-m", "3", "-o", str(path))
     code, out, _ = run(capsys, "verify", str(path), "--checks", "seeds")
     assert (code, out) == (0, "CHECK seeds: PASS\n")
-    assert "seeds" not in run(capsys, "verify", str(path))[1]
+    assert "CHECK seeds: PASS" in run(capsys, "verify", str(path))[1]
     # Rescaling keeps every WDVV equation, so only the seeds tell that the
     # degree-one value 2 contradicts a standard header.
     of.write_potential(of.rescale_novikov(of.read_potential(path), 2), path)
     text = path.read_text()
     assert "\nmode: rescaled:2\n" in text
     path.write_text(text.replace("\nmode: rescaled:2\n", "\nmode: standard\n"))
-    assert run(capsys, "verify", str(path))[0] == 0
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 4
+    assert "CHECK seeds: FAIL [(1,1)^1 (2,1)^1 (3,1)^1 | m=1 | degree-one]" in out.splitlines()
     code, out, _ = run(capsys, "verify", str(path), "--checks", "seeds,wdvv")
     assert code == 4
     assert out.splitlines()[0] == "CHECK seeds: FAIL [(1,1)^1 (2,1)^1 (3,1)^1 | m=1 | degree-one]"
@@ -372,14 +374,14 @@ def test_verify_runs_each_named_check_once(tmp_path, capsys):
 @pytest.mark.parametrize(
     "multiplet, m_max, mode, digest",
     [
-        ("2,3,4", "3", "standard", "dd5cffd59d705d89f1fcf4610f7fc19eac3df1401cf80e9f23904f55746ecfc5"),
+        ("2,3,4", "3", "standard", "518dc850721279aa1bcd722a770887a2e89220e6aadfe6c2067791a724346a89"),
         (
             "2,2,3",
             "4",
             "vanishing-no-quartic",
-            "d5b94b3fcab35378a7ded0787220ec7b753eb1252198499114da70c8d4ff6f9f",
+            "fced60df621b1a522af971fb43338f28a8e449c898b0b19b5c1ce94d97a7689e",
         ),
-        ("3,3,3", "2", "vanishing", "ef1cc27897d891adc8e407c3b40f818850bfc246653c2428f3b4d7af23fc9fa0"),
+        ("3,3,3", "2", "vanishing", "11fe43cbe2f30940010ca6a28e7b5a71f6d36e5142f4fb0f0f1cd76e9fd008f5"),
     ],
 )
 def test_verify_stdout_pinned(tmp_path, capsys, multiplet, m_max, mode, digest):
