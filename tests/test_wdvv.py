@@ -340,33 +340,42 @@ def test_solve_step_slopes_against_symbolic_oracle(reconstructed):
         assert SymbolicOracle(raised).wdvv_coefficient(step.quad, step.xkey) == step.slope
 
 
-def _perturbed(reconstructed, multiplet, m_max, pairs, m, delta):
-    pot, _ = reconstructed(multiplet, m_max)
+def _perturbed(reconstructed, multiplet, m_max, mode, pairs, m, delta):
+    pot, _ = reconstructed(multiplet, m_max, mode)
     geom = pot.geometry
     victim = key_of(geom, pairs, m)
     return copy_potential(pot, {victim: pot.get_coefficient(victim) + delta})
 
 
 @pytest.mark.parametrize(
-    "multiplet, m_max, pairs, m, delta, lines, digest",
+    "multiplet, m_max, mode, pairs, m, delta, lines, digest",
     [
-        ("2,3,4", 2, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 1, 493,
+        ("2,3,4", 2, of.STANDARD, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 1, 493,
          "799c743ab38689ffac6ba0b8a7aff6b099e073b81bcb835b5425382aefeec1c3"),
-        ("2,2,3", 3, {(1, 1): 1, (2, 1): 1, (3, 2): 1}, 2, of.QQ(1, 3), 107,
+        ("2,2,3", 3, of.STANDARD, {(1, 1): 1, (2, 1): 1, (3, 2): 1}, 2, of.QQ(1, 3), 107,
          "33c59490be1dccf73f58c8b7db68f51d55146fe6ce7236aa6727bab7c16b57c0"),
-        ("3,3,3", 2, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 2, 499,
+        ("3,3,3", 2, of.STANDARD, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 2, 499,
          "0557aa9e0490abf26ff0bb2f99d8434e10330f5e32248d652fbe22e5224f59e8"),
+        ("2,3,7", 4, of.rescaled_mode(of.QQ(-1, 2)), {(2, 1): 1, (3, 1): 1, (3, 3): 1}, 4,
+         of.QQ(1, 11), 2725,
+         "835313957a0f4a2a06ae187edc74540ccbc77d68a9640d8d6e50d7b27a2bccbb"),
+        ("2,3,5", 5, of.rescaled_mode(of.QQ(-2, 3)), {(2, 2): 5, (3, 4): 1}, 4,
+         of.QQ(1, 5), 319,
+         "c6870e5d008f66acd5b512e66856455af654cc4dddd586d6320227a083343b8b"),
     ],
-    ids=["234-m2", "223-m3", "333-m2"],
+    ids=["234-m2", "223-m3", "333-m2", "237-m4-rescaled", "235-m5-rescaled"],
 )
 def test_residual_report_bytes_pinned(
-    reconstructed, multiplet, m_max, pairs, m, delta, lines, digest
+    reconstructed, multiplet, m_max, mode, pairs, m, delta, lines, digest
 ):
     # sha256 of the full report of a perturbed potential, recorded when the
     # scan still kept every pair product: pins the residual values, the
     # order of the residual lines (quad order, then canonical key order)
-    # and the targets-checked counts.
-    broken = _perturbed(reconstructed, multiplet, m_max, pairs, m, delta)
+    # and the targets-checked counts.  The two rescaled files were pinned
+    # while the scan still cleared the store with a single lcm; their
+    # denominators (powers of 2 and 3, and the perturbation's 11 or 5)
+    # differ from one monomial length to the next.
+    broken = _perturbed(reconstructed, multiplet, m_max, mode, pairs, m, delta)
     text = of.residual_scan(broken, m_max).to_text()
     assert text.count("residual |") == lines
     assert hashlib.sha256(text.encode()).hexdigest() == digest
