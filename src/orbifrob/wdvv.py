@@ -349,17 +349,56 @@ class ResidualReport:
 class _ScanMaps(NamedTuple):
     """Every nonzero third derivative of a store, as the scan reads it.
 
-    scale clears every denominator of the store and of the pairing.  Keys
-    are packed under layout, the series.KeyLayout of the highest stored
-    order the scan reads.  maps holds the derivative map of each sorted
-    label-index triple once, as (m, items) pairs in increasing order m,
-    where items lists the (packed key, scale * value) entries of that
-    order; triples whose map is empty are absent.
+    Keys are packed under layout, the series.KeyLayout of the highest
+    stored order the scan reads.  maps holds the derivative map of each
+    sorted label-index triple once, as (m, items) pairs in increasing
+    order m, where items lists the (packed key, integer) entries of that
+    order; triples whose map is empty are absent.  scale is a pair
+    (c, rho) of positive integers: the entry at a map key k is
+    c * rho**|k| times the derivative's value, |k| the total exponent of
+    k's alpha.  The factor is multiplicative in k, so every term of a
+    pair product at key k carries c**2 * rho**|k|.
     """
 
-    scale: int
+    scale: tuple[int, int]
     layout: KeyLayout
     maps: dict[tuple[int, ...], list[tuple[int, list[tuple[int, int]]]]]
+
+
+def _length_scale(geom: Geometry, lcm: int, gcds: dict, counts: dict) -> tuple[int, int]:
+    """The (c, rho) of _ScanMaps for entries first cleared by lcm.
+
+    gcds[n] is the gcd of the cleared entries of map keys of total exponent
+    n, counts[n] their number; lcm // gcd(lcm, gcds[n]) must divide
+    c * rho**n.  Only primes of the orders enter rho, each with the
+    exponent that gives the entries the fewest digits in all; the part of
+    the denominators prime to the orders goes into c.  Integers only, and
+    no denominator is ever factored.
+    """
+    needed = {n: lcm // math.gcd(lcm, g) for n, g in gcds.items()}
+    primes: list[int] = []
+    for p in range(2, max(geom.orders) + 1):
+        # A composite p has its prime factors in primes already.
+        if any(a % p == 0 for a in geom.orders) and all(p % q for q in primes):
+            primes.append(p)
+    c = rho = 1
+    for p in primes:
+        powers = {}
+        for n, d in needed.items():
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            needed[n], powers[n] = d, e
+        # p**(base + step * n) covers p**powers[n] at every length n.
+        options = []
+        for step in range(max(powers.values(), default=0) + 1):
+            base = max(0, *(e - step * n for n, e in powers.items()))
+            options.append((sum(counts[n] * (base + step * n) for n in powers), step, base))
+        _, step, base = min(options)
+        rho *= p**step
+        c *= p**base
+    return c * math.lcm(*needed.values()), rho
 
 
 def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
@@ -368,15 +407,15 @@ def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
     A stored key feeds the derivative along each triple whose twisted
     multiset fits under its exponents, the rest of the triple being POINT
     (only at m > 0, where the multiplicity m^points is nonzero): the entry
-    sits at the key minus the multiset and is the scaled coefficient times
-    its multiplicity.  Triples containing UNIT derive F_triv and carry one
-    constant at the monomial 1.  So the work is one step per map entry,
-    whatever the number of triples.
+    sits at the key minus the multiset and is the cleared coefficient
+    times its multiplicity.  Triples containing UNIT derive F_triv and
+    carry one constant at the monomial 1.  So the work is one step per map
+    entry, whatever the number of triples.  The entries are first cleared
+    by one lcm over the store and the pairing, then brought to the
+    per-length scale of _length_scale in place.
     """
     geom = pot.geometry
-    # One denominator for the whole store: entries of the scaled maps are
-    # plain integers and products/sums stay exact.
-    scale = math.lcm(*geom.orders, *(int(c.denominator) for c in pot.coeffs.values()), 1)
+    lcm = math.lcm(*geom.orders, *(int(c.denominator) for c in pot.coeffs.values()), 1)
 
     # A pair product's key is an extraction monomial of weighted degree
     # <= 3 and order <= 2 top, which the layout of top holds without a
@@ -387,8 +426,8 @@ def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
     pack = layout.pack
 
     def cleared(value) -> int:
-        scaled = value * scale
-        if scaled.denominator != 1:  # pragma: no cover - scale is an lcm
+        scaled = value * lcm
+        if scaled.denominator != 1:  # pragma: no cover - lcm clears the store
             raise AssertionError("denominator not cleared")
         return int(scaled.numerator)
 
@@ -398,14 +437,18 @@ def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
         _, points, vec, mults = indexed_profile(geom, triple)
         shapes[triple] = points, mults, pack(vec, 0)
 
-    # Only stored orders get an item list, so nothing here grows with
-    # m_max, which a file header may make huge.
-    orders: dict[tuple[int, ...], dict[int, list[tuple[int, int]]]] = {}
+    # Until they are rescaled, entries are (packed key, cleared value,
+    # total exponent of the key).  Only stored orders get an item list, so
+    # nothing here grows with m_max, which a file header may make huge.
+    orders: dict[tuple[int, ...], dict[int, list[tuple]]] = {}
+    gcds: dict[int, int] = {}
+    counts: dict[int, int] = {}
     for key, value in pot.coeffs.items():
         if key.m > m_max:
             continue
         num = cleared(value)
         packed = pack(key.alpha, key.m)
+        length = sum(key.alpha)
         # Label indices of the slots alpha uses: slot s is label s + 1.
         support = [s + 1 for s, k in enumerate(key.alpha) if k]
         for size in range(4):
@@ -416,15 +459,32 @@ def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
                 # slot taken more often than alpha holds it, or POINT at m=0.
                 mult = multiplicity(key, points, mults)
                 if mult:
+                    entry = num * mult
+                    n = length - size
+                    gcds[n] = math.gcd(gcds.get(n, 0), entry)
+                    counts[n] = counts.get(n, 0) + 1
                     by_order = orders.setdefault(triple, {})
-                    by_order.setdefault(key.m, []).append((packed - vec, num * mult))
+                    by_order.setdefault(key.m, []).append((packed - vec, entry, n))
     maps = {triple: sorted(by_order.items()) for triple, by_order in orders.items()}
     labels = geom.labels
     for i, j in itertools.combinations_with_replacement(range(len(labels)), 2):
         value = unit_constant(geom, [UNIT, labels[i], labels[j]])
         if value:
-            maps[0, i, j] = [(0, [(0, cleared(value))])]
-    return _ScanMaps(scale, layout, maps)
+            entry = cleared(value)
+            gcds[0] = math.gcd(gcds.get(0, 0), entry)
+            counts[0] = counts.get(0, 0) + 1
+            maps[0, i, j] = [(0, [(0, entry, 0)])]
+
+    c, rho = _length_scale(geom, lcm, gcds, counts)
+    factors = {n: c * rho**n for n in gcds}
+    for lists in maps.values():
+        for _, items in lists:
+            for i, (k, entry, n) in enumerate(items):
+                scaled, rest = divmod(entry * factors[n], lcm)
+                if rest:  # pragma: no cover - _length_scale covers every length
+                    raise AssertionError("denominator not cleared")
+                items[i] = (k, scaled)
+    return _ScanMaps((c, rho), layout, maps)
 
 
 def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
@@ -435,13 +495,19 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     equations vanish identically).  For chi > 0 the scan stops at
     floor(2/chi), as the reconstruction does, and reports that order.
     The scan is sequential.  It builds every derivative map in one integer
-    pass over the store (_scan_maps) and holds each once for the call; a
-    table gives the map of a (label pair, label) without sorting.  It then
-    streams the equations one 4-label multiset at a time, holding only
-    that multiset's pair products.  Two sides that are equal dicts, as on
-    a correct potential, are compared and counted in C; only unequal sides
-    are walked key by key.  The residuals are reported in quad order
-    whatever order the multisets take.
+    pass over the store (_scan_maps), at a scale that grows with the
+    length of the key, and holds each once for the call; a table gives
+    the map of a (label pair, label) without sorting.  It then streams the
+    equations one 4-label multiset at a time, holding only that multiset's
+    pair products.  A square product (p1 == p2) takes the (sigma, tau) and
+    (tau, sigma) terms of eta once, at twice the weight.  An equation with
+    p1[1] == p2[0] compares a product with itself: it does no arithmetic,
+    and its monomials are counted from the product's key support, or from
+    the product itself when another equation of the multiset built it.
+    Two sides that are equal dicts, as on a correct potential, are
+    compared and counted in C; only unequal sides are walked key by key.
+    The residuals are reported in quad order whatever order the multisets
+    take.
     """
     if not pot.sealed:
         raise ValueError("residual_scan requires a sealed potential")
@@ -456,12 +522,15 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             f"potential is complete up to order {pot.max_order}, cannot scan to {m_max}"
         )
     report = ResidualReport(geom, m_max)
-    scale, layout, maps = _scan_maps(pot, m_max)
+    (c, rho), layout, maps = _scan_maps(pot, m_max)
     mmask, unpack = layout.mmask, layout.unpack
 
     labels = geom.labels
     index = geom.label_index
     eta_pairs = [(index[sigma], index[tau], w) for sigma, tau, w in geom.eta_inverse_pairs]
+    # eta is symmetric, so in a square product the (sigma, tau) and
+    # (tau, sigma) terms are the same convolution.
+    square_pairs = [(s, t, w if s == t else 2 * w) for s, t, w in eta_pairs if s <= t]
     series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
     pairs = list(itertools.combinations_with_replacement(series_labels, 2))
     # table[pair][label]: the map of the sorted triple pair + label, or None.
@@ -469,6 +538,23 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         pair: [maps.get(tuple(sorted((*pair, k)))) for k in range(len(labels))]
         for pair in pairs
     }
+
+    def blocks(p1: tuple[int, int], p2: tuple[int, int]):
+        # (weight, items1, items2) of every block of map entries whose
+        # pairwise products make up the product of p1 and p2.
+        left, right = table[p1], table[p2]
+        for sigma, tau, w in square_pairs if p1 == p2 else eta_pairs:
+            d1 = left[sigma]
+            if d1 is None:
+                continue
+            d2 = right[tau]
+            if d2 is None:
+                continue
+            for m1, items1 in d1:
+                for m2, items2 in d2:
+                    if m1 + m2 > m_max:
+                        break
+                    yield w, items1, items2
 
     products: dict[tuple, dict[int, int]] = {}  # of the current multiset
 
@@ -480,26 +566,22 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             return got
         out: dict[int, int] = {}
         get = out.get
-        left, right = table[p1], table[p2]
-        for sigma, tau, w in eta_pairs:
-            d1 = left[sigma]
-            if d1 is None:
-                continue
-            d2 = right[tau]
-            if d2 is None:
-                continue
-            for m1, items1 in d1:
-                for m2, items2 in d2:
-                    if m1 + m2 > m_max:
-                        break
-                    for k1, v1 in items1:
-                        wv1 = w * v1
-                        for k2, v2 in items2:
-                            k = k1 + k2
-                            prev = get(k)
-                            out[k] = wv1 * v2 if prev is None else prev + wv1 * v2
+        for w, items1, items2 in blocks(p1, p2):
+            for k1, v1 in items1:
+                wv1 = w * v1
+                for k2, v2 in items2:
+                    k = k1 + k2
+                    prev = get(k)
+                    out[k] = wv1 * v2 if prev is None else prev + wv1 * v2
         products[cache_key] = out
         return out
+
+    def support(p1: tuple[int, int], p2: tuple[int, int]) -> set[int]:
+        # The keys of product(p1, p2), by key additions only.
+        keys: set[int] = set()
+        for _, items1, items2 in blocks(p1, p2):
+            keys.update([k1 + k2 for k1, _ in items1 for k2, _ in items2])
+        return keys
 
     # Both sides of an equation are products of two label pairs drawn from
     # the same 4-label multiset, and each product belongs to exactly one
@@ -510,12 +592,16 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         groups.setdefault(tuple(sorted(p1 + p2)), []).append((p1, p2))
         report.quads_checked += 1
 
-    denom = scale * scale
+    c2 = c * c
     target_counts: dict[int, int] = {m: 0 for m in range(m_max + 1)}
     found = []
     for equations in groups.values():
         products.clear()
+        identities = []
         for p1, p2 in equations:
+            if p1[1] == p2[0]:
+                identities.append((p1, p2))
+                continue
             lhs = product(p1, p2)
             rhs = product(
                 tuple(sorted((p1[0], p2[0]))), tuple(sorted((p1[1], p2[1])))
@@ -529,9 +615,17 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
                 target_counts[k & mmask] += 1
                 diff = lhs.get(k, 0) - rhs.get(k, 0)
                 if diff:
-                    bad.append((unpack(k), QQ(diff, denom)))
+                    key = unpack(k)
+                    bad.append((key, QQ(diff, c2 * rho ** sum(key.alpha))))
             if bad:
                 found.append((p1, p2, bad))
+        # Taken after the others, so that a product they built is reused.
+        for p1, p2 in identities:
+            keys = products.get((p1, p2))
+            if keys is None:
+                keys = support(p1, p2)
+            for m, n in Counter(map(mmask.__and__, keys)).items():
+                target_counts[m] += n
 
     # pairs is in lexicographic order, so sorting by (p1, p2) restores the
     # order of the quad enumeration; within a quad, canonical key order.

@@ -1,9 +1,11 @@
 import ast
+import functools
 import hashlib
 import importlib
 import inspect
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -310,6 +312,7 @@ def test_read_side_names_no_solver_code():
     for obj in (
         of.residual_scan,
         wdvv._scan_maps,
+        wdvv._length_scale,
         importlib.import_module("orbifrob.verify"),
     ):
         assert not SOLVER_NAMES & set(_names(inspect.getsource(obj))), obj
@@ -381,6 +384,35 @@ def test_residual_report_bytes_pinned(
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_residual_report_is_the_same_under_a_second_rational_type(reconstructed, monkeypatch):
+    # sympy's PythonMPQ has gmpy2's mpq interface with int numerators.
+    # Bound as QQ in every module that imported it by name, with a fresh
+    # geometry cache so that no Fraction built earlier leaks in, the parse
+    # and the scan of a perturbed rescaled file must print the report the
+    # Fraction backend prints, byte for byte.
+    pythonmpq = pytest.importorskip("sympy.external.pythonmpq")
+    mpq = pythonmpq.PythonMPQ
+    broken = _perturbed(
+        reconstructed, "2,3,5", 5, of.rescaled_mode(of.QQ(-2, 3)), {(2, 2): 5, (3, 4): 1}, 4,
+        of.QQ(1, 5),
+    )
+    text = of.serialize_potential(broken)
+    expected = of.residual_scan(of.parse_potential(text), 5).to_text()
+
+    original = QQ
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orbifrob" and getattr(module, "QQ", None) is original:
+            monkeypatch.setattr(module, "QQ", mpq)
+    geometry = importlib.import_module("orbifrob.geometry")
+    monkeypatch.setattr(geometry, "_geometry", functools.cache(geometry.Geometry))
+
+    pot = of.parse_potential(text)
+    assert {type(value) for value in pot.coeffs.values()} == {mpq}
+    report = of.residual_scan(pot, 5)
+    assert report.nonzero and {type(value) for _, _, value in report.nonzero} == {mpq}
+    assert report.to_text() == expected
+
+
 def test_residual_scan_holds_one_multiset_at_a_time(reconstructed):
     # The scan keeps only the pair products of the current 4-label
     # multiset and no derivative map on the potential.  Keeping every
@@ -414,11 +446,13 @@ def test_scan_maps_are_scaled_third_derivative_maps(
 ):
     # The scan builds its integer derivative maps in one pass over the
     # store.  For every sorted label triple, UNIT and empty ones included,
-    # the map must be scale times Potential.third_derivative_map up to the
-    # scan order, each entry filed under its own order, orders increasing.
+    # the map must be Potential.third_derivative_map up to the scan order,
+    # each value times c * rho**|alpha| for its key's total exponent
+    # |alpha|, each entry filed under its own order, orders increasing.
     pot, _ = reconstructed(multiplet, m_max, mode)
     geom = pot.geometry
-    scale, layout, maps = wdvv._scan_maps(pot, scan_to)
+    (c, rho), layout, maps = wdvv._scan_maps(pot, scan_to)
+    assert type(c) is int and type(rho) is int and c > 0 and rho > 0
 
     triples = list(itertools.combinations_with_replacement(range(len(geom.labels)), 3))
     assert set(maps) <= set(triples)
@@ -426,7 +460,7 @@ def test_scan_maps_are_scaled_third_derivative_maps(
     for triple in triples:
         labels = [geom.labels[k] for k in triple]
         expected = {
-            layout.pack(*key): value * scale
+            layout.pack(*key): value * c * rho ** sum(key.alpha)
             for key, value in pot.third_derivative_map(*labels).items()
             if key.m <= scan_to
         }
