@@ -29,22 +29,32 @@ potential (residual_scan).
 
 The scan deliberately does not use the kernel.  It is the independent
 re-check of what the solver wrote, and it computes every target of an
-equation at once in integers: it clears denominators once (a single lcm
-over the store and the pairing entries) and packs each key under the
-series.KeyLayout of the highest stored order it reads.  It shares that
-key format with the solver, not the kernel: a pair product's key is one
+equation at once in integers.  It packs each key under the
+series.KeyLayout of the highest stored order it reads, sharing that key
+format with the solver, not the kernel: a pair product's key is one
 integer addition that never carries across fields.  One pass over the
 store builds the derivative map of every label triple, each stored key
 feeding the triples that fit under it, so the set-up costs one step per
 map entry; each map is held once for the call, as item lists per stored
-order.  Both sides of an equation are pair products drawn from one
-4-label multiset, so the scan streams the equations one multiset at a
-time: it computes each pair product once and holds at most three of
-them.  Equal sides, as on a correct potential, are compared with one dict
-comparison and their monomials counted per order in C; only unequal
-sides are walked key by key.  For a target of order m only stored
-orders m1 + m2 = m contribute, all <= m_max, hence reported residuals are
-exact values of the equations, not truncations.
+order.  The entries are integers at a scale that grows with the length
+of the key: the entry at a map key of total exponent n is c * rho**n
+times its value, rho a product of primes of the orders.  The scale is
+built from per-length gcds of the entries, first cleared by one lcm over
+the store and the pairing, and it is multiplicative: both sides of an
+equation carry c**2 * rho**n at a product key of total exponent n, so
+they compare exactly, with entries about half as long as under the lcm.
+Both sides of an equation are pair products drawn from one 4-label
+multiset, so the scan streams the equations one multiset at a time: it
+computes each pair product once and holds at most three of them.  A
+square product takes the two eta terms (sigma, tau) and (tau, sigma)
+once, at twice the weight.  An equation whose two sides are the same
+product (p1[1] == p2[0] in a canonical quad) does no arithmetic: its
+monomials are counted from the product's key support.  Equal sides, as
+on a correct potential, are compared with one dict comparison and their
+monomials counted per order in C; only unequal sides are walked key by
+key.  For a target of order m only stored orders m1 + m2 = m contribute,
+all <= m_max, hence reported residuals are exact values of the
+equations, not truncations.
 """
 
 from __future__ import annotations
