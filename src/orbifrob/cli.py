@@ -19,7 +19,8 @@ from .formats import (
     write_trace,
 )
 from .rationals import format_rational, parse_natural
-from .reconstruct import InconsistentSeed, ReconstructionError, SeedMode, reconstruct
+from .reconstruct import InconsistentSeed, ReconstructionError, reconstruct
+from .series import SeedMode
 from .verify import (
     check_euler,
     check_limit_product,

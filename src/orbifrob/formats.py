@@ -21,9 +21,9 @@ from pathlib import Path
 
 from .geometry import Geometry, build_geometry
 from .rationals import format_rational, parse_natural, parse_rational
-from .reconstruct import ReconstructionTrace, SeedMode, STANDARD
 from .series import (
     Potential,
+    SeedMode,
     SeriesKey,
     alpha_from_pairs,
     format_key,
@@ -68,12 +68,11 @@ def serialize_potential(pot: Potential) -> str:
     if not pot.sealed:
         raise ValueError("only sealed potentials are serialized")
     geom = pot.geometry
-    mode = pot.seed_mode if pot.seed_mode is not None else STANDARD
     records = pot.items_sorted()
     lines = [
         MAGIC,
         f"multiplet: {geom.multiplet}",
-        f"mode: {mode.token()}",
+        f"mode: {pot.seed_mode.token()}",
         f"max-order: {pot.max_order}",
         f"coefficients: {len(records)}",
     ]
@@ -129,7 +128,7 @@ def read_potential(path) -> Potential:
     return parse_potential(Path(path).read_text(encoding="utf-8"))
 
 
-def write_trace(trace: ReconstructionTrace, path) -> None:
+def write_trace(trace, path) -> None:
     Path(path).write_text(trace.to_text(), encoding="utf-8")
 
 

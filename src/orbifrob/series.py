@@ -23,17 +23,30 @@ geometry.format_label).  Keys are SeriesKey(alpha, m) named tuples, cheap
 to hash and compare.  The solver's kernel and the residual scan read them
 packed into single integers instead, all in the one format of KeyLayout
 (Potential.packed holds the store so).
+
+Every potential carries the SeedMode of its initial data, so the seeds
+live here, ahead of Potential: the solver seeds from them, and the
+checks and the file formats read them without loading the solver.  They
+are one stream, seed_entries, of (key, value, family) entries in five
+families: limit-cubic, sector-purity, degree-one, degree-one-support
+and, in vanishing mode, quartic.  Every nonzero value is a derivative
+constant over prod_s alpha_s!, the factor multiplicity gives along the
+key's own exponents: 1/a_i for the limit cubics, the mode's value for
+the degree-one key, -1/a_i^2 for the quartics and eta(sigma, tau) for
+F_triv's terms in pairing_entries.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
 from .geometry import POINT, UNIT, Geometry, Twisted, format_label
-from .rationals import QQ
+from .rationals import QQ, format_rational, parse_rational
 
 
 class SeriesKey(NamedTuple):
@@ -322,6 +335,103 @@ def packed_profile(layout: KeyLayout, triple: tuple[int, ...]):
     return points, layout.pack(vec, 0), tuple((layout.offsets[s], k) for s, k in mults)
 
 
+# -- seed modes ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SeedMode:
+    """Choice of initial data beyond the cubics and sector purity: the
+    value of the degree-one product coefficient, and whether the quartic
+    seeds are imposed (only next to a vanishing degree-one value).
+
+    The tokens are "standard" (value 1), "rescaled:<a>" (any other nonzero
+    value a), "vanishing" (value 0 plus the quartics) and
+    "vanishing-no-quartic" (value 0 alone).
+    """
+
+    degree_one: object = QQ(1)
+    quartic: bool = False
+
+    def __post_init__(self):
+        if self.quartic and self.degree_one:
+            raise ValueError("quartic seeds need a vanishing degree-one value")
+
+    def token(self) -> str:
+        if self.degree_one == 1:
+            return "standard"
+        if self.degree_one:
+            return f"rescaled:{format_rational(self.degree_one)}"
+        return "vanishing" if self.quartic else "vanishing-no-quartic"
+
+    @classmethod
+    def from_token(cls, token: str) -> "SeedMode":
+        token = token.strip()
+        for mode in (STANDARD, VANISHING, VANISHING_NO_QUARTIC):
+            if token == mode.token():
+                return mode
+        if token.startswith("rescaled:"):
+            return rescaled_mode(parse_rational(token.partition(":")[2]))
+        raise ValueError(f"unknown seed mode {token!r}")
+
+
+STANDARD = SeedMode()
+VANISHING = SeedMode(QQ(0), quartic=True)
+VANISHING_NO_QUARTIC = SeedMode(QQ(0))
+
+
+def rescaled_mode(a) -> SeedMode:
+    a = QQ(a)
+    if a == 0:
+        raise ValueError("rescaled seed value must be nonzero (use vanishing mode)")
+    return STANDARD if a == 1 else SeedMode(a)
+
+
+# -- the seeds ----------------------------------------------------------
+
+
+def _value(constant, exponents):
+    """The coefficient whose derivative along its own exponents is constant."""
+    return QQ(constant) / math.prod(map(math.factorial, exponents))
+
+
+def seed_entries(geom: Geometry, mode: SeedMode):
+    """The initial data as (key, value, family) entries, family by family."""
+    # Limit cubics: single-sector length-3 keys.  Admissibility already
+    # forces j1 + j2 + j3 = a_i, so all of them are nonzero here.
+    for i, a in enumerate(geom.orders, start=1):
+        for js in itertools.combinations_with_replacement(range(1, a), 3):
+            if sum(js) == a:
+                key = SeriesKey(alpha_from_pairs(geom, [((i, j), 1) for j in js]), 0)
+                yield key, _value(QQ(1, a), key.alpha), "limit-cubic"
+
+    # Sector purity: all order-0 keys meeting two sectors vanish.  Seeding
+    # makes them known zeros, so they are never scheduled.
+    for alpha in admissible_keys(geom, 0):
+        if len(support_sectors(geom, alpha)) >= 2:
+            yield SeriesKey(alpha, 0), QQ(0), "sector-purity"
+
+    # Degree-one stratum of length <= r: the product key, then the rest.
+    product = alpha_from_pairs(geom, [((i, 1), 1) for i in range(1, geom.r + 1)])
+    yield SeriesKey(product, 1), _value(mode.degree_one, product), "degree-one"
+    for alpha in admissible_keys(geom, 1):
+        if alpha_length(alpha) <= geom.r and alpha != product:
+            yield SeriesKey(alpha, 1), QQ(0), "degree-one-support"
+
+    if mode.quartic:
+        for i, a in enumerate(geom.orders, start=1):
+            alpha = alpha_from_pairs(geom, [((i, 1), 2), ((i, a - 1), 2)])
+            yield SeriesKey(alpha, 0), _value(QQ(-1, a * a), alpha), "quartic"
+
+
+def pairing_entries(geom: Geometry):
+    """F_triv as (sigma, tau, coefficient of t1 t_sigma t_tau), once per
+    unordered pair of labels with eta(sigma, tau) != 0, in label order."""
+    for sigma, tau, _ in geom.eta_inverse_pairs:
+        if geom.label_index[sigma] <= geom.label_index[tau]:
+            labels = (UNIT, sigma, tau)
+            yield sigma, tau, _value(geom.pairing(sigma, tau), map(labels.count, set(labels)))
+
+
 # -- the potential ------------------------------------------------------
 
 
@@ -337,11 +447,13 @@ class PackedStore(NamedTuple):
 class Potential:
     """Geometry plus the exact coefficient map of the series part.
 
-    coeffs holds nonzero values only.  While the solver builds it, unknown
-    holds the admissible keys not determined yet and every key above
-    max_order is unknown too; any other absent key is a known zero.  Seal
-    empties unknown (free keys read as 0); a sealed potential is immutable
-    and safe for concurrent reads.
+    seed_mode is the mode of the initial data, STANDARD unless given: the
+    file header spells it, and the seeds check compares the store with
+    its seeds.  coeffs holds nonzero values only.  While the solver builds
+    it, unknown holds the admissible keys not determined yet and every key
+    above max_order is unknown too; any other absent key is a known zero.
+    Seal empties unknown (free keys read as 0); a sealed potential is
+    immutable and safe for concurrent reads.
 
     The WDVV kernel reads the store through packed(), the same coeffs and
     unknown with packed-integer keys.  It is built on first use, again
@@ -350,7 +462,7 @@ class Potential:
     those, not into the dict or set in place, once it has been probed.
     """
 
-    def __init__(self, geometry: Geometry, seed_mode=None):
+    def __init__(self, geometry: Geometry, seed_mode: SeedMode = STANDARD):
         self.geometry = geometry
         self.seed_mode = seed_mode
         self.coeffs: dict[SeriesKey, object] = {}

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 from .geometry import Geometry, POINT, Twisted, UNIT, format_label
 from .rationals import QQ, format_rational
-from .reconstruct import STANDARD, seed_entries
 from .series import (
     Potential,
     SeriesKey,
     format_key,
     is_admissible,
     key_sort_key,
+    seed_entries,
     support_sectors,
     zero_alpha,
 )
@@ -99,8 +99,7 @@ def check_seeds(pot: Potential) -> CheckReport:
     whose coefficients contradict its mode header fails here.
     """
     geom = pot.geometry
-    mode = pot.seed_mode if pot.seed_mode is not None else STANDARD
-    for key, value, family in seed_entries(geom, mode):
+    for key, value, family in seed_entries(geom, pot.seed_mode):
         if key.m <= pot.max_order and pot.get_coefficient(key) != value:
             return CheckReport("seeds", False, f"{format_key(geom, key)} | {family}")
     return CheckReport("seeds", True)

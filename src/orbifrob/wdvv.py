@@ -1,35 +1,18 @@
-"""WDVV coefficient extraction and the exact residual scan.
+"""The WDVV equations and the exact residual scan.
 
 For a coordinate quadruple (a, b, c, d) the associativity equation is
 
     sum_{s,t} F_abs eta^{st} F_tcd  -  sum_{s,t} F_acs eta^{st} F_tbd = 0
 
-with third derivatives F_xyz of the potential.  One kernel, contract_at,
-extracts the coefficient of a single monomial t^beta exp(m tmu) from the
-left hand side.  It reads coefficients through a lookup that may answer
-with the formal unknown TARGET, so the same contraction serves the solver
-(the coefficient is affine in the unknown: intercept plus slope times x)
-and wdvv_coefficient on a complete store.  Keys travel as single integers
-under the run's series.KeyLayout: m in the low bits, then one field per
-twisted slot, wide enough that adding a derivative's shift (at most 3 per
-slot) or one split to another never carries into the next field.  The
-lookup receives such a packed key, and Potential.packed() holds the store
-under the same keys.  Everything about an equation that does not depend
-on the monomial or the store (the degree gate, the derivative profile of
-every (eta pair, side) row as a packed shift, its sign and eta constants)
-is compiled once per (layout, quad) into a memoised plan, built on the
-quad's first probe, with each row's constant as integers; a call then
-only checks the degree gate, enumerates the splits of the monomial over
-the slots it uses, forms each looked-up key by integer additions and
-multiplies integers, keeping one numerator sum per denominator until it
-returns one rational per coefficient.
-The module also enumerates all degree-admissible target monomials of an
-equation (admissible_targets) and sweeps every equation of a sealed
-potential (residual_scan).
+with third derivatives F_xyz of the potential.  This module names the
+equations (WdvvQuad, format_quad), enumerates all degree-admissible
+target monomials of one (admissible_targets) and sweeps every equation of
+a sealed potential (residual_scan).  It is the read side: the solver's
+kernel, which extracts one coefficient of one equation, lives in
+reconstruct (contract_at), and nothing here imports it.
 
-The scan deliberately does not use the kernel.  It is the independent
-re-check of what the solver wrote, and it computes every target of an
-equation at once in integers.  It packs each key under the
+The scan is the independent re-check of what the solver wrote, and it
+computes every target of an equation at once in integers.  It packs each key under the
 series.KeyLayout of the highest stored order it reads, sharing that key
 format with the solver, not the kernel: a pair product's key is one
 integer addition that never carries across fields.  One pass over the
@@ -59,7 +42,6 @@ equations, not truncations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -79,9 +61,7 @@ from .series import (
     key_layout,
     key_sort_key,
     multiplicity,
-    packed_profile,
     unit_constant,
-    wdeg_scaled,
 )
 
 
@@ -96,218 +76,6 @@ class WdvvQuad(NamedTuple):
 
 def format_quad(quad: WdvvQuad) -> str:
     return "(" + ",".join(format_label(lab) for lab in quad) + ")"
-
-
-# The formal unknown x a lookup may answer with (truthy, never a number).
-TARGET = object()
-
-
-class Blocked(Exception):
-    """Raised by a lookup on a coefficient that is not known yet; key is
-    the packed key it was asked for."""
-
-    def __init__(self, key: int):
-        super().__init__(key)
-        self.key = key
-
-
-def _splits(layout: KeyLayout, alpha: tuple[int, ...]) -> dict[int, list[int]]:
-    """Every beta1 <= alpha, packed with order 0, grouped by its scaled
-    degree; each group in lexicographic beta1 order.  Only the slots alpha
-    uses are walked."""
-    parts = [(0, 0)]
-    for k, off, d in zip(alpha, layout.offsets, layout.geometry.deg_scaled):
-        if k:
-            steps = [(j << off, j * d) for j in range(k + 1)]
-            parts = [(b + jb, g + jd) for b, g in parts for jb, jd in steps]
-    groups: dict[int, list[int]] = {}
-    for b, g in parts:
-        groups.setdefault(g, []).append(b)
-    return groups
-
-
-class _QuadPlan(NamedTuple):
-    """The store-independent part of contract_at for one quad.
-
-    rhs is the degree gate: only monomials of scaled degree rhs can carry
-    a nonzero coefficient.  origin is the sum of the rows with UNIT on both
-    sides, two constants eta that contribute at the monomial 1 of order 0
-    only.  rows holds the other (eta pair, side) rows in kernel order, each
-    with its constant factor as integers num/den:
-
-    * (num, den, p, vec, mults, None, None, None, None) when one side
-      contains UNIT: num/den is the signed eta weight times that side's
-      constant eta (nonzero; rows with a zero constant are dropped), and
-      the other side reads one coefficient, shifted by vec;
-    * (num, 1, p1, vec1, mults1, p2, vec2, mults2, top) for a product of
-      two series sides, whose weight is a signed entry of the integral
-      eta^-1; top = 2 - wdeg(vec1) (scaled) is the degree the order-0 part
-      of beta1 must have.
-
-    p counts POINT derivatives, vec is the packed shift of the twisted
-    indicators and mults their (field offset, multiplicity) pairs, as
-    series.packed_profile gives them.
-    """
-
-    rhs: int
-    origin: object
-    rows: tuple
-
-
-@functools.cache
-def _quad_plan(layout: KeyLayout, quad: WdvvQuad) -> _QuadPlan:
-    """The plan of quad, built on its first probe and memoised."""
-    geom = layout.geometry
-    index, labels = geom.label_index, geom.labels
-
-    def const(triple):
-        return unit_constant(geom, [labels[k] for k in triple])
-
-    a, b, c, d = (index[lab] for lab in quad)
-    two = 2 * geom.scale
-    origin = QQ(0)
-    rows = []
-    for sigma, tau, w in geom.eta_inverse_pairs:
-        sigma, tau = index[sigma], index[tau]
-        for triple1, triple2, weight in (
-            ((a, b, sigma), (c, d, tau), w),
-            ((a, c, sigma), (b, d, tau), -w),
-        ):
-            triple1, triple2 = tuple(sorted(triple1)), tuple(sorted(triple2))
-            u1, _, vec1, _ = indexed_profile(geom, triple1)
-            u2 = indexed_profile(geom, triple2)[0]
-            if u1 and u2:
-                origin += weight * const(triple1) * const(triple2)
-            elif u1 or u2:
-                coef = weight * const(triple1 if u1 else triple2)
-                if coef:
-                    p, vec, mults = packed_profile(layout, triple2 if u1 else triple1)
-                    num, den = int(coef.numerator), int(coef.denominator)
-                    rows.append((num, den, p, vec, mults, None, None, None, None))
-            else:
-                top = two - wdeg_scaled(geom, vec1, 0)
-                row = (*packed_profile(layout, triple1), *packed_profile(layout, triple2))
-                rows.append((weight, 1, *row, top))
-    rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
-    # A zero origin (no row has UNIT on both sides) is the shared int 0.
-    return _QuadPlan(rhs, origin or 0, tuple(rows))
-
-
-def _rational(sums: dict):
-    """The rational sum of n/d over the items (d, n) of sums."""
-    if not sums:
-        return QQ(0)
-    lcm = math.lcm(*sums)
-    return QQ(sum(n * (lcm // d) for d, n in sums.items()), lcm)
-
-
-def contract_at(layout: KeyLayout, quad: WdvvQuad, xkey: SeriesKey, lookup):
-    """Coefficient of t^xkey in WDVV(quad) as (c0, c1, c2): c0 + c1 x + c2 x^2.
-
-    Keys travel packed under layout (series.KeyLayout): m in the low bits,
-    then one field per twisted slot.  lookup(packed) returns the
-    stored rational of an admissible key, TARGET for the formal unknown x,
-    or raises Blocked(packed) for a key that is not known yet.  It is only
-    called on keys obeying the Euler constraint (the others are zero), and
-    the second factor of a product only when the first is nonzero.
-    Derivatives containing UNIT come from F_triv and are the constants eta
-    of the remaining pair.  xkey itself is a SeriesKey; once past the
-    degree gate it is packed, which raises ValueError for a key the layout
-    cannot hold.  Every key of order <= 2 layout.m_max that passes the
-    gate fits.
-
-    The rows come from the plan of (layout, quad) (_quad_plan) in a fixed
-    order, so the keys looked up, and which of them blocks first, depend
-    only on quad, xkey and the answers of lookup.  A single row looks up
-    xkey + vec; a product row, for each order split m1 + m2 = m and each
-    split beta1 <= alpha of the right degree (_splits), looks up
-    beta1 + vec1 + m1 and then (alpha + vec2 + m2) - beta1, all integer
-    additions that never carry across fields.  Falling factorials read
-    each field with a shift and a mask.  The terms are summed as integers:
-    c0 and c1 keep one numerator sum per denominator (the product of the
-    denominators of a term's factors) and become one rational each at the
-    end; c2, whose terms read no stored value, is an integer.
-    """
-    plan = _quad_plan(layout, quad)
-    alpha, m = xkey
-    if wdeg_scaled(layout.geometry, alpha, m) != plan.rhs:
-        return QQ(0), QQ(0), 0
-    packed = layout.pack(alpha, m)
-    sums0: dict = {}  # denominator -> numerator sum of c0's terms
-    sums1: dict = {}  # the same for c1
-    c2 = 0
-    if not packed:
-        sums0[plan.origin.denominator] = plan.origin.numerator
-    chi = layout.geometry.chi_scaled
-    fmask = layout.fmask
-    perm = math.perm
-    splits = None
-    for num, den, p1, vec1, mults1, p2, vec2, mults2, top in plan.rows:
-        if vec2 is None:
-            if p1 and m == 0:
-                continue
-            key = packed + vec1
-            value = lookup(key)
-            if not value:
-                continue
-            coef = num * m**p1
-            for off, k in mults1:
-                coef *= perm((key >> off) & fmask, k)
-            if value is TARGET:
-                sums1[den] = sums1.get(den, 0) + coef
-            else:
-                d = den * value.denominator
-                sums0[d] = sums0.get(d, 0) + coef * value.numerator
-            continue
-
-        if splits is None:
-            splits = _splits(layout, alpha)
-        for m1 in range(1 if p1 else 0, m if p2 else m + 1):
-            group = splits.get(top - m1 * chi)
-            if group is None:
-                continue
-            m2 = m - m1
-            factor = num * m1**p1 * m2**p2
-            base1 = vec1 + m1
-            base2 = packed - m + vec2 + m2
-            for beta1 in group:
-                key1 = beta1 + base1
-                v1 = lookup(key1)
-                if not v1:
-                    continue
-                key2 = base2 - beta1
-                v2 = lookup(key2)
-                if not v2:
-                    continue
-                coef = factor
-                for off, k in mults1:
-                    coef *= perm((key1 >> off) & fmask, k)
-                for off, k in mults2:
-                    coef *= perm((key2 >> off) & fmask, k)
-                if v1 is TARGET:
-                    if v2 is TARGET:
-                        c2 += coef
-                    else:
-                        d = v2.denominator
-                        sums1[d] = sums1.get(d, 0) + coef * v2.numerator
-                elif v2 is TARGET:
-                    d = v1.denominator
-                    sums1[d] = sums1.get(d, 0) + coef * v1.numerator
-                else:
-                    d = v1.denominator * v2.denominator
-                    sums0[d] = sums0.get(d, 0) + coef * v1.numerator * v2.numerator
-    return _rational(sums0), _rational(sums1), c2
-
-
-def wdvv_coefficient(pot: Potential, quad: WdvvQuad, target: SeriesKey):
-    """Exact coefficient of t^target in the equation WDVV(a, b, c, d).
-
-    Pure; absent keys of the store count as zero.
-    """
-    layout, coeffs, _ = pot.packed()
-    if target.m > 2 * layout.m_max:
-        return QQ(0)  # every term has a factor above the orders stored
-    return contract_at(layout, quad, target, lambda key: coeffs.get(key, 0))[0]
 
 
 def admissible_targets(geom: Geometry, quad: WdvvQuad, m: int) -> list[tuple[int, ...]]:

@@ -188,6 +188,22 @@ def test_verify_checks_the_seeds_against_the_mode_header(tmp_path, capsys):
     assert "nonzero-residuals: 0" in out
 
 
+def test_a_potential_built_without_a_mode_rescales_to_a_file_that_verifies(tmp_path, capsys):
+    # A potential made without a seed mode has the standard one, so its
+    # rescaling is written as rescaled:2 and agrees with its seeds.
+    pot, _ = of.reconstruct("2,3,4", 3)
+    bare = of.Potential(pot.geometry)
+    for key, value in pot.coeffs.items():
+        bare.set_coefficient(key, value)
+    bare.seal(pot.max_order)
+    path = tmp_path / "pot.txt"
+    of.write_potential(of.rescale_novikov(bare, 2), path)
+    assert "\nmode: rescaled:2\n" in path.read_text()
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0, out
+    assert "CHECK seeds: PASS" in out.splitlines()
+
+
 def test_show(tmp_path, capsys):
     pot = tmp_path / "pot.txt"
     run(capsys, "reconstruct", "-A", "2,2,3", "-m", "2", "-o", str(pot))

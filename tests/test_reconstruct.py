@@ -15,7 +15,7 @@ from orbifrob import (
 )
 from orbifrob.rationals import QQ
 from orbifrob.series import alpha_length, key_layout
-from orbifrob.wdvv import TARGET, contract_at
+from orbifrob.reconstruct import TARGET, contract_at
 
 from helpers import (
     copy_potential,

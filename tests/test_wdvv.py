@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -278,8 +279,10 @@ def test_scan_and_targets_reject_negative_orders(reconstructed):
 
 
 # The solver's kernel, probe and candidate builders.  The read side (the
-# residual scan and the verify checks) must name none of them, so that it
-# stays an independent re-check of what the solver wrote.
+# residual scan, the verify checks, the file formats and the store they
+# read) must name none of them, so that it stays an independent re-check
+# of what the solver wrote.
+READ_SIDE = ("wdvv", "formats", "series", "verify")
 SOLVER_NAMES = {
     "contract_at",
     "_quad_plan",
@@ -309,13 +312,26 @@ def _names(source):
 
 
 def test_read_side_names_no_solver_code():
-    for obj in (
-        of.residual_scan,
-        wdvv._scan_maps,
-        wdvv._length_scale,
-        importlib.import_module("orbifrob.verify"),
-    ):
-        assert not SOLVER_NAMES & set(_names(inspect.getsource(obj))), obj
+    for name in READ_SIDE:
+        module = importlib.import_module(f"orbifrob.{name}")
+        assert not SOLVER_NAMES & set(_names(inspect.getsource(module))), name
+
+
+def test_read_side_imports_no_solver_module():
+    # Follow the package's relative imports from the read side.  The
+    # package __init__ imports every module, so sys.modules cannot tell.
+    package = Path(of.__file__).parent
+    closure, todo = set(), list(READ_SIDE)
+    while todo:
+        name = todo.pop()
+        if name in closure:
+            continue
+        closure.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                todo.append(node.module)
+    assert {"geometry", "rationals"} < closure
+    assert not closure & {"reconstruct", "cli"}, closure
 
 
 def test_residual_scan_requires_sealed_and_complete(reconstructed):
