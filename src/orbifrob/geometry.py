@@ -205,15 +205,6 @@ class Geometry:
         self.check_label(v)
         return self.eta.get((u, v), QQ(0))
 
-    def pairing_inverse(self, u, v):
-        """Entry eta^(u,v) of the inverse matrix of the pairing.
-
-        Every label pairs with exactly one other label, so the inverse
-        entry is 1/eta(u, v) where eta(u, v) is nonzero and 0 elsewhere.
-        """
-        value = self.pairing(u, v)
-        return 1 / value if value else QQ(0)
-
     def __repr__(self):
         return f"Geometry({self.multiplet}, mu={self.mu}, chi={self.chi})"
 

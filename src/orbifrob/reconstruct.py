@@ -22,15 +22,17 @@ field per twisted slot, wide enough that adding a derivative's shift (at
 most 3 per slot) or one split to another never carries into the next
 field.  The lookup receives such a packed key, and Potential.packed()
 holds the store under the same keys.  Everything about an equation that
-does not depend on the monomial or the store (the degree gate, the
-derivative profile of every (eta pair, side) row as a packed shift, its
-sign and eta constants) is compiled once per (layout, quad) into a
-memoised plan, built on the quad's first probe, with each row's constant
-as integers; a call then only checks the degree gate, enumerates the
-splits of the monomial over the slots it uses, forms each looked-up key
-by integer additions and multiplies integers, keeping one numerator sum
-per denominator until it returns one rational per coefficient.  The
-residual scan (wdvv.residual_scan) shares none of this.
+does not depend on the monomial or the store (the degree gate, and the
+(eta pair, side) rows with their packed derivative shifts, signs and eta
+constants as integers) is compiled once per (layout, quad) into a
+memoised plan, built on the quad's first probe: its singles, where one
+side is a UNIT constant and the other one lookup, and its products of two
+series sides.  A call then only checks the degree gate, walks the singles,
+enumerates the splits of the monomial over the slots it uses for the
+products, forms each looked-up key by integer additions and multiplies
+integers, keeping one numerator sum per denominator until it returns one
+rational per coefficient.  The residual scan (wdvv.residual_scan) shares
+none of this.
 
 Targets are scheduled in the induction
 order of the underlying uniqueness argument (joint order-0/order-1
@@ -64,7 +66,6 @@ from .series import (
     admissible_keys,
     alpha_add,
     alpha_from_pairs,
-    alpha_length,
     effective_max_order,
     format_key,
     indexed_profile,
@@ -268,7 +269,7 @@ def build_schedule(pot: Potential) -> list[SeriesKey]:
     def induction_key(key: SeriesKey):
         if key.m >= 2:
             return (1, 0, 0) + key_sort_key(key)
-        length = alpha_length(key.alpha)
+        length = sum(key.alpha)
         if key.m == 1:
             return (0, length - geom.r - 1, 1) + key_sort_key(key)
         sector = next(iter(support_sectors(geom, key.alpha)))
@@ -313,19 +314,24 @@ class _QuadPlan(NamedTuple):
     """The store-independent part of contract_at for one quad.
 
     rhs is the degree gate: only monomials of scaled degree rhs can carry
-    a nonzero coefficient.  origin is the sum of the rows with UNIT on both
-    sides, two constants eta that contribute at the monomial 1 of order 0
-    only.  rows holds the other (eta pair, side) rows in kernel order, each
-    with its constant factor as integers num/den:
+    a nonzero coefficient.  origin is the sum of the (eta pair, side) rows
+    with UNIT on both sides, two constants eta that contribute at the
+    monomial 1 of order 0 only.  The other rows are kept in kernel order,
+    split by kind:
 
-    * (num, den, p, vec, mults, None, None, None, None) when one side
+    * singles, one (num, den, p, vec, mults) per row where one side
       contains UNIT: num/den is the signed eta weight times that side's
       constant eta (nonzero; rows with a zero constant are dropped), and
       the other side reads one coefficient, shifted by vec;
-    * (num, 1, p1, vec1, mults1, p2, vec2, mults2, top) for a product of
-      two series sides, whose weight is a signed entry of the integral
-      eta^-1; top = 2 - wdeg(vec1) (scaled) is the degree the order-0 part
-      of beta1 must have.
+    * products, one (w, p1, vec1, mults1, p2, vec2, mults2, top) per row
+      with two series sides, whose weight w is a signed entry of the
+      integral eta^-1; top = 2 - wdeg(vec1) (scaled) is the degree the
+      order-0 part of beta1 must have.
+
+    UNIT reaches a side of a UNIT-free quad only through the pairs
+    (UNIT, POINT) and (POINT, UNIT), which eta_inverse_pairs lists first,
+    and a quad containing UNIT has no product row, so every single row
+    comes before every product row in kernel order.
 
     p counts POINT derivatives, vec is the packed shift of the twisted
     indicators and mults their (field offset, multiplicity) pairs, as
@@ -334,7 +340,8 @@ class _QuadPlan(NamedTuple):
 
     rhs: int
     origin: object
-    rows: tuple
+    singles: tuple
+    products: tuple
 
 
 @functools.cache
@@ -349,7 +356,7 @@ def _quad_plan(layout: KeyLayout, quad: WdvvQuad) -> _QuadPlan:
     a, b, c, d = (index[lab] for lab in quad)
     two = 2 * geom.scale
     origin = QQ(0)
-    rows = []
+    singles, products = [], []
     for sigma, tau, w in geom.eta_inverse_pairs:
         sigma, tau = index[sigma], index[tau]
         for triple1, triple2, weight in (
@@ -365,15 +372,14 @@ def _quad_plan(layout: KeyLayout, quad: WdvvQuad) -> _QuadPlan:
                 coef = weight * const(triple1 if u1 else triple2)
                 if coef:
                     p, vec, mults = packed_profile(layout, triple2 if u1 else triple1)
-                    num, den = int(coef.numerator), int(coef.denominator)
-                    rows.append((num, den, p, vec, mults, None, None, None, None))
+                    singles.append((int(coef.numerator), int(coef.denominator), p, vec, mults))
             else:
                 top = two - wdeg_scaled(geom, vec1, 0)
                 row = (*packed_profile(layout, triple1), *packed_profile(layout, triple2))
-                rows.append((weight, 1, *row, top))
+                products.append((weight, *row, top))
     rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
     # A zero origin (no row has UNIT on both sides) is the shared int 0.
-    return _QuadPlan(rhs, origin or 0, tuple(rows))
+    return _QuadPlan(rhs, origin or 0, tuple(singles), tuple(products))
 
 
 def _rational(sums: dict):
@@ -399,17 +405,18 @@ def contract_at(layout: KeyLayout, quad: WdvvQuad, xkey: SeriesKey, lookup):
     cannot hold.  Every key of order <= 2 layout.m_max that passes the
     gate fits.
 
-    The rows come from the plan of (layout, quad) (_quad_plan) in a fixed
-    order, so the keys looked up, and which of them blocks first, depend
-    only on quad, xkey and the answers of lookup.  A single row looks up
-    xkey + vec; a product row, for each order split m1 + m2 = m and each
-    split beta1 <= alpha of the right degree (_splits), looks up
-    beta1 + vec1 + m1 and then (alpha + vec2 + m2) - beta1, all integer
-    additions that never carry across fields.  Falling factorials read
-    each field with a shift and a mask.  The terms are summed as integers:
-    c0 and c1 keep one numerator sum per denominator (the product of the
-    denominators of a term's factors) and become one rational each at the
-    end; c2, whose terms read no stored value, is an integer.
+    The single rows and then the product rows come from the plan of
+    (layout, quad) (_quad_plan) in a fixed order, so the keys looked up,
+    and which of them blocks first, depend only on quad, xkey and the
+    answers of lookup.  A single row looks up xkey + vec; a product row,
+    for each order split m1 + m2 = m and each split beta1 <= alpha of the
+    right degree (_splits), looks up beta1 + vec1 + m1 and then
+    (alpha + vec2 + m2) - beta1, all integer additions that never carry
+    across fields.  Falling factorials read each field with a shift and a
+    mask.  The terms are summed as integers: c0 and c1 keep one numerator
+    sum per denominator (the product of the denominators of a term's
+    factors) and become one rational each at the end; c2, whose terms read
+    no stored value, is an integer.
     """
     plan = _quad_plan(layout, quad)
     alpha, m = xkey
@@ -421,36 +428,33 @@ def contract_at(layout: KeyLayout, quad: WdvvQuad, xkey: SeriesKey, lookup):
     c2 = 0
     if not packed:
         sums0[plan.origin.denominator] = plan.origin.numerator
-    chi = layout.geometry.chi_scaled
     fmask = layout.fmask
     perm = math.perm
-    splits = None
-    for num, den, p1, vec1, mults1, p2, vec2, mults2, top in plan.rows:
-        if vec2 is None:
-            if p1 and m == 0:
-                continue
-            key = packed + vec1
-            value = lookup(key)
-            if not value:
-                continue
-            coef = num * m**p1
-            for off, k in mults1:
-                coef *= perm((key >> off) & fmask, k)
-            if value is TARGET:
-                sums1[den] = sums1.get(den, 0) + coef
-            else:
-                d = den * value.denominator
-                sums0[d] = sums0.get(d, 0) + coef * value.numerator
+    for num, den, p, vec, mults in plan.singles:
+        if p and m == 0:
             continue
+        key = packed + vec
+        value = lookup(key)
+        if not value:
+            continue
+        coef = num * m**p
+        for off, k in mults:
+            coef *= perm((key >> off) & fmask, k)
+        if value is TARGET:
+            sums1[den] = sums1.get(den, 0) + coef
+        else:
+            d = den * value.denominator
+            sums0[d] = sums0.get(d, 0) + coef * value.numerator
 
-        if splits is None:
-            splits = _splits(layout, alpha)
+    chi = layout.geometry.chi_scaled
+    splits = _splits(layout, alpha)
+    for w, p1, vec1, mults1, p2, vec2, mults2, top in plan.products:
         for m1 in range(1 if p1 else 0, m if p2 else m + 1):
             group = splits.get(top - m1 * chi)
             if group is None:
                 continue
             m2 = m - m1
-            factor = num * m1**p1 * m2**p2
+            factor = w * m1**p1 * m2**p2
             base1 = vec1 + m1
             base2 = packed - m + vec2 + m2
             for beta1 in group:

@@ -89,10 +89,6 @@ def alpha_sub(a: tuple[int, ...], b: tuple[int, ...]):
     return tuple(out)
 
 
-def alpha_length(alpha: tuple[int, ...]) -> int:
-    return sum(alpha)
-
-
 def support_sectors(geom: Geometry, alpha: tuple[int, ...]) -> set[int]:
     return {geom.twisted[s].sector for s, k in enumerate(alpha) if k}
 
@@ -414,7 +410,7 @@ def seed_entries(geom: Geometry, mode: SeedMode):
     product = alpha_from_pairs(geom, [((i, 1), 1) for i in range(1, geom.r + 1)])
     yield SeriesKey(product, 1), _value(mode.degree_one, product), "degree-one"
     for alpha in admissible_keys(geom, 1):
-        if alpha_length(alpha) <= geom.r and alpha != product:
+        if sum(alpha) <= geom.r and alpha != product:
             yield SeriesKey(alpha, 1), QQ(0), "degree-one-support"
 
     if mode.quartic:

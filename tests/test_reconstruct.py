@@ -14,7 +14,7 @@ from orbifrob import (
     WdvvQuad,
 )
 from orbifrob.rationals import QQ
-from orbifrob.series import alpha_length, key_layout
+from orbifrob.series import key_layout
 from orbifrob.reconstruct import TARGET, contract_at
 
 from helpers import (
@@ -176,7 +176,7 @@ def test_schedule_covers_every_unknown_key():
     support = [
         SeriesKey(alpha, 1)
         for alpha in of.admissible_keys(geom, 1)
-        if alpha_length(alpha) <= geom.r and SeriesKey(alpha, 1) != product_key(geom)
+        if sum(alpha) <= geom.r and SeriesKey(alpha, 1) != product_key(geom)
     ]
     assert len(support) == 1
     pot.unknown.update(support)
@@ -417,7 +417,7 @@ def test_degree_one_stratum_matches_uniqueness_statement(reconstructed):
     geom = pot.geometry
     product = product_key(geom)
     for alpha in of.admissible_keys(geom, 1):
-        if alpha_length(alpha) > geom.r:
+        if sum(alpha) > geom.r:
             continue
         value = pot.get_coefficient(SeriesKey(alpha, 1))
         assert (value != 0) == (SeriesKey(alpha, 1) == product)

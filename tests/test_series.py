@@ -8,7 +8,7 @@ import pytest
 import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, UNIT
 from orbifrob.rationals import QQ
-from orbifrob.series import alpha_length, key_layout, multiplicity, wdeg_scaled
+from orbifrob.series import key_layout, multiplicity, wdeg_scaled
 
 from helpers import copy_potential, key_of
 from oracle import SymbolicOracle
@@ -63,7 +63,7 @@ def test_admissible_keys_222_order_one_count():
     geom = of.build_geometry("2,2,2")
     keys = of.admissible_keys(geom, 1)
     assert len(keys) == 10
-    assert all(alpha_length(alpha) == 3 for alpha in keys)
+    assert all(sum(alpha) == 3 for alpha in keys)
 
 
 def test_admissible_keys_chi_zero_decouples_m():
@@ -333,6 +333,17 @@ def _assert_packed_image(pot):
     layout, coeffs, unknown = pot.packed()
     assert coeffs == {layout.pack(*key): value for key, value in pot.coeffs.items()}
     assert unknown == {layout.pack(*key) for key in pot.unknown}
+
+
+def test_packed_view_is_rebuilt_past_its_layout():
+    # A write above the view's layout drops the view; the next packed()
+    # builds it under the layout of the new top order.
+    geom = of.build_geometry("2,3,7")
+    pot = of.seed(geom, of.STANDARD, 2)
+    assert pot.packed().layout is key_layout(geom, 2)
+    pot.set_coefficient(SeriesKey(of.admissible_keys(geom, 3)[0], 3), QQ(5, 7))
+    assert pot.packed().layout is key_layout(geom, 3)
+    _assert_packed_image(pot)
 
 
 def test_packed_view_is_the_image_of_the_store():

@@ -51,6 +51,18 @@ def test_two_term_relation_at_product_key(reconstructed):
         assert of.wdvv_coefficient(pot, quad, target) == 0
 
 
+def test_wdvv_coefficient_is_zero_above_twice_the_stored_orders(reconstructed):
+    # Every term of an order-8 coefficient has a factor of order >= 4,
+    # above max_order = 2, so it is 0 without a lookup; the layout of
+    # order 2 could not even pack the key.
+    pot, _ = reconstructed("2,3,7", 2)
+    assert pot.sealed and pot.packed().layout is key_layout(pot.geometry, 2)
+    quad = WdvvQuad(Twisted(2, 1), Twisted(3, 1), POINT, POINT)
+    alphas = of.admissible_targets(pot.geometry, quad, 8)
+    assert alphas
+    assert of.wdvv_coefficient(pot, quad, SeriesKey(alphas[0], 8)) == 0
+
+
 def test_wdvv_coefficient_against_symbolic_oracle_seeds_only():
     # Seeds alone do not satisfy the equations; the oracle must agree on
     # the nonzero values too.
