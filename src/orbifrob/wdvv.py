@@ -27,17 +27,19 @@ the store and the pairing, and it is multiplicative: both sides of an
 equation carry c**2 * rho**n at a product key of total exponent n, so
 they compare exactly, with entries about half as long as under the lcm.
 Both sides of an equation are pair products drawn from one 4-label
-multiset, so the scan streams the equations one multiset at a time: it
-computes each pair product once and holds at most three of them.  A
-square product takes the two eta terms (sigma, tau) and (tau, sigma)
-once, at twice the weight.  An equation whose two sides are the same
-product (p1[1] == p2[0] in a canonical quad) does no arithmetic: its
-monomials are counted from the product's key support.  Equal sides, as
-on a correct potential, are compared with one dict comparison and their
-monomials counted per order in C; only unequal sides are walked key by
-key.  For a target of order m only stored orders m1 + m2 = m contribute,
-all <= m_max, hence reported residuals are exact values of the
-equations, not truncations.
+multiset, so the scan streams the equations one multiset at a time, in
+one pass in reverse quad order: it computes each pair product once and
+holds at most three of them.  A square product takes the two eta terms
+(sigma, tau) and (tau, sigma) once, at twice the weight.  An equation
+whose two sides are the same product (p1[1] == p2[0] in a canonical
+quad) does no arithmetic: it reuses the product when the multiset's
+other equation, which comes first in that order, built it, and else
+takes its key support.  Equal sides, as on a correct potential, are
+compared with one dict comparison; only unequal sides are walked key by
+key, for their residuals.  Every equation's compared monomials are
+counted per order in one place, in C.  For a target of order m only
+stored orders m1 + m2 = m contribute, all <= m_max, hence reported
+residuals are exact values of the equations, not truncations.
 """
 
 from __future__ import annotations
@@ -124,27 +126,8 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
 
-class _ScanMaps(NamedTuple):
-    """Every nonzero third derivative of a store, as the scan reads it.
-
-    Keys are packed under layout, the series.KeyLayout of the highest
-    stored order the scan reads.  maps holds the derivative map of each
-    sorted label-index triple once, as (m, items) pairs in increasing
-    order m, where items lists the (packed key, integer) entries of that
-    order; triples whose map is empty are absent.  scale is a pair
-    (c, rho) of positive integers: the entry at a map key k is
-    c * rho**|k| times the derivative's value, |k| the total exponent of
-    k's alpha.  The factor is multiplicative in k, so every term of a
-    pair product at key k carries c**2 * rho**|k|.
-    """
-
-    scale: tuple[int, int]
-    layout: KeyLayout
-    maps: dict[tuple[int, ...], list[tuple[int, list[tuple[int, int]]]]]
-
-
 def _length_scale(geom: Geometry, lcm: int, gcds: dict, counts: dict) -> tuple[int, int]:
-    """The (c, rho) of _ScanMaps for entries first cleared by lcm.
+    """The (c, rho) of _scan_maps for entries first cleared by lcm.
 
     gcds[n] is the gcd of the cleared entries of map keys of total exponent
     n, counts[n] their number; lcm // gcd(lcm, gcds[n]) must divide
@@ -179,8 +162,18 @@ def _length_scale(geom: Geometry, lcm: int, gcds: dict, counts: dict) -> tuple[i
     return c * math.lcm(*needed.values()), rho
 
 
-def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
-    """The integer derivative maps of pot up to order m_max, in one pass.
+def _scan_maps(pot: Potential, m_max: int) -> tuple[tuple[int, int], KeyLayout, dict]:
+    """Every nonzero third derivative of pot up to order m_max, in one pass.
+
+    Returns ((c, rho), layout, maps).  Keys are packed under layout, the
+    series.KeyLayout of the highest stored order the scan reads.  maps
+    holds the derivative map of each sorted label-index triple once, as
+    (m, items) pairs in increasing order m, where items lists the (packed
+    key, integer) entries of that order; triples whose map is empty are
+    absent.  c and rho are positive integers: the entry at a map key k is
+    c * rho**|k| times the derivative's value, |k| the total exponent of
+    k's alpha.  The factor is multiplicative in k, so every term of a
+    pair product at key k carries c**2 * rho**|k|.
 
     A stored key feeds the derivative along each triple whose twisted
     multiset fits under its exponents, the rest of the triple being POINT
@@ -262,7 +255,7 @@ def _scan_maps(pot: Potential, m_max: int) -> _ScanMaps:
                 if rest:  # pragma: no cover - _length_scale covers every length
                     raise AssertionError("denominator not cleared")
                 items[i] = (k, scaled)
-    return _ScanMaps((c, rho), layout, maps)
+    return (c, rho), layout, maps
 
 
 def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
@@ -276,16 +269,19 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     pass over the store (_scan_maps), at a scale that grows with the
     length of the key, and holds each once for the call; a table gives
     the map of a (label pair, label) without sorting.  It then streams the
-    equations one 4-label multiset at a time, holding only that multiset's
-    pair products.  A square product (p1 == p2) takes the (sigma, tau) and
-    (tau, sigma) terms of eta once, at twice the weight.  An equation with
-    p1[1] == p2[0] compares a product with itself: it does no arithmetic,
-    and its monomials are counted from the product's key support, or from
-    the product itself when another equation of the multiset built it.
-    Two sides that are equal dicts, as on a correct potential, are
-    compared and counted in C; only unequal sides are walked key by key.
+    equations one 4-label multiset at a time, in one pass in reverse quad
+    order, holding only that multiset's pair products.  A square product
+    (p1 == p2) takes the (sigma, tau) and (tau, sigma) terms of eta once,
+    at twice the weight.  An equation with p1[1] == p2[0] compares a
+    product with itself and does no arithmetic.  Its multiset holds one
+    other equation only for {a,b,b,c}, a < b < c, whose right side is
+    that product and which comes first in reverse order; the product is
+    then reused, and otherwise only its key support is built.  Two sides
+    that are equal dicts, as on a correct potential, are compared in C;
+    only unequal sides are walked key by key, for their residuals.  One
+    statement counts the compared monomials of every equation per order.
     The residuals are reported in quad order whatever order the multisets
-    take.
+    and their equations take.
     """
     if not pot.sealed:
         raise ValueError("residual_scan requires a sealed potential")
@@ -375,33 +371,29 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     found = []
     for equations in groups.values():
         products.clear()
-        identities = []
-        for p1, p2 in equations:
+        # In reverse quad order the one other equation of a multiset that
+        # builds an identity's product ({a,b,b,c}: its right side) comes first.
+        for p1, p2 in reversed(equations):
             if p1[1] == p2[0]:
-                identities.append((p1, p2))
-                continue
-            lhs = product(p1, p2)
-            rhs = product(
-                tuple(sorted((p1[0], p2[0]))), tuple(sorted((p1[1], p2[1])))
-            )
-            if lhs == rhs:
-                for m, n in Counter(map(mmask.__and__, lhs)).items():
-                    target_counts[m] += n
-                continue
-            bad = []
-            for k in lhs.keys() | rhs.keys():
-                target_counts[k & mmask] += 1
-                diff = lhs.get(k, 0) - rhs.get(k, 0)
-                if diff:
-                    key = unpack(k)
-                    bad.append((key, QQ(diff, c2 * rho ** sum(key.alpha))))
-            if bad:
-                found.append((p1, p2, bad))
-        # Taken after the others, so that a product they built is reused.
-        for p1, p2 in identities:
-            keys = products.get((p1, p2))
-            if keys is None:
-                keys = support(p1, p2)
+                # Both sides are product(p1, p2): only its keys are counted.
+                keys = products.get((p1, p2))
+                if keys is None:
+                    keys = support(p1, p2)
+            else:
+                lhs = product(p1, p2)
+                # p1 <= p2, so (p1[0], p2[0]) is sorted already.
+                rhs = product((p1[0], p2[0]), tuple(sorted((p1[1], p2[1]))))
+                keys = lhs
+                if lhs != rhs:
+                    keys = lhs.keys() | rhs.keys()
+                    bad = []
+                    for k in keys:
+                        diff = lhs.get(k, 0) - rhs.get(k, 0)
+                        if diff:
+                            key = unpack(k)
+                            bad.append((key, QQ(diff, c2 * rho ** sum(key.alpha))))
+                    if bad:
+                        found.append((p1, p2, bad))
             for m, n in Counter(map(mmask.__and__, keys)).items():
                 target_counts[m] += n
 

@@ -156,6 +156,10 @@ def test_classify_partitions_all_multiplets():
         assert got == expected
 
 
+def test_geometry_repr():
+    assert repr(of.build_geometry("2,3,7")) == "Geometry(2,3,7, mu=11, chi=-1/42)"
+
+
 def test_build_geometry_returns_one_geometry_per_multiplet():
     geom = of.build_geometry("3,4,5")
     assert of.build_geometry(Multiplet((3, 4, 5))) is geom

@@ -329,6 +329,13 @@ def test_borrow_check_tests_containment():
     assert check(full, (3,) * n, 3) == 0
 
 
+def test_potential_repr(reconstructed):
+    pot, _ = reconstructed("2,3,4", 3)
+    assert repr(pot) == "Potential(2,3,4, 43 coefficients, sealed)"
+    seeded = of.seed(of.build_geometry("2,3,7"), of.STANDARD, 2)
+    assert repr(seeded) == "Potential(2,3,7, 6 coefficients, building)"
+
+
 def _assert_packed_image(pot):
     layout, coeffs, unknown = pot.packed()
     assert coeffs == {layout.pack(*key): value for key, value in pot.coeffs.items()}

@@ -157,6 +157,37 @@ def test_limit_product_detects_wrong_seeds(reconstructed):
     assert "(2,1)" in report.detail
 
 
+def test_limit_ring_detects_a_broken_product():
+    # With (3,1) o (3,2) patched to 0, ((3,1) o (3,2)) o (3,1) = 0 differs
+    # from (3,1) o ((3,2) o (3,1)) = (3,1) o (3,3) = 1/4 tmu.
+    geom = of.build_geometry("2,3,4")
+    ring = of.LimitRing(geom)
+    product = ring.product
+
+    def broken(u, v):
+        return {} if (u, v) == (Twisted(3, 1), Twisted(3, 2)) else product(u, v)
+
+    ring.product = broken
+    assert not ring.is_associative()
+    assert of.LimitRing(geom).is_associative()
+
+
+_EMPTY_234 = """frobenius-potential v1
+multiplet: 2,3,4
+mode: standard
+max-order: 0
+coefficients: 0
+"""
+
+
+def test_limit_product_renders_a_vanishing_product_as_zero():
+    # A file without records gives every limit product of two twisted
+    # labels as 0; the first mismatch is the ring's (2,1) o (2,1) = (2,2).
+    report = of.check_limit_product(of.parse_potential(_EMPTY_234))
+    assert not report.passed
+    assert report.detail == "(2,1) o (2,1): potential gives 0, ring gives 1*(2,2)"
+
+
 def test_checks_are_pure(reconstructed):
     pot, _ = reconstructed("2,3,4", 1)
     before = dict(pot.coeffs)

@@ -566,7 +566,8 @@ def test_residual_scan_is_sized_by_the_store_not_the_header():
     # 21,533,552 bytes measured then, nearly all of it the per-order
     # targets-checked counts.
     pot = of.parse_potential(_HUGE_HEADER_FILE)
-    assert wdvv._scan_maps(pot, pot.max_order).layout is key_layout(pot.geometry, 8)
+    _, layout, _ = wdvv._scan_maps(pot, pot.max_order)
+    assert layout is key_layout(pot.geometry, 8)
     tracemalloc.start()
     try:
         report = of.residual_scan(pot, pot.max_order)
