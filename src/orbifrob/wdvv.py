@@ -26,18 +26,27 @@ built from per-length gcds of the entries, first cleared by one lcm over
 the store and the pairing, and it is multiplicative: both sides of an
 equation carry c**2 * rho**n at a product key of total exponent n, so
 they compare exactly, with entries about half as long as under the lcm.
-Both sides of an equation are pair products drawn from one 4-label
-multiset, so the scan streams the equations one multiset at a time, in
-one pass in reverse quad order: it computes each pair product once and
-holds at most three of them.  A square product takes the two eta terms
-(sigma, tau) and (tau, sigma) once, at twice the weight.  An equation
-whose two sides are the same product (p1[1] == p2[0] in a canonical
-quad) does no arithmetic: it reuses the product when the multiset's
-other equation, which comes first in that order, built it, and else
-takes its key support.  Equal sides, as on a correct potential, are
-compared with one dict comparison; only unequal sides are walked key by
-key, for their residuals.  Every equation's compared monomials are
-counted per order in one place, in C.  For a target of order m only
+The products then multiply Euler-line fibers, not single entries: the
+entries of one map order whose keys agree below the last two twisted
+fields, where the Euler constraint leaves one free exponent, alpha_fb,
+and fixes the last, alpha_fa.  A fiber is two integers, V with one
+base-2**bits digit per entry at its alpha_fb and S with a digit 1 at each
+alpha_fb present, so one multiply-add per pair of fibers does the work of
+one per pair of entries: 1,387,255 of them on 2,3,7 m=8 where entry
+pairs took 3,975,944.  Both sides of an equation are pair products drawn
+from one 4-label multiset, so the scan streams the equations one
+multiset at a time, in one pass in reverse quad order: it computes each
+pair product once and holds at most three of them.  A square product
+takes the two eta terms (sigma, tau) and (tau, sigma) once, at twice the
+weight.  An equation whose two sides are the same product (p1[1] ==
+p2[0] in a canonical quad) does no arithmetic: it reuses the product
+when the multiset's other equation, which comes first in that order,
+built it, and else ORs only its fibers' S products.  Equal sides, as on
+a correct potential, are compared with one dict comparison; only unequal
+sides are walked fiber by fiber and digit by digit, for their residuals,
+each residual key's alpha_fa read back from the equation's degree.
+Every equation's compared monomials are counted per order in one place,
+one bit count per fiber.  For a target of order m only
 stored orders m1 + m2 = m contribute, all <= m_max, hence reported
 residuals are exact values of the equations, not truncations.
 """
@@ -46,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,6 +72,7 @@ from .series import (
     key_sort_key,
     multiplicity,
     unit_constant,
+    wdeg_scaled,
 )
 
 
@@ -268,18 +277,28 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     The scan is sequential.  It builds every derivative map in one integer
     pass over the store (_scan_maps), at a scale that grows with the
     length of the key, and holds each once for the call; a table gives
-    the map of a (label pair, label) without sorting.  It then streams the
-    equations one 4-label multiset at a time, in one pass in reverse quad
-    order, holding only that multiset's pair products.  A square product
-    (p1 == p2) takes the (sigma, tau) and (tau, sigma) terms of eta once,
-    at twice the weight.  An equation with p1[1] == p2[0] compares a
-    product with itself and does no arithmetic.  Its multiset holds one
-    other equation only for {a,b,b,c}, a < b < c, whose right side is
-    that product and which comes first in reverse order; the product is
-    then reused, and otherwise only its key support is built.  Two sides
-    that are equal dicts, as on a correct potential, are compared in C;
-    only unequal sides are walked key by key, for their residuals.  One
-    statement counts the compared monomials of every equation per order.
+    the map of a (label pair, label) without sorting.  It cuts each map
+    order into Euler-line fibers, the entries whose keys agree below the
+    last two twisted fields, and packs each fiber into two integers: V,
+    one base-2**bits digit per entry at its alpha_fb (the second last
+    field), and S, a digit 1 at each alpha_fb present.  The entry lists
+    are dropped as they are fibered.  It then streams the equations one
+    4-label multiset at a time, in one pass in reverse quad order,
+    holding only that multiset's pair products, each a dict of fiber key
+    to [V, S] built by one multiply-add per pair of fibers, w * V1 * V2,
+    with S1 * S2 ORed alongside.  A square product (p1 == p2) takes the
+    (sigma, tau) and (tau, sigma) terms of eta once, at twice the weight.
+    An equation with p1[1] == p2[0] compares a product with itself and
+    does no arithmetic.  Its multiset holds one other equation only for
+    {a,b,b,c}, a < b < c, whose right side is that product and which
+    comes first in reverse order; the product is then reused, and
+    otherwise only the S products are ORed.  Two sides that are equal
+    dicts, as on a correct potential, are compared in C; only unequal
+    sides are walked fiber by fiber, their V difference read digit by
+    digit, and each residual key's last field, alpha_fa, comes back from
+    the Euler constraint of the equation.  One statement counts the
+    compared monomials of every equation per order, as the nonzero
+    digits of the S of each fiber.
     The residuals are reported in quad order whatever order the multisets
     and their equations take.
     """
@@ -305,16 +324,69 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     # eta is symmetric, so in a square product the (sigma, tau) and
     # (tau, sigma) terms are the same convolution.
     square_pairs = [(s, t, w if s == t else 2 * w) for s, t, w in eta_pairs if s <= t]
+
+    # The products multiply Euler-line fibers, not single map entries.  A
+    # fiber of a map order holds the entries whose keys agree below fb, the
+    # second last twisted field.  fa, the last one, has the smallest degree
+    # of its sector, which divides fb's.  The keys of one map order, and
+    # those of one side of an equation, share a weighted degree, so inside
+    # a fiber alpha_fb fixes alpha_fa.  A fiber is its key below fb (the
+    # fiber key) and two integers: V, the sum of v << (bits * alpha_fb)
+    # over its entries, and S, a digit 1 of sbits bits at each alpha_fb
+    # present.  Fiber keys add without a carry, like the keys they stand
+    # for.  w * V1 * V2 holds, as its base 2**bits digit at each alpha_fb,
+    # the sum of the entry products there, and S1 * S2 a digit of at most
+    # the shorter fiber's length at each alpha_fb reached.
+    offb = layout.offsets[-2]
+    below, fmask = (1 << offb) - 1, layout.fmask
+    # At one key a product sums w * v1 * v2 over at most one entry pair per
+    # eta term, order split and entry of the left map order, which holds
+    # at most longest entries.  bits holds that sum, and the difference of
+    # two, as a balanced digit in (-2**(bits-1), 2**(bits-1)), so V's are
+    # equal exactly when their sums are, and a difference reads off digit
+    # by digit.
+    longest = max(len(items) for lists in maps.values() for _, items in lists)
+    vmax = max(abs(v) for lists in maps.values() for _, items in lists for _, v in items)
+    wmax = max(abs(w) for _, _, w in square_pairs + eta_pairs)
+    bound = wmax * vmax * vmax * len(eta_pairs) * (layout.m_max + 1) * longest
+    bits = bound.bit_length() + 2
+    # alpha_fb <= limit, so a fiber holds at most limit + 1 keys; an OR of
+    # S products keeps each digit below half, and adding half - 1 to a
+    # digit sets its top bit, in high, exactly when the digit is nonzero.
+    sbits = (layout.limit + 1).bit_length() + 1
+    digits = range(2 * layout.limit + 1)
+    half = 1 << (sbits - 1)
+    add = sum((half - 1) << (sbits * q) for q in digits)
+    high = sum(half << (sbits * q) for q in digits)
+
+    fibered: dict[tuple[int, ...], list] = {}
+    while maps:  # each entry list is dropped once it is fibered
+        triple, lists = maps.popitem()
+        by_order = []
+        for m, items in lists:
+            fibers: dict[int, list[int]] = {}
+            for k, v in items:
+                q = (k >> offb) & fmask
+                fiber = fibers.get(k & below)
+                if fiber is None:
+                    fibers[k & below] = [v << (bits * q), 1 << (sbits * q)]
+                else:
+                    fiber[0] += v << (bits * q)
+                    fiber[1] |= 1 << (sbits * q)
+            by_order.append((m, [(f, vs, ss) for f, (vs, ss) in fibers.items()]))
+        fibered[triple] = by_order
+
     series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
     pairs = list(itertools.combinations_with_replacement(series_labels, 2))
-    # table[pair][label]: the map of the sorted triple pair + label, or None.
+    # table[pair][label]: the fibered map of the sorted triple pair + label,
+    # or None.
     table = {
-        pair: [maps.get(tuple(sorted((*pair, k)))) for k in range(len(labels))]
+        pair: [fibered.get(tuple(sorted((*pair, k)))) for k in range(len(labels))]
         for pair in pairs
     }
 
     def blocks(p1: tuple[int, int], p2: tuple[int, int]):
-        # (weight, items1, items2) of every block of map entries whose
+        # (weight, fibers1, fibers2) of every block of map fibers whose
         # pairwise products make up the product of p1 and p2.
         left, right = table[p1], table[p2]
         for sigma, tau, w in square_pairs if p1 == p2 else eta_pairs:
@@ -324,38 +396,47 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             d2 = right[tau]
             if d2 is None:
                 continue
-            for m1, items1 in d1:
-                for m2, items2 in d2:
+            for m1, fibers1 in d1:
+                for m2, fibers2 in d2:
                     if m1 + m2 > m_max:
                         break
-                    yield w, items1, items2
+                    yield w, fibers1, fibers2
 
-    products: dict[tuple, dict[int, int]] = {}  # of the current multiset
+    # Of the current multiset: (p1, p2) -> {fiber key: [V, S]}.
+    products: dict[tuple, dict[int, list[int]]] = {}
 
-    def product(p1: tuple[int, int], p2: tuple[int, int]) -> dict[int, int]:
+    def product(p1: tuple[int, int], p2: tuple[int, int]) -> dict[int, list[int]]:
         # Both sides of the loop below pass p1 <= p2, so the key is canonical.
         cache_key = (p1, p2)
         got = products.get(cache_key)
         if got is not None:
             return got
-        out: dict[int, int] = {}
+        out: dict[int, list[int]] = {}
         get = out.get
-        for w, items1, items2 in blocks(p1, p2):
-            for k1, v1 in items1:
+        for w, fibers1, fibers2 in blocks(p1, p2):
+            for k1, v1, s1 in fibers1:
                 wv1 = w * v1
-                for k2, v2 in items2:
+                for k2, v2, s2 in fibers2:
                     k = k1 + k2
-                    prev = get(k)
-                    out[k] = wv1 * v2 if prev is None else prev + wv1 * v2
+                    acc = get(k)
+                    if acc is None:
+                        out[k] = [wv1 * v2, s1 * s2]
+                    else:
+                        acc[0] += wv1 * v2
+                        acc[1] |= s1 * s2
         products[cache_key] = out
         return out
 
-    def support(p1: tuple[int, int], p2: tuple[int, int]) -> set[int]:
-        # The keys of product(p1, p2), by key additions only.
-        keys: set[int] = set()
-        for _, items1, items2 in blocks(p1, p2):
-            keys.update([k1 + k2 for k1, _ in items1 for k2, _ in items2])
-        return keys
+    def support(p1: tuple[int, int], p2: tuple[int, int]) -> dict[int, int]:
+        # The S of each fiber of product(p1, p2), by ORs of S products only.
+        out: dict[int, int] = {}
+        get = out.get
+        for _, fibers1, fibers2 in blocks(p1, p2):
+            for k1, _, s1 in fibers1:
+                for k2, _, s2 in fibers2:
+                    k = k1 + k2
+                    out[k] = get(k, 0) | s1 * s2
+        return out
 
     # Both sides of an equation are products of two label pairs drawn from
     # the same 4-label multiset, and each product belongs to exactly one
@@ -367,6 +448,10 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         report.quads_checked += 1
 
     c2 = c * c
+    offa, dega = layout.offsets[-1], geom.deg_scaled[-1]
+    dmask = (1 << bits) - 1
+    dhalf = 1 << (bits - 1)
+    nothing = (0, 0)
     target_counts: dict[int, int] = {m: 0 for m in range(m_max + 1)}
     found = []
     for equations in groups.values():
@@ -376,26 +461,42 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         for p1, p2 in reversed(equations):
             if p1[1] == p2[0]:
                 # Both sides are product(p1, p2): only its keys are counted.
-                keys = products.get((p1, p2))
-                if keys is None:
-                    keys = support(p1, p2)
+                got = products.get((p1, p2))
+                if got is None:
+                    supports = support(p1, p2).items()
+                else:
+                    supports = ((f, s) for f, (_, s) in got.items())
             else:
                 lhs = product(p1, p2)
                 # p1 <= p2, so (p1[0], p2[0]) is sorted already.
                 rhs = product((p1[0], p2[0]), tuple(sorted((p1[1], p2[1]))))
-                keys = lhs
-                if lhs != rhs:
-                    keys = lhs.keys() | rhs.keys()
+                if lhs == rhs:
+                    supports = ((f, s) for f, (_, s) in lhs.items())
+                else:
+                    # Every key of the equation has this scaled degree,
+                    # which gives alpha_fa back from the rest of the key.
+                    degree = 3 * geom.scale - sum(geom.degree_scaled(labels[k]) for k in p1 + p2)
+                    supports = []
                     bad = []
-                    for k in keys:
-                        diff = lhs.get(k, 0) - rhs.get(k, 0)
-                        if diff:
-                            key = unpack(k)
-                            bad.append((key, QQ(diff, c2 * rho ** sum(key.alpha))))
+                    for f in lhs.keys() | rhs.keys():
+                        lv, ls = lhs.get(f, nothing)
+                        rv, rs = rhs.get(f, nothing)
+                        supports.append((f, ls | rs))
+                        diff = lv - rv
+                        q = 0  # the digit's alpha_fb
+                        while diff:
+                            digit = ((diff + dhalf) & dmask) - dhalf
+                            if digit:
+                                partial = f | q << offb
+                                rest = degree - wdeg_scaled(geom, unpack(partial).alpha, f & mmask)
+                                key = unpack(partial | rest // dega << offa)
+                                bad.append((key, QQ(digit, c2 * rho ** sum(key.alpha))))
+                            diff = (diff - digit) >> bits
+                            q += 1
                     if bad:
                         found.append((p1, p2, bad))
-            for m, n in Counter(map(mmask.__and__, keys)).items():
-                target_counts[m] += n
+            for f, s in supports:
+                target_counts[f & mmask] += ((s + add) & high).bit_count()
 
     # pairs is in lexicographic order, so sorting by (p1, p2) restores the
     # order of the quad enumeration; within a quad, canonical key order.

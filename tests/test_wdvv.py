@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,18 @@ def test_kernel_matches_scan_on_every_target_rescaled(reconstructed):
     broken = copy_potential(pot, {victim: pot.get_coefficient(victim) + QQ(1, 11)})
     assert _kernel_against_scan(broken) == (28, 14092, 493)
 
+
+def test_kernel_matches_scan_on_every_target_235(reconstructed):
+    # A second multiplet, and orders up to 3: most of the scan's residual
+    # keys have a nonzero last field, which it reads off the Euler
+    # constraint rather than from a stored key.
+    pot, _ = reconstructed("2,3,5", 3)
+    geom = pot.geometry
+    victim = key_of(geom, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1)
+    broken = copy_potential(pot, {victim: pot.get_coefficient(victim) + 1})
+    assert _kernel_against_scan(broken) == (36, 23671, 2431)
+    report = of.residual_scan(broken, 3)
+    assert sum(1 for _, key, _ in report.nonzero if key.alpha[-1]) == 1551
 
 def test_residual_scan_detects_perturbation(reconstructed):
     pot, _ = reconstructed("2,2,3", 2)
@@ -546,6 +559,66 @@ def test_scan_products_never_carry(reconstructed, multiplet, m_max, mode, produc
                         if (k1 ^ k2 ^ (k1 + k2)) & starts:
                             carries += 1
     assert (checked, carries) == (products, 0)
+
+
+def test_residual_scan_matches_a_plain_dict_recount(reconstructed):
+    # Rebuild both sides of every equation as plain dicts of packed key ->
+    # integer from the scan's own map entries, one entry pair at a time,
+    # and take the residuals and the compared monomials from those.  The
+    # scan multiplies whole Euler-line fibers instead (the entries whose
+    # keys agree below the second last twisted field), so the case must
+    # hold fibers of two or more keys, compared keys whose contributions
+    # cancel to 0, and residual keys with a nonzero last field, which the
+    # scan gets back from the Euler constraint.
+    broken = _perturbed(
+        reconstructed, "2,3,4", 2, of.STANDARD, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 1
+    )
+    geom = broken.geometry
+    (c, rho), layout, maps = wdvv._scan_maps(broken, 2)
+    below = (1 << layout.offsets[-2]) - 1
+    index = geom.label_index
+    eta = [(index[sigma], index[tau], w) for sigma, tau, w in geom.eta_inverse_pairs]
+    series = [k for k, lab in enumerate(geom.labels) if lab is not UNIT]
+    pairs = list(itertools.combinations_with_replacement(series, 2))
+
+    def side(p1, p2):
+        out = {}
+        for sigma, tau, w in eta:
+            for m1, items1 in maps.get(tuple(sorted((*p1, sigma))), ()):
+                for m2, items2 in maps.get(tuple(sorted((*p2, tau))), ()):
+                    if m1 + m2 <= 2:
+                        for k1, v1 in items1:
+                            for k2, v2 in items2:
+                                out[k1 + k2] = out.get(k1 + k2, 0) + w * v1 * v2
+        return out
+
+    residuals = {}
+    counts = {m: 0 for m in range(3)}
+    cancelled = 0
+    for p1, p2 in itertools.combinations_with_replacement(pairs, 2):
+        quad = WdvvQuad(*(geom.labels[k] for k in p1 + p2))
+        lhs = side(p1, p2)
+        rhs = side((p1[0], p2[0]), tuple(sorted((p1[1], p2[1]))))
+        cancelled += sum(not v for v in lhs.values())
+        for k in lhs.keys() | rhs.keys():
+            counts[k & layout.mmask] += 1
+            diff = lhs.get(k, 0) - rhs.get(k, 0)
+            if diff:
+                key = layout.unpack(k)
+                residuals[quad, key] = QQ(diff, c * c * rho ** sum(key.alpha))
+
+    report = of.residual_scan(broken, 2)
+    assert {(quad, key): value for quad, key, value in report.nonzero} == residuals
+    assert len(report.nonzero) == len(residuals) == 493
+    assert report.targets_checked == counts
+    # The longest fiber of any map order.
+    assert max(
+        max(Counter(k & below for k, _ in items).values())
+        for lists in maps.values()
+        for _, items in lists
+    ) >= 2
+    assert cancelled
+    assert any(key.alpha[-1] for _, key in residuals)
 
 
 # One admissible m=8 record of the 2,3,7 m=8 potential under a huge header.
