@@ -32,9 +32,8 @@ fields, where the Euler constraint leaves one free exponent, alpha_fb,
 and fixes the last, alpha_fa.  A fiber is two integers, V with one
 base-2**bits digit per entry at its alpha_fb and S with a digit 1 at each
 alpha_fb present, so one multiply-add per pair of fibers does the work of
-one per pair of entries: 1,387,255 of them on 2,3,7 m=8 where entry
-pairs took 3,975,944.  Both sides of an equation are pair products drawn
-from one 4-label multiset, so the scan streams the equations one
+one per pair of entries.  Both sides of an equation are pair products
+drawn from one 4-label multiset, so the scan streams the equations one
 multiset at a time, in one pass in reverse quad order: it computes each
 pair product once and holds at most three of them.  A square product
 takes the two eta terms (sigma, tau) and (tau, sigma) once, at twice the
@@ -46,8 +45,8 @@ a correct potential, are compared with one dict comparison; only unequal
 sides are walked fiber by fiber and digit by digit, for their residuals,
 each residual key's alpha_fa read back from the equation's degree.
 Every equation's compared monomials are counted per order in one place,
-one bit count per fiber.  For a target of order m only
-stored orders m1 + m2 = m contribute, all <= m_max, hence reported
+one bit count per fiber.  For a target of order m only stored orders
+m1 + m2 = m contribute, all <= m_max, hence reported
 residuals are exact values of the equations, not truncations.
 """
 
@@ -325,18 +324,14 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     # (tau, sigma) terms are the same convolution.
     square_pairs = [(s, t, w if s == t else 2 * w) for s, t, w in eta_pairs if s <= t]
 
-    # The products multiply Euler-line fibers, not single map entries.  A
-    # fiber of a map order holds the entries whose keys agree below fb, the
-    # second last twisted field.  fa, the last one, has the smallest degree
-    # of its sector, which divides fb's.  The keys of one map order, and
-    # those of one side of an equation, share a weighted degree, so inside
-    # a fiber alpha_fb fixes alpha_fa.  A fiber is its key below fb (the
-    # fiber key) and two integers: V, the sum of v << (bits * alpha_fb)
-    # over its entries, and S, a digit 1 of sbits bits at each alpha_fb
-    # present.  Fiber keys add without a carry, like the keys they stand
-    # for.  w * V1 * V2 holds, as its base 2**bits digit at each alpha_fb,
-    # the sum of the entry products there, and S1 * S2 a digit of at most
-    # the shorter fiber's length at each alpha_fb reached.
+    # fa, the last twisted field, has the smallest degree of its sector,
+    # which divides that of fb, the second last; the keys of a map order,
+    # and those of one side of an equation, share a weighted degree.  So
+    # alpha_fb fixes alpha_fa among keys that agree below fb, and fiber
+    # keys (the part below fb) add without a carry, like the keys they
+    # stand for.  w * V1 * V2 holds at each alpha_fb, as a base-2**bits
+    # digit, the sum of the entry products there; S1 * S2 holds a digit of
+    # at most the shorter fiber's length at each alpha_fb reached.
     offb = layout.offsets[-2]
     below, fmask = (1 << offb) - 1, layout.fmask
     # At one key a product sums w * v1 * v2 over at most one entry pair per
