@@ -565,16 +565,17 @@ def probe_candidate(
 class _Sockets(NamedTuple):
     """One phase of the fallback's socket table.
 
-    Socket n sits in the quad numbered quad[n]; in the stored-partner
-    phase its partner shift is shifts[shift[n]].  groups holds
-    (shift number of vec1, socket numbers) once per distinct target-side
-    shift vec1, so a target costs one containment test per group, not one
-    per socket.
+    Socket n sits in the quad numbered quad[n].  groups holds one
+    (shift number of vec1, items) per distinct target-side shift vec1, so
+    a target costs one containment test per group, not one per socket.
+    In the analytic phase the items are socket numbers; in the
+    stored-partner phase they are that group's sockets grouped once more,
+    as (shift number of vec2, socket numbers) per distinct partner shift
+    vec2, so a partner costs one test per such group.
     """
 
     groups: tuple
     quad: array
-    shift: array
 
 
 @functools.cache
@@ -591,9 +592,15 @@ def _fallback_sockets(layout: KeyLayout):
     stream order: canonical quad order, then the four orientations, then
     the pairs of eta, first occurrence kept.  Each triple is looked up once.
 
-    Returns (quads, shifts, analytic, series): the canonical WdvvQuads,
-    the distinct shifts as (packed vec, p) in first-seen order, and one
-    _Sockets per phase.
+    A canonical quad (p1, p2) with p1[1] == p2[0] gets no socket: its
+    equation WDVV(a, b, b, d) subtracts the product F_ab. eta F_.bd from
+    itself, so every coefficient of it is identically zero and no
+    candidate in it can solve (wdvv.residual_scan skips the same
+    equations).  It gets no quad number either.
+
+    Returns (quads, shifts, analytic, series): the canonical WdvvQuads that
+    have sockets, the distinct shifts as (packed vec, p) in first-seen
+    order, and one _Sockets per phase.
     """
     geom = layout.geometry
     labels, index = geom.labels, geom.label_index
@@ -616,9 +623,11 @@ def _fallback_sockets(layout: KeyLayout):
     quads = []
     a_groups: dict[int, array] = {}
     a_quad = array("l")
-    s_groups: dict[int, array] = {}
-    s_quad, s_shift = array("l"), array("l")
+    s_groups: dict[int, dict[int, array]] = {}  # vec1 -> vec2 -> socket numbers
+    s_quad = array("l")
     for p1, p2 in itertools.combinations_with_replacement(pairs, 2):
+        if p1[1] == p2[0]:
+            continue
         qi = len(quads)
         a, b, c, d = p1 + p2
         quads.append(WdvvQuad(labels[a], labels[b], labels[c], labels[d]))
@@ -633,22 +642,21 @@ def _fallback_sockets(layout: KeyLayout):
             a_groups.setdefault(v1, array("l")).append(len(a_quad))
             a_quad.append(qi)
         for v1, v2 in series:
-            s_groups.setdefault(v1, array("l")).append(len(s_quad))
+            s_groups.setdefault(v1, {}).setdefault(v2, array("l")).append(len(s_quad))
             s_quad.append(qi)
-            s_shift.append(v2)
 
     return (
         tuple(quads),
         tuple(shift_id),
-        _Sockets(tuple(a_groups.items()), a_quad, array("l")),
-        _Sockets(tuple(s_groups.items()), s_quad, s_shift),
+        _Sockets(tuple(a_groups.items()), a_quad),
+        _Sockets(tuple((v1, tuple(by_v2.items())) for v1, by_v2 in s_groups.items()), s_quad),
     )
 
 
 def _fitting(layout: KeyLayout, groups, packed: int):
-    """(item, packed - vec) for the items of every (shift number, items)
-    group of the layout's socket table whose shift vec fits under the
-    packed key, sorted by item.
+    """(items, packed - vec) for every (shift number, items) group of the
+    layout's socket table whose shift vec fits under the packed key, in
+    group order.
 
     One subtraction tests the fit: vec fits exactly when packed - vec
     borrows into no field, that is when no start bit of the layout is set
@@ -663,8 +671,7 @@ def _fitting(layout: KeyLayout, groups, packed: int):
             continue
         rest = packed - vec
         if not (packed ^ vec ^ rest) & starts:
-            hits += zip(items, itertools.repeat(rest))
-    hits.sort()
+            hits.append((items, rest))
     return hits
 
 
@@ -673,13 +680,17 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
 
     A candidate is useful only if the target's derivative appears in one
     side of the equation against a structurally nonzero partner: either
-    the analytic constant side or a stored nonzero coefficient.  The
-    stream is deterministic: analytic partners first, then stored
-    partners in canonical key order, each in socket order; a repeated
-    candidate is dropped at its first occurrence.  The target is matched
-    once per distinct vec1 of the socket table (_fallback_sockets), and
-    each partner once per distinct vec2 among the sockets the target fits,
-    all on packed keys; an extraction key is unpacked only when yielded.
+    the analytic constant side or a stored nonzero coefficient, and only
+    in an equation that is not identically zero (_fallback_sockets gives
+    the quads with b == c no socket).  The stream is deterministic:
+    analytic partners first, then stored partners in canonical key order,
+    each in socket order; a repeated candidate is dropped at its first
+    occurrence.  The target is matched once per distinct vec1 of the
+    socket table, all on packed keys.  Each group that fits carries its
+    sockets already grouped by partner shift vec2, so a stored partner is
+    matched once per (vec1, vec2) group, and every socket of a group that
+    fits shares one extraction key, (target - vec1) + (partner - vec2).
+    An extraction key is unpacked only when yielded.
     """
     layout = pot.packed().layout
     quads, _, analytic, series = _fallback_sockets(layout)
@@ -687,22 +698,27 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
     seen: set[tuple] = set()
 
     # Analytic marks are distinct: sockets are distinct per (quad, vec1).
-    for n, beta1 in _fitting(layout, analytic.groups, packed_target):
+    hits = []
+    for sockets, beta1 in _fitting(layout, analytic.groups, packed_target):
+        hits += zip(sockets, itertools.repeat(beta1))
+    hits.sort()
+    for n, beta1 in hits:
         qi = analytic.quad[n]
         seen.add((qi, beta1))
         yield quads[qi], layout.unpack(beta1)
 
     viable = _fitting(layout, series.groups, packed_target)
-    by_shift: dict[int, array] = {}
-    for k, (n, _) in enumerate(viable):
-        by_shift.setdefault(series.shift[n], array("l")).append(k)
-    partner_groups = tuple(by_shift.items())
     for k2, _ in pot.items_sorted():
         if k2 == target:
             continue
-        for k, beta2 in _fitting(layout, partner_groups, layout.pack(*k2)):
-            n, beta1 = viable[k]
-            qi, xkey = series.quad[n], beta1 + beta2
+        packed2 = layout.pack(*k2)
+        hits = []
+        for partners, beta1 in viable:
+            for sockets, beta2 in _fitting(layout, partners, packed2):
+                hits += zip(sockets, itertools.repeat(beta1 + beta2))
+        hits.sort()
+        for n, xkey in hits:
+            qi = series.quad[n]
             if (qi, xkey) not in seen:
                 seen.add((qi, xkey))
                 yield quads[qi], layout.unpack(xkey)

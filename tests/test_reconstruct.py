@@ -13,6 +13,7 @@ from orbifrob import (
     SeedMode,
     SeriesKey,
     Twisted,
+    UNIT,
     WdvvQuad,
 )
 from orbifrob.rationals import QQ
@@ -478,6 +479,31 @@ def test_guided_and_exhaustive_strategies_agree(reconstructed):
     assert of.serialize_potential(pa) == of.serialize_potential(pb)
 
 
+@pytest.mark.parametrize(
+    "multiplet, m_max, exhaustive, digest",
+    [
+        ("2,2,2,3", 6, True, "7f870c3835e571ed31b786e3a973f5d70f7daa39d686881f4137c018390f8e6c"),
+        ("2,2,3,3", 3, True, "932737ef8727b51bdc595055aa4f02db8b169c22d60537eb50b2d872d2b58c90"),
+        ("2,2,2,2,2", 4, True, "05c049eb60cd4d3b9e97fa7c702735165cce480bc441af9283d9a3dbdd5412bb"),
+        # Its exhaustive run takes seconds; CI and the benchmark cover it.
+        ("3,3,3,3", 2, False, "390ba5e1ad323bed5cf2b700586c9639c702612e846aef3f81a5f992f37efd6c"),
+    ],
+    ids=["2223-m6", "2233-m3", "22222-m4", "3333-m2"],
+)
+def test_potential_files_of_lines_with_four_or_five_points_pinned(
+    reconstructed, multiplet, m_max, exhaustive, digest
+):
+    # sha256 of the standard-mode potential file of hyperbolic lines with
+    # r = 4 and r = 5 orbifold points; where the exhaustive strategy runs,
+    # it must write the same file byte for byte.
+    pot, _ = reconstructed(multiplet, m_max)
+    text = of.serialize_potential(pot)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if exhaustive:
+        searched, _ = reconstructed(multiplet, m_max, of.STANDARD, "exhaustive")
+        assert of.serialize_potential(searched) == text
+
+
 # -- rescaling ---------------------------------------------------------------
 
 
@@ -607,8 +633,8 @@ def test_trace_digests_pinned(reconstructed, multiplet, m_max, mode, strategy, d
 @pytest.mark.parametrize(
     "multiplet, digest",
     [
-        ("2,2,3", "1c2287489458d8c15c061e62768a12ffc4f0b18375dcde59d6b4f24bb86c06a6"),
-        ("2,3,4", "cff64ec4636194eeb86aee400925312f01a5b8d68f9ed92f8d524850af5556b7"),
+        ("2,2,3", "19407fd9eba7e8ce953ac5ec2b1383356f68c31c8fe83e3dbc22805e6e04bc5e"),
+        ("2,3,4", "eee0a79ed47388f61f41330e54f0475f2fa222d4a8b98742ec15063980e3f0ee"),
     ],
     ids=["223-m2", "234-m2"],
 )
@@ -623,6 +649,36 @@ def test_fallback_stream_pinned(reconstructed, multiplet, digest):
             target = SeriesKey(alpha, m)
             h.update(repr(list(of.exhaustive_candidates(pot, target))).encode())
     assert h.hexdigest() == digest
+
+
+def test_fallback_proposes_no_identically_zero_equation(reconstructed):
+    # WDVV(a, b, b, d) subtracts one product from itself, so a candidate in
+    # a quad with b == c can never solve.  The socket table holds every
+    # other canonical quad, in canonical order, and no candidate of any
+    # admissible target up to order 2 sits in such a quad (on 3,4,5 every
+    # 20th target, 62,243 candidates of both phases, to keep it fast).
+    from orbifrob.reconstruct import _fallback_sockets
+
+    for multiplet, stride, candidates in (
+        ("2,2,3", 1, 2955), ("2,3,4", 1, 55869), ("3,4,5", 20, 62243)
+    ):
+        pot, _ = reconstructed(multiplet, 2)
+        geom = pot.geometry
+        # Canonical quads p1 + p2: pairs p1 <= p2 of sorted UNIT-free labels.
+        series = [k for k, lab in enumerate(geom.labels) if lab is not UNIT]
+        pairs = list(itertools.combinations_with_replacement(series, 2))
+        assert _fallback_sockets(pot.packed().layout)[0] == tuple(
+            WdvvQuad(*(geom.labels[k] for k in p1 + p2))
+            for p1, p2 in itertools.combinations_with_replacement(pairs, 2)
+            if p1[1] != p2[0]
+        )
+        targets = [SeriesKey(alpha, m) for m in range(3) for alpha in of.admissible_keys(geom, m)]
+        count = 0
+        for target in targets[::stride]:
+            for quad, _ in of.exhaustive_candidates(pot, target):
+                assert quad.b != quad.c, (multiplet, target, quad)
+                count += 1
+        assert count == candidates
 
 
 def test_guided_stream_pinned():
@@ -647,10 +703,10 @@ def test_guided_stream_pinned():
     "multiplet, m_max, mode, strategy, calls, digest",
     [
         # Escalates to the fallback.
-        ("2,2,3", 4, of.VANISHING_NO_QUARTIC, "guided", 179,
-         "c16173edb1b3f943c627f2ad9d785ab9c3c27fac588f807ac73edbd6f70a9832"),
-        ("2,3,4", 2, of.STANDARD, "exhaustive", 363,
-         "1bc916a2d46993ff393e8da7c9acd7e9c9f594fc41d6d73f128eae0745f89968"),
+        ("2,2,3", 4, of.VANISHING_NO_QUARTIC, "guided", 162,
+         "ef5395d89a52bc1a012a6779d92bd0383c03b3553f4ff7b9017a82a7ace5da06"),
+        ("2,3,4", 2, of.STANDARD, "exhaustive", 282,
+         "4285524ac62ff2135c98b05074a2bcbc1df5c9d2019ddb5bdd9685089d1d1735"),
         ("2,2,2", 4, of.STANDARD, "guided", 13,
          "f9d406df8ef0cd445394030b7ebe60fe7b291ff3b936bce2029ead01c66afe0c"),
     ],

@@ -259,7 +259,7 @@ def test_packing_round_trips_the_widest_fallback_extraction_345(monkeypatch):
 
     monkeypatch.setattr(module, "probe_candidate", recording)
     pot, _ = of.reconstruct("3,4,5", 3, strategy="exhaustive")
-    assert len(xkeys) == 2178
+    assert len(xkeys) == 1581
     layout = pot.packed().layout
     assert layout is key_layout(pot.geometry, 3)
     widest = max(xkeys, key=lambda key: max(key.alpha))

@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbifrob as of
 from orbifrob import wdvv
@@ -561,21 +562,14 @@ def test_scan_products_never_carry(reconstructed, multiplet, m_max, mode, produc
     assert (checked, carries) == (products, 0)
 
 
-def test_residual_scan_matches_a_plain_dict_recount(reconstructed):
-    # Rebuild both sides of every equation as plain dicts of packed key ->
-    # integer from the scan's own map entries, one entry pair at a time,
-    # and take the residuals and the compared monomials from those.  The
-    # scan multiplies whole Euler-line fibers instead (the entries whose
-    # keys agree below the second last twisted field), so the case must
-    # hold fibers of two or more keys, compared keys whose contributions
-    # cancel to 0, and residual keys with a nonzero last field, which the
-    # scan gets back from the Euler constraint.
-    broken = _perturbed(
-        reconstructed, "2,3,4", 2, of.STANDARD, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 1
-    )
-    geom = broken.geometry
-    (c, rho), layout, maps = wdvv._scan_maps(broken, 2)
-    below = (1 << layout.offsets[-2]) - 1
+def _plain_dict_recount(pot, m_max):
+    """Rebuild both sides of every equation as plain dicts of packed key ->
+    integer from the scan's own map entries (wdvv._scan_maps), one entry
+    pair at a time, and take the residuals and the compared monomials from
+    those.  Returns the residuals as {(quad, key): value}, the compared
+    monomials per order, and how many left-side keys cancel to 0."""
+    geom = pot.geometry
+    (c, rho), layout, maps = wdvv._scan_maps(pot, m_max)
     index = geom.label_index
     eta = [(index[sigma], index[tau], w) for sigma, tau, w in geom.eta_inverse_pairs]
     series = [k for k, lab in enumerate(geom.labels) if lab is not UNIT]
@@ -586,14 +580,14 @@ def test_residual_scan_matches_a_plain_dict_recount(reconstructed):
         for sigma, tau, w in eta:
             for m1, items1 in maps.get(tuple(sorted((*p1, sigma))), ()):
                 for m2, items2 in maps.get(tuple(sorted((*p2, tau))), ()):
-                    if m1 + m2 <= 2:
+                    if m1 + m2 <= m_max:
                         for k1, v1 in items1:
                             for k2, v2 in items2:
                                 out[k1 + k2] = out.get(k1 + k2, 0) + w * v1 * v2
         return out
 
     residuals = {}
-    counts = {m: 0 for m in range(3)}
+    counts = {m: 0 for m in range(m_max + 1)}
     cancelled = 0
     for p1, p2 in itertools.combinations_with_replacement(pairs, 2):
         quad = WdvvQuad(*(geom.labels[k] for k in p1 + p2))
@@ -606,6 +600,22 @@ def test_residual_scan_matches_a_plain_dict_recount(reconstructed):
             if diff:
                 key = layout.unpack(k)
                 residuals[quad, key] = QQ(diff, c * c * rho ** sum(key.alpha))
+    return residuals, counts, cancelled
+
+
+def test_residual_scan_matches_a_plain_dict_recount(reconstructed):
+    # The scan multiplies whole Euler-line fibers (the entries whose keys
+    # agree below the second last twisted field) where the recount takes
+    # one entry pair at a time, so the case must hold fibers of two or
+    # more keys, compared keys whose contributions cancel to 0, and
+    # residual keys with a nonzero last field, which the scan gets back
+    # from the Euler constraint.
+    broken = _perturbed(
+        reconstructed, "2,3,4", 2, of.STANDARD, {(1, 1): 1, (2, 1): 1, (3, 1): 1}, 1, 1
+    )
+    _, layout, maps = wdvv._scan_maps(broken, 2)
+    below = (1 << layout.offsets[-2]) - 1
+    residuals, counts, cancelled = _plain_dict_recount(broken, 2)
 
     report = of.residual_scan(broken, 2)
     assert {(quad, key): value for quad, key, value in report.nonzero} == residuals
@@ -619,6 +629,72 @@ def test_residual_scan_matches_a_plain_dict_recount(reconstructed):
     ) >= 2
     assert cancelled
     assert any(key.alpha[-1] for _, key in residuals)
+
+
+# A numerator of 1 to 40 digits, either sign: sizes spread evenly.
+_LARGE_NUMERATORS = st.builds(
+    int.__mul__,
+    st.integers(1, 40).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+    st.sampled_from((1, -1)),
+)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    changes=st.lists(
+        st.tuples(
+            st.integers(0, 42),  # one of the 43 records of the 2,3,4 m=3 file
+            st.one_of(
+                st.none(),  # flip the record's sign
+                st.tuples(_LARGE_NUMERATORS, st.integers(1, 10**6)),
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda change: change[0],
+    )
+)
+def test_residual_scan_matches_a_plain_dict_recount_at_large_values(reconstructed, changes):
+    # Records set to numerators of up to 40 digits over denominators with
+    # the prime factor 10^9 + 7, or with their sign flipped, make the
+    # scan's per-length scale and its digit width large; the residuals and
+    # the compared monomials must still equal the plain-dict recount.
+    pot, _ = reconstructed("2,3,4", 3)
+    records = [key for key, _ in pot.items_sorted()]
+    assert len(records) == 43
+    changed = {}
+    for n, value in changes:
+        key = records[n]
+        if value is None:
+            changed[key] = -pot.coeffs[key]
+        else:
+            num, den = value
+            changed[key] = QQ(num, (10**9 + 7) * den)
+    broken = copy_potential(pot, changed)
+    residuals, counts, _ = _plain_dict_recount(broken, 3)
+    report = of.residual_scan(broken, 3)
+    assert {(quad, key): value for quad, key, value in report.nonzero} == residuals
+    assert report.targets_checked == counts
+
+
+def test_equations_with_b_equal_c_vanish_on_a_perturbed_store(reconstructed):
+    # WDVV(a, b, b, d) subtracts the product F_ab. eta F_.bd from itself,
+    # so its coefficient is zero at every target whatever the store holds:
+    # here a store with three records changed, on which other equations
+    # leave residuals.  (The fallback proposes no candidate in these quads.)
+    pot, _ = reconstructed("2,3,4", 2)
+    records = [key for key, _ in pot.items_sorted()]
+    broken = copy_potential(pot, {key: 7 * pot.coeffs[key] + 1 for key in records[::12]})
+    geom = broken.geometry
+    assert len(of.residual_scan(broken, 2).nonzero) > 0
+    series = [lab for lab in geom.labels if lab is not UNIT]
+    checked = 0
+    for a, b, d in itertools.combinations_with_replacement(series, 3):
+        quad = WdvvQuad(a, b, b, d)
+        for target in all_targets(geom, quad, 4):
+            assert of.wdvv_coefficient(broken, quad, target) == 0, (quad, target)
+            checked += 1
+    assert checked
 
 
 # One admissible m=8 record of the 2,3,7 m=8 potential under a huge header.
