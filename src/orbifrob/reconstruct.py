@@ -562,20 +562,41 @@ def probe_candidate(
 # -- exhaustive fallback -------------------------------------------------
 
 
+class _Groups(NamedTuple):
+    """Items grouped by shift: group g holds items[bounds[g]:bounds[g + 1]],
+    all with the shift numbered shifts[g] (a key of the socket table's
+    shifts), so a key costs one containment test per group, not one per
+    item."""
+
+    shifts: array
+    bounds: object
+    items: object
+
+
+def _grouped(shift_of, members) -> _Groups:
+    """The socket numbers members grouped by their shift number
+    shift_of[n], each group in socket order."""
+    ordered = array("l", sorted(members, key=shift_of.__getitem__))  # a stable sort
+    shifts, bounds = array("l"), array("l", [0])
+    for v, run in itertools.groupby(ordered, shift_of.__getitem__):
+        shifts.append(v)
+        bounds.append(bounds[-1] + sum(1 for _ in run))
+    return _Groups(shifts, bounds, ordered)
+
+
 class _Sockets(NamedTuple):
     """One phase of the fallback's socket table.
 
-    Socket n sits in the quad numbered quad[n].  groups holds one
-    (shift number of vec1, items) per distinct target-side shift vec1, so
-    a target costs one containment test per group, not one per socket.
-    In the analytic phase the items are socket numbers; in the
-    stored-partner phase they are that group's sockets grouped once more,
-    as (shift number of vec2, socket numbers) per distinct partner shift
-    vec2, so a partner costs one test per such group.
+    Socket n sits in the quad numbered quad[n].  groups groups the
+    sockets by target-side shift vec1.  In the stored-partner phase its
+    items are group numbers g instead, and partners[g] groups the
+    sockets of that vec1 by partner shift vec2, so a stored partner costs
+    one containment test per (vec1, vec2) group.
     """
 
-    groups: tuple
+    groups: _Groups
     quad: array
+    partners: tuple = ()
 
 
 @functools.cache
@@ -592,11 +613,11 @@ def _fallback_sockets(layout: KeyLayout):
     stream order: canonical quad order, then the four orientations, then
     the pairs of eta, first occurrence kept.  Each triple is looked up once.
 
-    A canonical quad (p1, p2) with p1[1] == p2[0] gets no socket: its
-    equation WDVV(a, b, b, d) subtracts the product F_ab. eta F_.bd from
-    itself, so every coefficient of it is identically zero and no
-    candidate in it can solve (wdvv.residual_scan skips the same
-    equations).  It gets no quad number either.
+    A canonical quad (p1, p2) with p1[1] == p2[0] gets no socket and no
+    quad number: its equation WDVV(a, b, b, d) subtracts
+    sum_{s,t} F_abs eta^{st} F_tbd from itself, so each of its
+    coefficients is identically zero and no candidate in it can solve
+    (wdvv.residual_scan only counts the same equations).
 
     Returns (quads, shifts, analytic, series): the canonical WdvvQuads that
     have sockets, the distinct shifts as (packed vec, p) in first-seen
@@ -621,10 +642,9 @@ def _fallback_sockets(layout: KeyLayout):
         return got
 
     quads = []
-    a_groups: dict[int, array] = {}
-    a_quad = array("l")
-    s_groups: dict[int, dict[int, array]] = {}  # vec1 -> vec2 -> socket numbers
-    s_quad = array("l")
+    a_quad, a_vec1 = array("l"), array("l")
+    s_groups: dict[int, array] = {}  # vec1 -> its stored-partner sockets
+    s_quad, s_vec2 = array("l"), array("l")
     for p1, p2 in itertools.combinations_with_replacement(pairs, 2):
         if p1[1] == p2[0]:
             continue
@@ -639,24 +659,26 @@ def _fallback_sockets(layout: KeyLayout):
             for sigma, tau in eta:
                 series[shift((x, y, sigma)), shift((z, t, tau))] = None
         for v1 in analytic:
-            a_groups.setdefault(v1, array("l")).append(len(a_quad))
+            a_vec1.append(v1)
             a_quad.append(qi)
         for v1, v2 in series:
-            s_groups.setdefault(v1, {}).setdefault(v2, array("l")).append(len(s_quad))
+            s_groups.setdefault(v1, array("l")).append(len(s_quad))
             s_quad.append(qi)
+            s_vec2.append(v2)
 
+    partners = tuple(_grouped(s_vec2, members) for members in s_groups.values())
+    by_vec1 = _Groups(array("l", s_groups), range(len(partners) + 1), range(len(partners)))
     return (
         tuple(quads),
         tuple(shift_id),
-        _Sockets(tuple(a_groups.items()), a_quad),
-        _Sockets(tuple((v1, tuple(by_v2.items())) for v1, by_v2 in s_groups.items()), s_quad),
+        _Sockets(_grouped(a_vec1, range(len(a_quad))), a_quad),
+        _Sockets(by_vec1, s_quad, partners),
     )
 
 
-def _fitting(layout: KeyLayout, groups, packed: int):
-    """(items, packed - vec) for every (shift number, items) group of the
-    layout's socket table whose shift vec fits under the packed key, in
-    group order.
+def _fitting(layout: KeyLayout, groups: _Groups, packed: int, base: int = 0):
+    """(item, base + packed - vec) for the items of every group whose
+    shift vec fits under the packed key, in group order.
 
     One subtraction tests the fit: vec fits exactly when packed - vec
     borrows into no field, that is when no start bit of the layout is set
@@ -664,14 +686,15 @@ def _fitting(layout: KeyLayout, groups, packed: int):
     m, so shifts with p > 0 never fit an order-0 key."""
     shifts, starts = _fallback_sockets(layout)[1], layout.starts
     order0 = not packed & layout.mmask
+    bounds, items = groups.bounds, groups.items
     hits = []
-    for v, items in groups:
+    for g, v in enumerate(groups.shifts):
         vec, p = shifts[v]
         if p and order0:
             continue
         rest = packed - vec
         if not (packed ^ vec ^ rest) & starts:
-            hits.append((items, rest))
+            hits += zip(items[bounds[g] : bounds[g + 1]], itertools.repeat(base + rest))
     return hits
 
 
@@ -686,11 +709,12 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
     analytic partners first, then stored partners in canonical key order,
     each in socket order; a repeated candidate is dropped at its first
     occurrence.  The target is matched once per distinct vec1 of the
-    socket table, all on packed keys.  Each group that fits carries its
-    sockets already grouped by partner shift vec2, so a stored partner is
-    matched once per (vec1, vec2) group, and every socket of a group that
-    fits shares one extraction key, (target - vec1) + (partner - vec2).
-    An extraction key is unpacked only when yielded.
+    socket table, all on packed keys.  The table keeps the stored-partner
+    sockets of each vec1 grouped by partner shift vec2, so a stored
+    partner is matched once per (vec1, vec2) group, and every socket of a
+    group that fits has the same extraction key,
+    (target - vec1) + (partner - vec2).  An extraction key is unpacked
+    only when yielded.
     """
     layout = pot.packed().layout
     quads, _, analytic, series = _fallback_sockets(layout)
@@ -698,24 +722,24 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
     seen: set[tuple] = set()
 
     # Analytic marks are distinct: sockets are distinct per (quad, vec1).
-    hits = []
-    for sockets, beta1 in _fitting(layout, analytic.groups, packed_target):
-        hits += zip(sockets, itertools.repeat(beta1))
+    hits = _fitting(layout, analytic.groups, packed_target)
     hits.sort()
     for n, beta1 in hits:
         qi = analytic.quad[n]
         seen.add((qi, beta1))
         yield quads[qi], layout.unpack(beta1)
 
-    viable = _fitting(layout, series.groups, packed_target)
+    viable = [
+        (series.partners[g], beta1)
+        for g, beta1 in _fitting(layout, series.groups, packed_target)
+    ]
     for k2, _ in pot.items_sorted():
         if k2 == target:
             continue
         packed2 = layout.pack(*k2)
         hits = []
         for partners, beta1 in viable:
-            for sockets, beta2 in _fitting(layout, partners, packed2):
-                hits += zip(sockets, itertools.repeat(beta1 + beta2))
+            hits += _fitting(layout, partners, packed2, beta1)
         hits.sort()
         for n, xkey in hits:
             qi = series.quad[n]

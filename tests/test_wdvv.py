@@ -678,15 +678,16 @@ def test_residual_scan_matches_a_plain_dict_recount_at_large_values(reconstructe
 
 
 def test_equations_with_b_equal_c_vanish_on_a_perturbed_store(reconstructed):
-    # WDVV(a, b, b, d) subtracts the product F_ab. eta F_.bd from itself,
-    # so its coefficient is zero at every target whatever the store holds:
-    # here a store with three records changed, on which other equations
-    # leave residuals.  (The fallback proposes no candidate in these quads.)
+    # WDVV(a, b, b, d) subtracts sum_{s,t} F_abs eta^{st} F_tbd from
+    # itself, so its coefficient is zero at every target whatever the
+    # store holds: here a store with three of its 35 records changed (two
+    # of order 0, one of order 2), on which other equations leave 455
+    # residuals.  The fallback proposes no candidate in these quads.
     pot, _ = reconstructed("2,3,4", 2)
     records = [key for key, _ in pot.items_sorted()]
     broken = copy_potential(pot, {key: 7 * pot.coeffs[key] + 1 for key in records[::12]})
     geom = broken.geometry
-    assert len(of.residual_scan(broken, 2).nonzero) > 0
+    assert len(of.residual_scan(broken, 2).nonzero) == 455
     series = [lab for lab in geom.labels if lab is not UNIT]
     checked = 0
     for a, b, d in itertools.combinations_with_replacement(series, 3):
