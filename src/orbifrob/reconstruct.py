@@ -564,9 +564,9 @@ def probe_candidate(
 
 class _Groups(NamedTuple):
     """Items grouped by shift: group g holds items[bounds[g]:bounds[g + 1]],
-    all with the shift numbered shifts[g] (a key of the socket table's
-    shifts), so a key costs one containment test per group, not one per
-    item."""
+    all with the shift numbered shifts[g] in the socket table, so a key
+    costs one containment test per group, not one per item.  bounds and
+    items are flat arrays, or ranges where each group holds one item."""
 
     shifts: array
     bounds: object
@@ -576,8 +576,9 @@ class _Groups(NamedTuple):
 def _grouped(shift_of, members) -> _Groups:
     """The socket numbers members grouped by their shift number
     shift_of[n], each group in socket order."""
-    ordered = array("l", sorted(members, key=shift_of.__getitem__))  # a stable sort
-    shifts, bounds = array("l"), array("l", [0])
+    # sorted is stable, so each group keeps the order of members.
+    ordered = array("i", sorted(members, key=shift_of.__getitem__))
+    shifts, bounds = array("i"), array("i", [0])
     for v, run in itertools.groupby(ordered, shift_of.__getitem__):
         shifts.append(v)
         bounds.append(bounds[-1] + sum(1 for _ in run))
@@ -587,11 +588,11 @@ def _grouped(shift_of, members) -> _Groups:
 class _Sockets(NamedTuple):
     """One phase of the fallback's socket table.
 
-    Socket n sits in the quad numbered quad[n].  groups groups the
-    sockets by target-side shift vec1.  In the stored-partner phase its
-    items are group numbers g instead, and partners[g] groups the
-    sockets of that vec1 by partner shift vec2, so a stored partner costs
-    one containment test per (vec1, vec2) group.
+    Socket n sits in the quad numbered quad[n].  groups holds the sockets
+    by target-side shift vec1.  In the stored-partner phase each vec1
+    group holds its own number g instead, and partners[g] holds that
+    group's sockets by partner shift vec2, so a stored partner costs one
+    containment test per (vec1, vec2) group.
     """
 
     groups: _Groups
@@ -642,9 +643,9 @@ def _fallback_sockets(layout: KeyLayout):
         return got
 
     quads = []
-    a_quad, a_vec1 = array("l"), array("l")
+    a_quad, a_vec1 = array("i"), array("i")
     s_groups: dict[int, array] = {}  # vec1 -> its stored-partner sockets
-    s_quad, s_vec2 = array("l"), array("l")
+    s_quad, s_vec2 = array("i"), array("i")
     for p1, p2 in itertools.combinations_with_replacement(pairs, 2):
         if p1[1] == p2[0]:
             continue
@@ -662,12 +663,12 @@ def _fallback_sockets(layout: KeyLayout):
             a_vec1.append(v1)
             a_quad.append(qi)
         for v1, v2 in series:
-            s_groups.setdefault(v1, array("l")).append(len(s_quad))
+            s_groups.setdefault(v1, array("i")).append(len(s_quad))
             s_quad.append(qi)
             s_vec2.append(v2)
 
     partners = tuple(_grouped(s_vec2, members) for members in s_groups.values())
-    by_vec1 = _Groups(array("l", s_groups), range(len(partners) + 1), range(len(partners)))
+    by_vec1 = _Groups(array("i", s_groups), range(len(partners) + 1), range(len(partners)))
     return (
         tuple(quads),
         tuple(shift_id),
