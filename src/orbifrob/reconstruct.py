@@ -574,15 +574,16 @@ class _Groups(NamedTuple):
 
 
 def _grouped(shift_of, members) -> _Groups:
-    """The socket numbers members grouped by their shift number
-    shift_of[n], each group in socket order."""
-    # sorted is stable, so each group keeps the order of members.
-    ordered = array("i", sorted(members, key=shift_of.__getitem__))
-    shifts, bounds = array("i"), array("i", [0])
-    for v, run in itertools.groupby(ordered, shift_of.__getitem__):
-        shifts.append(v)
-        bounds.append(bounds[-1] + sum(1 for _ in run))
-    return _Groups(shifts, bounds, ordered)
+    """The ascending socket numbers members grouped by their shift number
+    shift_of[n], the groups in first-seen order, each in socket order."""
+    by_shift: dict[int, list] = {}
+    for n in members:
+        by_shift.setdefault(shift_of[n], []).append(n)
+    ordered, bounds = array("i"), array("i", [0])
+    for group in by_shift.values():
+        ordered.extend(group)
+        bounds.append(len(ordered))
+    return _Groups(array("i", by_shift), bounds, ordered)
 
 
 class _Sockets(NamedTuple):
