@@ -398,6 +398,8 @@ def test_verify_runs_each_named_check_once(tmp_path, capsys):
             "fced60df621b1a522af971fb43338f28a8e449c898b0b19b5c1ce94d97a7689e",
         ),
         ("3,3,3", "2", "vanishing", "11fe43cbe2f30940010ca6a28e7b5a71f6d36e5142f4fb0f0f1cd76e9fd008f5"),
+        # r = 4 with equal orders: six S_4 symmetry lines.
+        ("3,3,3,3", "2", "standard", "0a070f4ba0b964f9986a8419a93c9d32587c6217322291211fc2051a30bced34"),
     ],
 )
 def test_verify_stdout_pinned(tmp_path, capsys, multiplet, m_max, mode, digest):
