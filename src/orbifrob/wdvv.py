@@ -12,41 +12,33 @@ kernel, which extracts one coefficient of one equation, lives in
 reconstruct (contract_at), and nothing here imports it.
 
 The scan is the independent re-check of what the solver wrote, and it
-computes every target of an equation at once in integers.  It packs each key under the
-series.KeyLayout of the highest stored order it reads, sharing that key
-format with the solver, not the kernel: a pair product's key is one
-integer addition that never carries across fields.  One pass over the
-store builds the derivative map of every label triple, each stored key
-feeding the triples that fit under it, so the set-up costs one step per
-map entry; each map is held once for the call, as item lists per stored
-order.  The entries are integers at a scale that grows with the length
-of the key: the entry at a map key of total exponent n is c * rho**n
-times its value, rho a product of primes of the orders.  The scale is
-built from per-length gcds of the entries, first cleared by one lcm over
-the store and the pairing, and it is multiplicative: both sides of an
-equation carry c**2 * rho**n at a product key of total exponent n, so
-they compare exactly, with entries about half as long as under the lcm.
-The products then multiply Euler-line fibers, not single entries: the
-entries of one map order whose keys agree below the last two twisted
-fields, where the Euler constraint leaves one free exponent, alpha_fb,
-and fixes the last, alpha_fa.  A fiber is two integers, V with one
-base-2**bits digit per entry at its alpha_fb and S with a digit 1 at each
-alpha_fb present, so one multiply-add per pair of fibers does the work of
-one per pair of entries.  Both sides of an equation are pair products
-drawn from one 4-label multiset, so the scan streams the equations one
-multiset at a time, in one pass in reverse quad order: it computes each
-pair product once and holds at most three of them.  A square product
-takes the two eta terms (sigma, tau) and (tau, sigma) once, at twice the
-weight.  An equation whose two sides are the same product (p1[1] ==
-p2[0] in a canonical quad) does no arithmetic: it reuses the product
-when the multiset's other equation, which comes first in that order,
-built it, and else ORs only its fibers' S products.  Equal sides, as on
-a correct potential, are compared with one dict comparison; only unequal
-sides are walked fiber by fiber and digit by digit, for their residuals,
-each residual key's alpha_fa read back from the equation's degree.
-Every equation's compared monomials are counted per order in one place,
-one bit count per fiber.  For a target of order m only stored orders
-m1 + m2 = m contribute, all <= m_max, hence reported
+computes every target of an equation at once in integers.  It packs each
+key under the series.KeyLayout of the highest stored order it reads,
+sharing that key format with the solver, not the kernel: a pair
+product's key is one integer addition that never carries across fields.
+One pass over the store builds the derivative map of every label triple,
+each stored key feeding the triples that fit under it, so the set-up
+costs one step per map entry.  The entries are integers at a scale that
+grows with the length of the key: the entry at a map key of total
+exponent n is c * rho**n times its value, rho a product of primes of the
+orders, so both sides of an equation carry c**2 * rho**n at a product key
+of total exponent n and compare exactly, with entries about half as long
+as under one lcm.  Each map is then cut into Euler-line fibers, the
+entries of one order whose keys agree below the last two twisted fields,
+where the Euler constraint leaves one free exponent, alpha_fb, and fixes
+the last, alpha_fa.  A fiber is two integers, V with one base-2**bits
+digit per entry at its alpha_fb and S with a digit 1 at each alpha_fb
+present, so one multiply-add per pair of fibers does the work of one per
+pair of entries.
+
+Every equation is one comparison of two pair products, streamed one
+4-label multiset at a time, each product built once by one loop.  The
+sides of WDVV(a,b,b,d) are one product, compared with itself; the
+mirror WDVV(a,c,b,d) of WDVV(a,b,c,d) swaps the two sides and takes that
+comparison's counts and negated residuals.  Equal sides, as on a correct
+potential, are compared with one dict comparison; only unequal sides are
+walked fiber by fiber and digit by digit.  For a target of order m only
+stored orders m1 + m2 = m contribute, all <= m_max, hence reported
 residuals are exact values of the equations, not truncations.
 """
 
@@ -274,30 +266,23 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     equations vanish identically).  For chi > 0 the scan stops at
     floor(2/chi), as the reconstruction does, and reports that order.
     The scan is sequential.  It builds every derivative map in one integer
-    pass over the store (_scan_maps), at a scale that grows with the
-    length of the key, and holds each once for the call; a table gives
-    the map of a (label pair, label) without sorting.  It cuts each map
-    order into Euler-line fibers, the entries whose keys agree below the
-    last two twisted fields, and packs each fiber into two integers: V,
-    one base-2**bits digit per entry at its alpha_fb (the second last
-    field), and S, a digit 1 at each alpha_fb present.  The entry lists
-    are dropped as they are fibered.  It then streams the equations one
-    4-label multiset at a time, in one pass in reverse quad order,
-    holding only that multiset's pair products, each a dict of fiber key
-    to [V, S] built by one multiply-add per pair of fibers, w * V1 * V2,
-    with S1 * S2 ORed alongside.  A square product (p1 == p2) takes the
-    (sigma, tau) and (tau, sigma) terms of eta once, at twice the weight.
-    An equation with p1[1] == p2[0] compares a product with itself and
-    does no arithmetic.  Its multiset holds one other equation only for
-    {a,b,b,c}, a < b < c, whose right side is that product and which
-    comes first in reverse order; the product is then reused, and
-    otherwise only the S products are ORed.  Two sides that are equal
-    dicts, as on a correct potential, are compared in C; only unequal
-    sides are walked fiber by fiber, their V difference read digit by
-    digit, and each residual key's last field, alpha_fa, comes back from
-    the Euler constraint of the equation.  One statement counts the
-    compared monomials of every equation per order, as the nonzero
-    digits of the S of each fiber.
+    pass over the store (_scan_maps) and cuts each into Euler-line fibers
+    (V, S), one list per map sorted by order with the end of each order's
+    fibers, so a block of a pair product is the left fibers of one order
+    m1 against the right slice of every order up to m_max - m1.  A product
+    is a dict of fiber key to [V, S], built by one multiply-add per pair
+    of fibers, w * V1 * V2, with S1 * S2 ORed alongside; a square product
+    (p1 == p2) takes the (sigma, tau) and (tau, sigma) terms of eta once,
+    at twice the weight.  The equations are streamed one 4-label multiset
+    at a time, holding only that multiset's products and comparisons.
+    Equation (p1, p2) compares product(p1, p2) with the product of its
+    right side, which is the same product exactly when p1[1] == p2[0]; an
+    equation whose right side's right side is (p1, p2) reuses that
+    comparison, its residuals negated.  A comparison counts the compared
+    monomials per order, as the nonzero digits of the S of each fiber, and
+    walks only unequal sides, reading their V difference digit by digit,
+    each residual key's last field, alpha_fa, read back from the Euler
+    constraint of the equation.
     The residuals are reported in quad order whatever order the multisets
     and their equations take.
     """
@@ -343,7 +328,8 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     longest = max(len(items) for lists in maps.values() for _, items in lists)
     vmax = max(abs(v) for lists in maps.values() for _, items in lists for _, v in items)
     wmax = max(abs(w) for _, _, w in square_pairs + eta_pairs)
-    bound = wmax * vmax * vmax * len(eta_pairs) * (layout.m_max + 1) * longest
+    top = layout.m_max
+    bound = wmax * vmax * vmax * len(eta_pairs) * (top + 1) * longest
     bits = bound.bit_length() + 2
     # alpha_fb <= limit, so a fiber holds at most limit + 1 keys; an OR of
     # S products keeps each digit below half, and adding half - 1 to a
@@ -354,10 +340,13 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     add = sum((half - 1) << (sbits * q) for q in digits)
     high = sum(half << (sbits * q) for q in digits)
 
-    fibered: dict[tuple[int, ...], list] = {}
+    # Each map's fibers in one list sorted by order; ends[m] is the number
+    # of fibers of order <= m, for every m <= top.
+    fibered: dict[tuple[int, ...], tuple[list, list[int]]] = {}
     while maps:  # each entry list is dropped once it is fibered
         triple, lists = maps.popitem()
-        by_order = []
+        flat: list[tuple[int, int, int]] = []
+        ends: list[int] = []
         for m, items in lists:
             fibers: dict[int, list[int]] = {}
             for k, v in items:
@@ -368,8 +357,11 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
                 else:
                     fiber[0] += v << (bits * q)
                     fiber[1] |= 1 << (sbits * q)
-            by_order.append((m, [(f, vs, ss) for f, (vs, ss) in fibers.items()]))
-        fibered[triple] = by_order
+            ends += [len(flat)] * (m - len(ends))
+            flat += [(f, vs, ss) for f, (vs, ss) in fibers.items()]
+            ends.append(len(flat))
+        ends += [len(flat)] * (top + 1 - len(ends))
+        fibered[triple] = flat, ends
 
     series_labels = [k for k, lab in enumerate(labels) if lab is not UNIT]
     pairs = list(itertools.combinations_with_replacement(series_labels, 2))
@@ -379,59 +371,78 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         pair: [fibered.get(tuple(sorted((*pair, k)))) for k in range(len(labels))]
         for pair in pairs
     }
-
-    def blocks(p1: tuple[int, int], p2: tuple[int, int]):
-        # (weight, fibers1, fibers2) of every block of map fibers whose
-        # pairwise products make up the product of p1 and p2.
-        left, right = table[p1], table[p2]
-        for sigma, tau, w in square_pairs if p1 == p2 else eta_pairs:
-            d1 = left[sigma]
-            if d1 is None:
-                continue
-            d2 = right[tau]
-            if d2 is None:
-                continue
-            for m1, fibers1 in d1:
-                for m2, fibers2 in d2:
-                    if m1 + m2 > m_max:
-                        break
-                    yield w, fibers1, fibers2
+    # reach[m1]: the highest right order m2 with m1 + m2 <= m_max.
+    reach = [min(m_max - m1, top) for m1 in range(top + 1)]
 
     # Of the current multiset: (p1, p2) -> {fiber key: [V, S]}.
     products: dict[tuple, dict[int, list[int]]] = {}
 
     def product(p1: tuple[int, int], p2: tuple[int, int]) -> dict[int, list[int]]:
-        # Both sides of the loop below pass p1 <= p2, so the key is canonical.
-        cache_key = (p1, p2)
-        got = products.get(cache_key)
+        # Every caller passes p1 <= p2, so the key is canonical.
+        got = products.get((p1, p2))
         if got is not None:
             return got
         out: dict[int, list[int]] = {}
         get = out.get
-        for w, fibers1, fibers2 in blocks(p1, p2):
-            for k1, v1, s1 in fibers1:
-                wv1 = w * v1
-                for k2, v2, s2 in fibers2:
-                    k = k1 + k2
-                    acc = get(k)
-                    if acc is None:
-                        out[k] = [wv1 * v2, s1 * s2]
-                    else:
-                        acc[0] += wv1 * v2
-                        acc[1] |= s1 * s2
-        products[cache_key] = out
+        left, right = table[p1], table[p2]
+        for sigma, tau, w in square_pairs if p1 == p2 else eta_pairs:
+            if left[sigma] is None or right[tau] is None:
+                continue
+            (flat1, ends1), (flat2, ends2) = left[sigma], right[tau]
+            start = 0
+            for m1, end in enumerate(ends1):
+                stop = ends2[reach[m1]]
+                if start < end and stop:
+                    # One block: the left fibers of order m1 against every
+                    # right fiber of order <= reach[m1].
+                    fibers2 = flat2[:stop]
+                    for k1, v1, s1 in flat1[start:end]:
+                        wv1 = w * v1
+                        for k2, v2, s2 in fibers2:
+                            k = k1 + k2
+                            acc = get(k)
+                            if acc is None:
+                                out[k] = [wv1 * v2, s1 * s2]
+                            else:
+                                acc[0] += wv1 * v2
+                                acc[1] |= s1 * s2
+                start = end
+        products[p1, p2] = out
         return out
 
-    def support(p1: tuple[int, int], p2: tuple[int, int]) -> dict[int, int]:
-        # The S of each fiber of product(p1, p2), by ORs of S products only.
-        out: dict[int, int] = {}
-        get = out.get
-        for _, fibers1, fibers2 in blocks(p1, p2):
-            for k1, _, s1 in fibers1:
-                for k2, _, s2 in fibers2:
-                    k = k1 + k2
-                    out[k] = get(k, 0) | s1 * s2
-        return out
+    c2 = c * c
+    offa, dega = layout.offsets[-1], geom.deg_scaled[-1]
+    dmask = (1 << bits) - 1
+    dhalf = 1 << (bits - 1)
+    nothing = (0, 0)
+
+    def compare(lhs: dict, rhs: dict, quad: tuple[int, ...]) -> tuple[list[int], list]:
+        # (compared monomials per order, residuals of lhs - rhs).
+        counts = [0] * (min(m_max, 2 * top) + 1)
+        bad = []
+        if lhs is rhs or lhs == rhs:
+            for f, (_, s) in lhs.items():
+                counts[f & mmask] += ((s + add) & high).bit_count()
+            return counts, bad
+        # Every key of the equation has this scaled degree, which gives
+        # alpha_fa back from the rest of the key.
+        degree = 3 * geom.scale - sum(geom.degree_scaled(labels[k]) for k in quad)
+        for f in lhs.keys() | rhs.keys():
+            lv, ls = lhs.get(f, nothing)
+            rv, rs = rhs.get(f, nothing)
+            counts[f & mmask] += (((ls | rs) + add) & high).bit_count()
+            diff = lv - rv
+            q = 0  # the digit's alpha_fb
+            while diff:
+                digit = ((diff + dhalf) & dmask) - dhalf
+                if digit:
+                    partial = f | q << offb
+                    rest = degree - wdeg_scaled(geom, unpack(partial).alpha, f & mmask)
+                    key = unpack(partial | rest // dega << offa)
+                    bad.append((key, QQ(digit, c2 * rho ** sum(key.alpha))))
+                diff = (diff - digit) >> bits
+                q += 1
+        return counts, bad
 
     # Both sides of an equation are products of two label pairs drawn from
     # the same 4-label multiset, and each product belongs to exactly one
@@ -442,56 +453,29 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
         groups.setdefault(tuple(sorted(p1 + p2)), []).append((p1, p2))
         report.quads_checked += 1
 
-    c2 = c * c
-    offa, dega = layout.offsets[-1], geom.deg_scaled[-1]
-    dmask = (1 << bits) - 1
-    dhalf = 1 << (bits - 1)
-    nothing = (0, 0)
+    # Of the current multiset: (lhs pair, rhs pair) -> compare's result.
+    compared: dict[tuple, tuple[list[int], list]] = {}
     target_counts: dict[int, int] = {m: 0 for m in range(m_max + 1)}
     found = []
     for equations in groups.values():
         products.clear()
-        # In reverse quad order the one other equation of a multiset that
-        # builds an identity's product ({a,b,b,c}: its right side) comes first.
-        for p1, p2 in reversed(equations):
-            if p1[1] == p2[0]:
-                # Both sides are product(p1, p2): only its keys are counted.
-                got = products.get((p1, p2))
-                if got is None:
-                    supports = support(p1, p2).items()
-                else:
-                    supports = ((f, s) for f, (_, s) in got.items())
+        compared.clear()
+        for p1, p2 in equations:
+            # The right side, canonical since p1 <= p2; it is (p1, p2)
+            # itself exactly when p1[1] == p2[0].
+            other = (p1[0], p2[0]), tuple(sorted((p1[1], p2[1])))
+            mirror = compared.get((other, (p1, p2)))
+            if mirror is None:
+                counts, bad = compared[(p1, p2), other] = compare(
+                    product(p1, p2), product(*other), p1 + p2
+                )
             else:
-                lhs = product(p1, p2)
-                # p1 <= p2, so (p1[0], p2[0]) is sorted already.
-                rhs = product((p1[0], p2[0]), tuple(sorted((p1[1], p2[1]))))
-                if lhs == rhs:
-                    supports = ((f, s) for f, (_, s) in lhs.items())
-                else:
-                    # Every key of the equation has this scaled degree,
-                    # which gives alpha_fa back from the rest of the key.
-                    degree = 3 * geom.scale - sum(geom.degree_scaled(labels[k]) for k in p1 + p2)
-                    supports = []
-                    bad = []
-                    for f in lhs.keys() | rhs.keys():
-                        lv, ls = lhs.get(f, nothing)
-                        rv, rs = rhs.get(f, nothing)
-                        supports.append((f, ls | rs))
-                        diff = lv - rv
-                        q = 0  # the digit's alpha_fb
-                        while diff:
-                            digit = ((diff + dhalf) & dmask) - dhalf
-                            if digit:
-                                partial = f | q << offb
-                                rest = degree - wdeg_scaled(geom, unpack(partial).alpha, f & mmask)
-                                key = unpack(partial | rest // dega << offa)
-                                bad.append((key, QQ(digit, c2 * rho ** sum(key.alpha))))
-                            diff = (diff - digit) >> bits
-                            q += 1
-                    if bad:
-                        found.append((p1, p2, bad))
-            for f, s in supports:
-                target_counts[f & mmask] += ((s + add) & high).bit_count()
+                # The mirror equation: same sides, swapped.
+                counts, bad = mirror[0], [(key, -value) for key, value in mirror[1]]
+            for m, n in enumerate(counts):
+                target_counts[m] += n
+            if bad:
+                found.append((p1, p2, bad))
 
     # pairs is in lexicographic order, so sorting by (p1, p2) restores the
     # order of the quad enumeration; within a quad, canonical key order.
