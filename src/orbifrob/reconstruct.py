@@ -194,25 +194,32 @@ def _candidates_order0(geom: Geometry, gamma):
             quad = WdvvQuad(lab(l), lab(lp), POINT, POINT)
             yield quad, SeriesKey(alpha_add(rest, others), 1)
 
+    # Neither family below proposes a quad with b == c or a == d, whose
+    # equation vanishes identically: WDVV(a,b,b,d) and WDVV(a,b,c,a)
+    # subtract one sum from itself.
+
     # Middle family: quads ((i,n),(i,n'),(i,l),P) at the order-1
-    # extraction, for targets containing e_{i,1} and e_{i,l-1}.
+    # extraction, for targets containing e_{i,1} and e_{i,l-1}; n' != l.
     without_one = _decrement(gamma, base + 1)
     for l in range(2, a) if without_one is not None else ():
         if not without_one[base + l - 1]:
             continue
         rest0 = _decrement(gamma, base + l - 1)
         for n, np_, rest in _minus_pairs(geom, rest0, sector, l * geom.scale // a):
-            quad = WdvvQuad(lab(n), lab(np_), lab(l), POINT)
-            yield quad, SeriesKey(alpha_add(rest, others), 1)
+            if np_ != l:
+                quad = WdvvQuad(lab(n), lab(np_), lab(l), POINT)
+                yield quad, SeriesKey(alpha_add(rest, others), 1)
 
     # Quartic-slope family: pure order-0 extraction of quads
-    # ((i,1),(i,l),(i,j),(i,j')), for targets containing e_{i,l+1}.
+    # ((i,1),(i,l),(i,j),(i,j')), for targets containing e_{i,l+1}; j != l
+    # and j' != 1.
     for l in range(1, a - 1):
         rest0 = _decrement(gamma, base + l + 1)
         if rest0 is None:
             continue
         for j, jp, rest in _minus_pairs(geom, rest0, sector):
-            yield WdvvQuad(lab(1), lab(l), lab(j), lab(jp)), SeriesKey(rest, 0)
+            if j != l and jp != 1:
+                yield WdvvQuad(lab(1), lab(l), lab(j), lab(jp)), SeriesKey(rest, 0)
 
 
 def guided_candidates(geom: Geometry, target: SeriesKey):

@@ -679,19 +679,22 @@ def test_residual_scan_matches_a_plain_dict_recount_at_large_values(reconstructe
 
 def test_equations_with_b_equal_c_vanish_on_a_perturbed_store(reconstructed):
     # WDVV(a, b, b, d) subtracts sum_{s,t} F_abs eta^{st} F_tbd from
-    # itself, so its coefficient is zero at every target whatever the
-    # store holds: here a store with three of its 35 records changed (two
-    # of order 0, one of order 2), on which other equations leave 455
-    # residuals.  The fallback proposes no candidate in these quads.
+    # itself, and WDVV(a, b, c, a) does the same by the symmetry of eta,
+    # so their coefficients are zero at every target whatever the store
+    # holds: here a store with three of its 35 records changed (two of
+    # order 0, one of order 2), on which other equations leave 455
+    # residuals.  Neither the guided stream nor the fallback proposes a
+    # candidate in these quads.
     pot, _ = reconstructed("2,3,4", 2)
     records = [key for key, _ in pot.items_sorted()]
     broken = copy_potential(pot, {key: 7 * pot.coeffs[key] + 1 for key in records[::12]})
     geom = broken.geometry
     assert len(of.residual_scan(broken, 2).nonzero) == 455
     series = [lab for lab in geom.labels if lab is not UNIT]
+    quads = [WdvvQuad(a, b, b, d) for a, b, d in itertools.combinations_with_replacement(series, 3)]
+    quads += [WdvvQuad(a, b, c, a) for a, b, c in itertools.product(series, repeat=3)]
     checked = 0
-    for a, b, d in itertools.combinations_with_replacement(series, 3):
-        quad = WdvvQuad(a, b, b, d)
+    for quad in quads:
         for target in all_targets(geom, quad, 4):
             assert of.wdvv_coefficient(broken, quad, target) == 0, (quad, target)
             checked += 1
