@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: reconstruct, verify, show, diff.  Exit codes: 0 ok,
-1 usage/parse error, 2 solver stuck or deadlocked, 3 inconsistent seeds,
-4 verification failure or differing potentials.
+1 usage/parse error or an order with more than series.MAX_KEYS
+admissible keys (reconstruct -m, verify's max-order header), 2 solver
+stuck or deadlocked, 3 inconsistent seeds, 4 verification failure or
+differing potentials.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .formats import (
 )
 from .rationals import format_rational, parse_natural
 from .reconstruct import InconsistentSeed, ReconstructionError, reconstruct
-from .series import SeedMode
+from .series import SeedMode, check_key_count
 from .verify import (
     check_euler,
     check_limit_product,
@@ -151,6 +153,7 @@ CHECKS = {
 
 def _cmd_verify(args) -> int:
     pot = read_potential(args.potential)
+    check_key_count(pot.geometry, pot.max_order)
     if args.checks is not None:
         selected = [name.strip() for name in args.checks.split(",") if name.strip()]
         selected = list(dict.fromkeys(selected))  # once each, as first named

@@ -66,6 +66,7 @@ from .series import (
     admissible_keys,
     alpha_add,
     alpha_from_pairs,
+    check_key_count,
     effective_max_order,
     format_key,
     indexed_profile,
@@ -131,6 +132,7 @@ class NoProgress(_Stuck):
 def _seeded(geom: Geometry, mode: SeedMode, m_max: int, entries) -> Potential:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    check_key_count(geom, m_max)
     pot = Potential(geom, mode)
     pot.max_order = top = effective_max_order(geom, m_max)
     pot.unknown = {SeriesKey(a, m) for m in range(top + 1) for a in admissible_keys(geom, m)}
@@ -808,7 +810,9 @@ def reconstruct(
     Raises SolverStuck, NoProgress or InconsistentSeed as the worklist
     dictates; in vanishing-no-quartic mode, underdetermined order-0
     coefficients are reported as free in the trace instead (the quartic
-    values are genuinely extra initial data).
+    values are genuinely extra initial data).  Before seeding, raises
+    ValueError when more than series.MAX_KEYS admissible keys lie up to
+    the effective maximal order.
     """
     if strategy not in ("guided", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -191,6 +191,47 @@ def admissible_keys(geom: Geometry, m: int) -> list[tuple[int, ...]]:
     return list(exponents_with_scaled_degree(geom, target))
 
 
+# The most admissible keys a run may hold up to its maximal order:
+# reconstruct and verify refuse a larger order with exit 1, not run away.
+MAX_KEYS = 10**6
+
+
+def admissible_key_count(geom: Geometry, m_max: int) -> int:
+    """The number of admissible keys of order <= m_max, without listing them.
+
+    ways[t] counts the alpha of scaled degree t, by the coin-change
+    recurrence over the slots' scaled degrees; order m asks for degree
+    2 scale - m chi_scaled.  m_max is capped as effective_max_order does.
+    """
+    m_max = effective_max_order(geom, m_max)
+    base, chi = 2 * geom.scale, geom.chi_scaled
+    top = base - min(chi, 0) * m_max
+    ways = [1] + [0] * top
+    for d in geom.deg_scaled:
+        for t in range(d, top + 1):
+            ways[t] += ways[t - d]
+    if chi == 0:
+        return (m_max + 1) * ways[base]
+    return sum(ways[base - m * chi] for m in range(m_max + 1))
+
+
+def check_key_count(geom: Geometry, m_max: int) -> None:
+    """ValueError when more than MAX_KEYS admissible keys lie at orders
+    <= m_max.  The count is taken at doubling orders up to m_max, so a
+    huge m_max costs no more than the order where the count passes."""
+    m = min(m_max, 1)
+    while True:
+        count = admissible_key_count(geom, m)
+        if count > MAX_KEYS:
+            raise ValueError(
+                f"{geom.multiplet} has more than {MAX_KEYS} admissible keys up to "
+                f"order {m_max} ({count} up to order {m})"
+            )
+        if m >= m_max:
+            return
+        m = min(2 * m, m_max)
+
+
 # -- derivative multiplicities ------------------------------------------
 
 

@@ -304,6 +304,32 @@ def test_verify_caps_the_scan_at_two_over_chi(tmp_path, capsys):
     assert code == 0
     assert "m-max=4" in out
 
+def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
+    # 3,4,5 has 2,729,795 admissible keys up to m=40, above
+    # series.MAX_KEYS: reconstruct refuses before seeding and verify
+    # before printing any report.  Listing a key fails the test, so a
+    # missing guard cannot start the run.
+    def refuse(*args):
+        raise AssertionError("keys listed past the guard")
+
+    monkeypatch.setattr(sys.modules["orbifrob.reconstruct"], "admissible_keys", refuse)
+    code, out, err = run(capsys, "reconstruct", "-A", "3,4,5", "-m", "40")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 3,4,5 has more than 1000000 admissible keys up to order 40"
+        " (2729795 up to order 40)\n"
+    )
+    pot = tmp_path / "pot.txt"
+    for multiplet, m_max in (("3,4,5", 40), ("2,3,7", 200000)):
+        pot.write_text(
+            f"frobenius-potential v1\nmultiplet: {multiplet}\nmode: standard\n"
+            f"max-order: {m_max}\ncoefficients: 0\n"
+        )
+        code, out, err = run(capsys, "verify", str(pot))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {multiplet} has more than 1000000 admissible keys")
+
+
 def test_diff(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -8,7 +8,15 @@ import pytest
 import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, UNIT
 from orbifrob.rationals import QQ
-from orbifrob.series import key_layout, multiplicity, wdeg_scaled
+from orbifrob.series import (
+    MAX_KEYS,
+    admissible_key_count,
+    check_key_count,
+    effective_max_order,
+    key_layout,
+    multiplicity,
+    wdeg_scaled,
+)
 
 from helpers import copy_potential, key_of
 from oracle import SymbolicOracle
@@ -77,6 +85,44 @@ def test_admissible_keys_empty_beyond_cap():
     assert of.admissible_keys(geom, 5) == []
     with pytest.raises(ValueError):
         of.admissible_keys(geom, -1)
+
+
+@pytest.mark.parametrize(
+    "orders, m_max",
+    [("2,2,2", 9), ("2,3,4", 30), ("3,3,3", 7), ("2,3,7", 8), ("3,4,5", 4), ("2,2,2,3", 6), ("2,2,2,2,2", 3)],
+)
+def test_admissible_key_count_matches_the_enumeration(orders, m_max):
+    geom = of.build_geometry(orders)
+    top = effective_max_order(geom, m_max)
+    listed = sum(len(of.admissible_keys(geom, m)) for m in range(top + 1))
+    assert admissible_key_count(geom, m_max) == listed
+
+
+def test_admissible_key_count_pinned_and_guarded():
+    # Counts only: no run of these sizes is started.
+    counts = {
+        ("3,4,5", 3): 343,
+        ("3,4,5", 6): 1_228,
+        ("3,4,5", 10): 4_610,
+        ("4,4,4", 2): 2_931,
+        ("3,3,3,3", 4): 25_640,
+        ("3,3,3,3", 6): 107_865,
+        ("3,4,5", 40): 2_729_795,
+    }
+    for (orders, m_max), count in counts.items():
+        assert admissible_key_count(of.build_geometry(orders), m_max) == count
+    assert MAX_KEYS == 10**6
+    check_key_count(of.build_geometry("3,3,3,3"), 6)
+    # chi(2,3,4) > 0 caps the order at 24 whatever the bound asked.
+    check_key_count(of.build_geometry("2,3,4"), 10**12)
+    with pytest.raises(ValueError, match=r"3,4,5 has more than 1000000 admissible keys up to order 40"):
+        check_key_count(of.build_geometry("3,4,5"), 40)
+    # The count is taken at doubling orders, so a huge bound stops early:
+    # on 2,3,7 the count first passes at order 256, on 3,3,3 at 16,384.
+    with pytest.raises(ValueError, match=r"\(5161226 up to order 256\)$"):
+        check_key_count(of.build_geometry("2,3,7"), 10**15)
+    with pytest.raises(ValueError, match=r"\(1949815 up to order 16384\)$"):
+        check_key_count(of.build_geometry("3,3,3"), 10**12)
 
 
 def test_get_coefficient_and_euler_guard():
