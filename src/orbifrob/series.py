@@ -197,12 +197,9 @@ MAX_KEYS = 10**6
 
 
 def admissible_key_count(geom: Geometry, m_max: int) -> int:
-    """The number of admissible keys of order <= m_max, without listing them.
-
-    ways[t] counts the alpha of scaled degree t, by the coin-change
-    recurrence over the slots' scaled degrees; order m asks for degree
-    2 scale - m chi_scaled.  m_max is capped as effective_max_order does.
-    """
+    """How many admissible keys lie at orders <= m_max (effective), by a
+    DP over the scaled degrees instead of listing them: ways[t] counts
+    the alpha of degree t, and order m asks for 2 scale - m chi_scaled."""
     m_max = effective_max_order(geom, m_max)
     base, chi = 2 * geom.scale, geom.chi_scaled
     top = base - min(chi, 0) * m_max
@@ -216,9 +213,8 @@ def admissible_key_count(geom: Geometry, m_max: int) -> int:
 
 
 def check_key_count(geom: Geometry, m_max: int) -> None:
-    """ValueError when more than MAX_KEYS admissible keys lie at orders
-    <= m_max.  The count is taken at doubling orders up to m_max, so a
-    huge m_max costs no more than the order where the count passes."""
+    """ValueError above MAX_KEYS admissible keys up to m_max, counted at
+    doubling orders so that a huge m_max stops where the count passes."""
     m = min(m_max, 1)
     while True:
         count = admissible_key_count(geom, m)

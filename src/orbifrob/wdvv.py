@@ -269,7 +269,7 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
     pass over the store (_scan_maps) and cuts each into Euler-line fibers
     (V, S), one list per map sorted by order with the end of each order's
     fibers, so a block of a pair product is the left fibers of one order
-    m1 against the right slice of every order up to m_max - m1.  A product
+    m1 against one right slice, of the orders <= m_max - m1.  A product
     is a dict of fiber key to [V, S], built by one multiply-add per pair
     of fibers, w * V1 * V2, with S1 * S2 ORed alongside; a square product
     (p1 == p2) takes the (sigma, tau) and (tau, sigma) terms of eta once,
