@@ -12,27 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .formats import (
-    diff_potentials,
-    parse_key_query,
-    read_potential,
-    serialize_potential,
-    write_potential,
-    write_trace,
-)
+# Each _cmd_* imports the modules it runs, so that a subcommand loads none
+# it does not need: verify no solver code, show and diff no WDVV code.
 from .rationals import format_rational, parse_natural
-from .reconstruct import InconsistentSeed, ReconstructionError, reconstruct
-from .series import SeedMode, check_key_count
-from .verify import (
-    check_euler,
-    check_limit_product,
-    check_seeds,
-    check_selection,
-    check_separation,
-    check_symmetry,
-    check_vanishing,
-)
-from .wdvv import residual_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,10 +88,21 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .formats import serialize_potential, write_potential, write_trace
+    from .reconstruct import InconsistentSeed, ReconstructionError, reconstruct
+    from .series import SeedMode
+
     mode = SeedMode.from_token(args.mode)
-    pot, trace = reconstruct(
-        args.multiplet, args.max_order, mode, strategy=args.strategy
-    )
+    try:
+        pot, trace = reconstruct(
+            args.multiplet, args.max_order, mode, strategy=args.strategy
+        )
+    except InconsistentSeed as exc:
+        print(f"inconsistent seeds: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except ReconstructionError as exc:  # SolverStuck or NoProgress
+        print(f"solver stuck: {exc}", file=sys.stderr)
+        return EXIT_STUCK
     if args.out:
         write_potential(pot, args.out)
         print(
@@ -125,33 +118,38 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _symmetry_reports(pot) -> list:
+def _symmetry_reports(checks, pot) -> list:
     geom = pot.geometry
     return [
-        check_symmetry(pot, i1, i2)
+        checks.check_symmetry(pot, i1, i2)
         for i1 in range(1, geom.r + 1)
         for i2 in range(i1 + 1, geom.r + 1)
         if geom.order(i1) == geom.order(i2)
     ]
 
 
-# name -> reports of the check, in the default output order.  By default
-# every check runs, "vanishing" only on files of a vanishing seed mode.
-# The wdvv scan is run after all the other checks and printed after their
-# reports.
+# name -> reports of the check, given the verify module and the file, in
+# the default output order.  By default every check runs, "vanishing"
+# only on files of a vanishing seed mode.  The wdvv scan is run after all
+# the other checks and printed after their reports.
 CHECKS = {
-    "euler": lambda pot: [check_euler(pot)],
-    "separation": lambda pot: [check_separation(pot)],
+    "euler": lambda checks, pot: [checks.check_euler(pot)],
+    "separation": lambda checks, pot: [checks.check_separation(pot)],
     "symmetry": _symmetry_reports,
-    "limit": lambda pot: [check_limit_product(pot)],
-    "vanishing": lambda pot: [check_vanishing(pot)],
-    "selection": lambda pot: [check_selection(pot)],
-    "seeds": lambda pot: [check_seeds(pot)],
-    "wdvv": lambda pot: [],
+    "limit": lambda checks, pot: [checks.check_limit_product(pot)],
+    "vanishing": lambda checks, pot: [checks.check_vanishing(pot)],
+    "selection": lambda checks, pot: [checks.check_selection(pot)],
+    "seeds": lambda checks, pot: [checks.check_seeds(pot)],
+    "wdvv": lambda checks, pot: [],
 }
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+    from .formats import read_potential
+    from .series import check_key_count
+    from .wdvv import residual_scan
+
     pot = read_potential(args.potential)
     check_key_count(pot.geometry, pot.max_order)
     if args.checks is not None:
@@ -166,7 +164,7 @@ def _cmd_verify(args) -> int:
         skipped = "vanishing" if pot.seed_mode.degree_one else None
         selected = [name for name in CHECKS if name != skipped]
 
-    reports = [report for name in selected for report in CHECKS[name](pot)]
+    reports = [report for name in selected for report in CHECKS[name](verify, pot)]
     scan = None
     if "wdvv" in selected:
         # Scanned before any report is printed: a scan order the file
@@ -186,6 +184,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_show(args) -> int:
+    from .formats import parse_key_query, read_potential
+
     pot = read_potential(args.potential)
     key = parse_key_query(pot.geometry, args.query)
     if key.m > pot.max_order:
@@ -198,6 +198,8 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from .formats import diff_potentials, read_potential
+
     pot1 = read_potential(args.potential1)
     pot2 = read_potential(args.potential2)
     difference = diff_potentials(pot1, pot2)
@@ -217,12 +219,6 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InconsistentSeed as exc:
-        print(f"inconsistent seeds: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except ReconstructionError as exc:  # SolverStuck or NoProgress
-        print(f"solver stuck: {exc}", file=sys.stderr)
-        return EXIT_STUCK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,6 +1,6 @@
 """Helpers shared by the test modules."""
 
-import sys
+import importlib
 
 import orbifrob as of
 from orbifrob import SeriesKey
@@ -41,7 +41,7 @@ def copy_potential(pot, changes=None, seal=True):
 def _leave_only(monkeypatch, status):
     """No guided candidates, and only the fallback candidates whose probe
     has the given status."""
-    module = sys.modules["orbifrob.reconstruct"]
+    module = importlib.import_module("orbifrob.reconstruct")
     every = module.exhaustive_candidates
 
     def kept(pot, target):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -312,7 +313,7 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("keys listed past the guard")
 
-    monkeypatch.setattr(sys.modules["orbifrob.reconstruct"], "admissible_keys", refuse)
+    monkeypatch.setattr(importlib.import_module("orbifrob.reconstruct"), "admissible_keys", refuse)
     code, out, err = run(capsys, "reconstruct", "-A", "3,4,5", "-m", "40")
     assert (code, out) == (1, "")
     assert err == (
@@ -495,7 +496,9 @@ def test_inconsistent_seeds_exit_3(monkeypatch, capsys):
     def contradiction(*args, **kwargs):
         raise of.InconsistentSeed(geom, quad, xkey, QQ(1, 2))
 
-    monkeypatch.setattr("orbifrob.cli.reconstruct", contradiction)
+    # The CLI imports the solver when reconstruct runs: patch its module.
+    solver = importlib.import_module("orbifrob.reconstruct")
+    monkeypatch.setattr(solver, "reconstruct", contradiction)
     code, out, err = run(capsys, "reconstruct", "-A", "2,2,2", "-m", "1")
     assert code == 3
     assert out == ""
@@ -503,3 +506,39 @@ def test_inconsistent_seeds_exit_3(monkeypatch, capsys):
         "inconsistent seeds: equation ((1,1),(1,1),tmu,tmu) at 1 | m=1 "
         "evaluates to 1/2 != 0\n"
     )
+
+
+# Runs main(argv) in a fresh interpreter (none when argv is empty), then
+# prints its exit code and the orbifrob modules loaded by then.
+_LOADED_BY = (
+    "import sys, orbifrob.cli\n"
+    "argv = sys.argv[1:]\n"
+    "code = orbifrob.cli.main(argv) if argv else 0\n"
+    "print(code, *sorted(name for name in sys.modules if name.startswith('orbifrob.')))\n"
+)
+
+
+def _loaded_by(*argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return int(code), {name.removeprefix("orbifrob.") for name in modules}
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, capsys):
+    pot = tmp_path / "pot.txt"
+    run(capsys, "reconstruct", "-A", "2,3,4", "-m", "2", "-o", str(pot))
+    assert _loaded_by() == (0, {"cli", "rationals"})
+    code, loaded = _loaded_by("verify", str(pot))
+    assert code == 0 and "reconstruct" not in loaded, loaded
+    out = str(tmp_path / "out.txt")
+    code, loaded = _loaded_by("reconstruct", "-A", "2,2,2", "-m", "1", "-o", out)
+    assert code == 0 and "verify" not in loaded, loaded
+    for argv in (("show", str(pot), "(1,1)^1 (2,1)^1 (3,1)^1 m=1"), ("diff", str(pot), str(pot))):
+        code, loaded = _loaded_by(*argv)
+        assert code == 0 and not loaded & {"reconstruct", "verify", "wdvv"}, (argv, loaded)

@@ -1,7 +1,7 @@
+import importlib
 import itertools
 import random
 import re
-import sys
 
 import pytest
 
@@ -295,7 +295,7 @@ def test_packing_round_trips_at_the_widest_fields_237_m12():
 
 
 def test_packing_round_trips_the_widest_fallback_extraction_345(monkeypatch):
-    module = sys.modules["orbifrob.reconstruct"]
+    module = importlib.import_module("orbifrob.reconstruct")
     probe = module.probe_candidate
     xkeys = []
 

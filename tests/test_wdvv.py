@@ -344,8 +344,8 @@ def test_read_side_names_no_solver_code():
 
 
 def test_read_side_imports_no_solver_module():
-    # Follow the package's relative imports from the read side.  The
-    # package __init__ imports every module, so sys.modules cannot tell.
+    # Follow the package's relative imports from the read side: a static
+    # closure, which holds whatever modules a test run has loaded before.
     package = Path(of.__file__).parent
     closure, todo = set(), list(READ_SIDE)
     while todo:
