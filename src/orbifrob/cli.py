@@ -118,10 +118,10 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _symmetry_reports(checks, pot) -> list:
+def _symmetry_reports(verify, pot) -> list:
     geom = pot.geometry
     return [
-        checks.check_symmetry(pot, i1, i2)
+        verify.check_symmetry(pot, i1, i2)
         for i1 in range(1, geom.r + 1)
         for i2 in range(i1 + 1, geom.r + 1)
         if geom.order(i1) == geom.order(i2)
@@ -133,14 +133,14 @@ def _symmetry_reports(checks, pot) -> list:
 # only on files of a vanishing seed mode.  The wdvv scan is run after all
 # the other checks and printed after their reports.
 CHECKS = {
-    "euler": lambda checks, pot: [checks.check_euler(pot)],
-    "separation": lambda checks, pot: [checks.check_separation(pot)],
+    "euler": lambda verify, pot: [verify.check_euler(pot)],
+    "separation": lambda verify, pot: [verify.check_separation(pot)],
     "symmetry": _symmetry_reports,
-    "limit": lambda checks, pot: [checks.check_limit_product(pot)],
-    "vanishing": lambda checks, pot: [checks.check_vanishing(pot)],
-    "selection": lambda checks, pot: [checks.check_selection(pot)],
-    "seeds": lambda checks, pot: [checks.check_seeds(pot)],
-    "wdvv": lambda checks, pot: [],
+    "limit": lambda verify, pot: [verify.check_limit_product(pot)],
+    "vanishing": lambda verify, pot: [verify.check_vanishing(pot)],
+    "selection": lambda verify, pot: [verify.check_selection(pot)],
+    "seeds": lambda verify, pot: [verify.check_seeds(pot)],
+    "wdvv": lambda verify, pot: [],
 }
 
 

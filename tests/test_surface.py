@@ -1,5 +1,6 @@
 """The package surface stays in use: every name defined in src has a caller
-or a stated reason, and README's library quick start runs."""
+or a stated reason, README's library quick start runs, and the package
+namespace gives each public name from the module that defines it."""
 
 import ast
 import json
