@@ -18,6 +18,10 @@ its name.  Every label pairs with exactly one other (UNIT with POINT,
 (i, j) with (i, a_i - j)); methods taking labels raise ValueError, through
 check_label, on a label outside the multiplet.
 
+Four labels name one WDVV equation, a WdvvQuad, spelled by format_quad
+as "(a,b,c,d)"; quad_degree_scaled is its degree gate.  The solver and
+the residual scan both read them from here, so neither imports the other.
+
 The tuple of deformation parameters attached to the r special points is
 deliberately not part of this data: rank, grading, pairing and all
 reconstruction formulas depend on the orders alone, so carrying the points
@@ -36,6 +40,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rationals import QQ, parse_natural
 
@@ -74,6 +79,24 @@ def format_label(label) -> str:
     if label is POINT:
         return "tmu"
     return f"({label.sector},{label.j})"
+
+
+class WdvvQuad(NamedTuple):
+    """The four coordinate labels of one associativity equation."""
+
+    a: object
+    b: object
+    c: object
+    d: object
+
+
+def format_quad(quad: WdvvQuad) -> str:
+    return "(" + ",".join(format_label(lab) for lab in quad) + ")"
+
+
+def quad_degree_scaled(geom: Geometry, quad) -> int:
+    """The scaled weighted degree of every monomial WDVV(quad) can carry."""
+    return 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
 
 
 @dataclass(frozen=True)

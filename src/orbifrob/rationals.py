@@ -5,12 +5,12 @@ enters the core anywhere.  gmpy2's mpq is used when available, with a
 transparent fallback to fractions.Fraction.  The backend matters where QQ
 arithmetic runs: in parsing, and in the probe kernel
 (reconstruct.contract_at), which sums each term as integers per
-denominator and builds one QQ per coefficient when it returns.  The residual scan convolves Python
-integers, scaled per key length from the cleared numerators of the
-store, so it meets QQ only when it reads the store and when it reports
-a residual.  Both types normalise to lowest terms with a positive
-denominator and print as "p/q" (or "p" for integers), which is exactly
-the wire format of the potential files.
+denominator and builds one QQ per coefficient when it returns.  The
+residual scan convolves Python integers, scaled per key length from the
+cleared numerators of the store, so it meets QQ only when it reads the
+store and when it reports a residual.  Both types normalise to lowest
+terms with a positive denominator and print as "p/q" (or "p" for
+integers), which is exactly the wire format of the potential files.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ the target with the formal unknown, blocks on the keys the potential lists
 as unknown or that lie above its max_order, and reads every other key from
 the store (absent means 0).  The kernel extracts the coefficient of a
 single monomial t^beta exp(m tmu) from the left hand side of one
-equation (wdvv.WdvvQuad).  It reads coefficients through a lookup that
+equation (geometry.WdvvQuad).  It reads coefficients through a lookup that
 may answer with the formal unknown TARGET, so the same contraction serves
 the probe (the coefficient is affine in the unknown: intercept plus slope
 times x) and wdvv_coefficient on a complete store.  Keys travel as single
@@ -32,7 +32,8 @@ enumerates the splits of the monomial over the slots it uses for the
 products, forms each looked-up key by integer additions and multiplies
 integers, keeping one numerator sum per denominator until it returns one
 rational per coefficient.  The residual scan (wdvv.residual_scan) shares
-none of this.
+none of this but the degree gate, geometry.quad_degree_scaled, and this
+module imports nothing from wdvv.
 
 Targets are scheduled in the induction
 order of the underlying uniqueness argument (joint order-0/order-1
@@ -54,7 +55,17 @@ from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import Geometry, POINT, Twisted, UNIT, build_geometry, format_label
+from .geometry import (
+    Geometry,
+    POINT,
+    Twisted,
+    UNIT,
+    WdvvQuad,
+    build_geometry,
+    format_label,
+    format_quad,
+    quad_degree_scaled,
+)
 from .rationals import QQ, format_rational
 from .series import (
     KeyLayout,
@@ -79,7 +90,6 @@ from .series import (
     unit_constant,
     wdeg_scaled,
 )
-from .wdvv import WdvvQuad, format_quad
 
 
 class ReconstructionError(Exception):
@@ -129,22 +139,25 @@ class NoProgress(_Stuck):
 # -- seeding ------------------------------------------------------------
 
 
-def _seeded(geom: Geometry, mode: SeedMode, m_max: int, entries) -> Potential:
+def _seeded(geom: Geometry, mode: SeedMode, m_max: int) -> tuple[Potential, list]:
+    """The seeded potential and its seed entries.  The size guard runs
+    first, since seed_entries lists every admissible key of orders 0 and 1."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     check_key_count(geom, m_max)
+    seeds = list(seed_entries(geom, mode))
     pot = Potential(geom, mode)
     pot.max_order = top = effective_max_order(geom, m_max)
     pot.unknown = {SeriesKey(a, m) for m in range(top + 1) for a in admissible_keys(geom, m)}
-    for key, value, _ in entries:
+    for key, value, _ in seeds:
         pot.set_coefficient(key, value)
-    return pot
+    return pot, seeds
 
 
 def seed(geom: Geometry, mode: SeedMode, m_max: int) -> Potential:
     """Fresh unsealed potential knowing exactly the seed coefficients; every
     other admissible key up to the effective maximal order is unknown."""
-    return _seeded(geom, mode, m_max, seed_entries(geom, mode))
+    return _seeded(geom, mode, m_max)[0]
 
 
 # -- schedule -----------------------------------------------------------
@@ -386,7 +399,7 @@ def _quad_plan(layout: KeyLayout, quad: WdvvQuad) -> _QuadPlan:
                 top = two - wdeg_scaled(geom, vec1, 0)
                 row = (*packed_profile(layout, triple1), *packed_profile(layout, triple2))
                 products.append((weight, *row, top))
-    rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
+    rhs = quad_degree_scaled(geom, quad)
     # A zero origin (no row has UNIT on both sides) is the shared int 0.
     return _QuadPlan(rhs, origin or 0, tuple(singles), tuple(products))
 
@@ -817,8 +830,8 @@ def reconstruct(
     if strategy not in ("guided", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     geom = build_geometry(multiplet)
-    trace = ReconstructionTrace(geom, mode, seeds=list(seed_entries(geom, mode)))
-    pot = _seeded(geom, mode, m_max, trace.seeds)
+    pot, seeds = _seeded(geom, mode, m_max)
+    trace = ReconstructionTrace(geom, mode, seeds=seeds)
     pending = build_schedule(pot)
     guided = strategy == "guided"
     use_fallback = not guided

@@ -4,12 +4,14 @@ For a coordinate quadruple (a, b, c, d) the associativity equation is
 
     sum_{s,t} F_abs eta^{st} F_tcd  -  sum_{s,t} F_acs eta^{st} F_tbd = 0
 
-with third derivatives F_xyz of the potential.  This module names the
-equations (WdvvQuad, format_quad), enumerates all degree-admissible
-target monomials of one (admissible_targets) and sweeps every equation of
-a sealed potential (residual_scan).  It is the read side: the solver's
+with third derivatives F_xyz of the potential.  The equations are named
+by geometry.WdvvQuad and spelled by geometry.format_quad, which the
+solver shares; this module enumerates all degree-admissible target
+monomials of one (admissible_targets) and sweeps every equation of a
+sealed potential (residual_scan).  It is the read side: the solver's
 kernel, which extracts one coefficient of one equation, lives in
-reconstruct (contract_at), and nothing here imports it.
+reconstruct (contract_at); nothing here imports it, and it imports
+nothing from here.
 
 The scan is the independent re-check of what the solver wrote, and it
 computes every target of an equation at once in integers.  It packs each
@@ -47,9 +49,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .geometry import POINT, UNIT, Geometry, format_label
+from .geometry import POINT, UNIT, Geometry, WdvvQuad, format_quad, quad_degree_scaled
 from .rationals import QQ
 from .series import (
     KeyLayout,
@@ -67,19 +68,6 @@ from .series import (
 )
 
 
-class WdvvQuad(NamedTuple):
-    """The four coordinate labels of one associativity equation."""
-
-    a: object
-    b: object
-    c: object
-    d: object
-
-
-def format_quad(quad: WdvvQuad) -> str:
-    return "(" + ",".join(format_label(lab) for lab in quad) + ")"
-
-
 def admissible_targets(geom: Geometry, quad: WdvvQuad, m: int) -> list[tuple[int, ...]]:
     """All beta >= 0 that can carry a nonzero coefficient of WDVV(quad).
 
@@ -89,7 +77,7 @@ def admissible_targets(geom: Geometry, quad: WdvvQuad, m: int) -> list[tuple[int
     """
     if m < 0:
         raise ValueError("exponential order m must be >= 0")
-    rhs = 3 * geom.scale - sum(geom.degree_scaled(lab) for lab in quad)
+    rhs = quad_degree_scaled(geom, quad)
     return list(exponents_with_scaled_degree(geom, rhs - m * geom.chi_scaled))
 
 
@@ -426,7 +414,7 @@ def residual_scan(pot: Potential, m_max: int) -> ResidualReport:
             return counts, bad
         # Every key of the equation has this scaled degree, which gives
         # alpha_fa back from the rest of the key.
-        degree = 3 * geom.scale - sum(geom.degree_scaled(labels[k]) for k in quad)
+        degree = quad_degree_scaled(geom, (labels[k] for k in quad))
         for f in lhs.keys() | rhs.keys():
             lv, ls = lhs.get(f, nothing)
             rv, rs = rhs.get(f, nothing)

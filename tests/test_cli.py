@@ -306,20 +306,24 @@ def test_verify_caps_the_scan_at_two_over_chi(tmp_path, capsys):
     assert "m-max=4" in out
 
 def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
-    # 3,4,5 has 2,729,795 admissible keys up to m=40, above
-    # series.MAX_KEYS: reconstruct refuses before seeding and verify
-    # before printing any report.  Listing a key fails the test, so a
-    # missing guard cannot start the run.
+    # 3,4,5 has 2,729,795 admissible keys up to m=40 and 13,14,15 has
+    # 1,114,438 up to m=1, above series.MAX_KEYS: reconstruct refuses
+    # before seeding, whose stream lists every key of orders 0 and 1, and
+    # verify before printing any report.  Listing a key, in the solver or
+    # in the seed stream, fails the test, so a missing guard cannot start
+    # the run.
     def refuse(*args):
         raise AssertionError("keys listed past the guard")
 
-    monkeypatch.setattr(importlib.import_module("orbifrob.reconstruct"), "admissible_keys", refuse)
-    code, out, err = run(capsys, "reconstruct", "-A", "3,4,5", "-m", "40")
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: 3,4,5 has more than 1000000 admissible keys up to order 40"
-        " (2729795 up to order 40)\n"
-    )
+    for module in ("orbifrob.reconstruct", "orbifrob.series"):
+        monkeypatch.setattr(importlib.import_module(module), "admissible_keys", refuse)
+    for multiplet, m_max, count in (("3,4,5", 40, 2729795), ("13,14,15", 1, 1114438)):
+        code, out, err = run(capsys, "reconstruct", "-A", multiplet, "-m", str(m_max))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {multiplet} has more than 1000000 admissible keys up to order {m_max}"
+            f" ({count} up to order {m_max})\n"
+        )
     pot = tmp_path / "pot.txt"
     for multiplet, m_max in (("3,4,5", 40), ("2,3,7", 200000)):
         pot.write_text(
@@ -539,6 +543,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, capsys):
     out = str(tmp_path / "out.txt")
     code, loaded = _loaded_by("reconstruct", "-A", "2,2,2", "-m", "1", "-o", out)
     assert code == 0 and "verify" not in loaded, loaded
+    assert "wdvv" not in loaded, loaded
     for argv in (("show", str(pot), "(1,1)^1 (2,1)^1 (3,1)^1 m=1"), ("diff", str(pot), str(pot))):
         code, loaded = _loaded_by(*argv)
         assert code == 0 and not loaded & {"reconstruct", "verify", "wdvv"}, (argv, loaded)

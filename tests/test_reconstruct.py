@@ -1,6 +1,4 @@
-import functools
 import hashlib
-import importlib
 import itertools
 import math
 import sys
@@ -560,15 +558,13 @@ def test_trace_text_is_auditable(reconstructed):
         assert step.slope != 0
 
 
-def test_reconstruct_is_the_same_under_a_second_rational_type(reconstructed, monkeypatch):
-    # sympy's PythonMPQ has gmpy2's mpq interface with int numerators.
-    # Bound as QQ in every module that imported it by name, with a fresh
-    # geometry cache, the kernel's numerator sums, the solve and the
+def test_reconstruct_is_the_same_under_a_second_rational_type(
+    reconstructed, bind_second_rational_type
+):
+    # Under PythonMPQ, the kernel's numerator sums, the solve and the
     # fallback (2,2,3 without quartics escalates to it) must store and
     # trace PythonMPQ values and write the files the Fraction backend
     # writes, byte for byte.
-    pythonmpq = pytest.importorskip("sympy.external.pythonmpq")
-    mpq = pythonmpq.PythonMPQ
     cases = [
         ("2,3,4", 3, lambda: of.STANDARD, "guided"),
         ("3,4,5", 2, lambda: of.STANDARD, "exhaustive"),
@@ -580,13 +576,7 @@ def test_reconstruct_is_the_same_under_a_second_rational_type(reconstructed, mon
         pot, trace = reconstructed(multiplet, m_max, mode(), strategy)
         expected.append((of.serialize_potential(pot), trace.to_text()))
 
-    original = QQ
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "orbifrob" and getattr(module, "QQ", None) is original:
-            monkeypatch.setattr(module, "QQ", mpq)
-    geometry = importlib.import_module("orbifrob.geometry")
-    monkeypatch.setattr(geometry, "_geometry", functools.cache(geometry.Geometry))
-
+    mpq = bind_second_rational_type()
     for (multiplet, m_max, mode, strategy), (text, trace_text) in zip(cases, expected):
         pot, trace = of.reconstruct(multiplet, m_max, mode(), strategy=strategy)
         assert {type(value) for value in pot.coeffs.values()} == {mpq}

@@ -1,11 +1,9 @@
 import ast
-import functools
 import hashlib
 import importlib
 import inspect
 import itertools
 import random
-import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -360,6 +358,23 @@ def test_read_side_imports_no_solver_module():
     assert not closure & {"reconstruct", "cli"}, closure
 
 
+def test_solver_imports_no_read_side_module():
+    # The same static closure from the solver: it loads the geometry, the
+    # rationals and the store, and none of the scan, the checks or the
+    # file formats.
+    package = Path(of.__file__).parent
+    closure, todo = set(), ["reconstruct"]
+    while todo:
+        name = todo.pop()
+        if name in closure:
+            continue
+        closure.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                todo.append(node.module)
+    assert closure == {"reconstruct", "geometry", "rationals", "series"}
+
+
 def test_residual_scan_requires_sealed_and_complete(reconstructed):
     geom = of.build_geometry("2,2,2")
     pot = of.seed(geom, of.STANDARD, 1)
@@ -426,14 +441,11 @@ def test_residual_report_bytes_pinned(
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_residual_report_is_the_same_under_a_second_rational_type(reconstructed, monkeypatch):
-    # sympy's PythonMPQ has gmpy2's mpq interface with int numerators.
-    # Bound as QQ in every module that imported it by name, with a fresh
-    # geometry cache so that no Fraction built earlier leaks in, the parse
-    # and the scan of a perturbed rescaled file must print the report the
-    # Fraction backend prints, byte for byte.
-    pythonmpq = pytest.importorskip("sympy.external.pythonmpq")
-    mpq = pythonmpq.PythonMPQ
+def test_residual_report_is_the_same_under_a_second_rational_type(
+    reconstructed, bind_second_rational_type
+):
+    # Under PythonMPQ, the parse and the scan of a perturbed rescaled file
+    # must print the report the Fraction backend prints, byte for byte.
     broken = _perturbed(
         reconstructed, "2,3,5", 5, of.rescaled_mode(of.QQ(-2, 3)), {(2, 2): 5, (3, 4): 1}, 4,
         of.QQ(1, 5),
@@ -441,13 +453,7 @@ def test_residual_report_is_the_same_under_a_second_rational_type(reconstructed,
     text = of.serialize_potential(broken)
     expected = of.residual_scan(of.parse_potential(text), 5).to_text()
 
-    original = QQ
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "orbifrob" and getattr(module, "QQ", None) is original:
-            monkeypatch.setattr(module, "QQ", mpq)
-    geometry = importlib.import_module("orbifrob.geometry")
-    monkeypatch.setattr(geometry, "_geometry", functools.cache(geometry.Geometry))
-
+    mpq = bind_second_rational_type()
     pot = of.parse_potential(text)
     assert {type(value) for value in pot.coeffs.values()} == {mpq}
     report = of.residual_scan(pot, 5)
