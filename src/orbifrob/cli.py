@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: reconstruct, verify, show, diff.  Exit codes: 0 ok,
-1 usage/parse error or an order with more than series.MAX_KEYS
-admissible keys (reconstruct -m, verify's max-order header), 2 solver
-stuck or deadlocked, 3 inconsistent seeds, 4 verification failure or
-differing potentials.
+1 usage/parse error or more than geometry.MAX_KEYS admissible keys (up
+to reconstruct -m or verify's max-order header, or of order 0 on one
+sector of any multiplet), 2 solver stuck or deadlocked, 3 inconsistent
+seeds, 4 verification failure or differing potentials.
 """
 
 from __future__ import annotations

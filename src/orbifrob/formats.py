@@ -1,9 +1,10 @@
 """Canonical text formats: potential files, trace files, key queries.
 
-The potential file is line oriented and fully deterministic (records
-sorted by order, length, exponents; rationals in lowest terms; zero
-coefficients omitted), so equal coefficient maps serialize to identical
-bytes and golden files diff cleanly:
+Both files are line oriented and fully deterministic, and spell a
+coefficient as one "key | value" record (format_record).  The potential
+file sorts its records by order, length, exponents (rationals in lowest
+terms; zero coefficients omitted), so equal coefficient maps serialize
+to identical bytes and golden files diff cleanly:
 
     frobenius-potential v1
     multiplet: 2,2,3
@@ -12,6 +13,15 @@ bytes and golden files diff cleanly:
     coefficients: 17
     (1,1)^1 (2,1)^1 (3,1)^1 | m=1 | 1
     ...
+
+The trace lists the pairing's cubic terms, the seeds of seed_entries, each
+solved coefficient with its equation in solving order, and the free ones:
+
+    reconstruction-trace: multiplet=2,2,3 mode=vanishing-no-quartic
+    seed | t1^2 tmu^1 | 1/2 | pairing
+    seed | (3,1)^3 | m=0 | 1/18 | limit-cubic
+    solve | (3,1)^2 | m=2 | 0 | quad=((1,1),(1,1),tmu,tmu) | extract=(3,1)^2 | m=2 | slope=4
+    free | (1,1)^4 | m=0
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .geometry import Geometry, build_geometry
+from .geometry import UNIT, Geometry, build_geometry, format_label, format_quad
 from .rationals import format_rational, parse_natural, parse_rational
 from .series import (
     Potential,
@@ -28,6 +38,7 @@ from .series import (
     alpha_from_pairs,
     format_key,
     key_sort_key,
+    pairing_entries,
     zero_alpha,
 )
 
@@ -64,6 +75,11 @@ def parse_key_query(geom: Geometry, text: str) -> SeriesKey:
     return SeriesKey(alpha, m)
 
 
+def format_record(geom: Geometry, key: SeriesKey, value) -> str:
+    """One coefficient as "exponents | m=order | value"."""
+    return f"{format_key(geom, key)} | {format_rational(value)}"
+
+
 def serialize_potential(pot: Potential) -> str:
     if not pot.sealed:
         raise ValueError("only sealed potentials are serialized")
@@ -76,8 +92,7 @@ def serialize_potential(pot: Potential) -> str:
         f"max-order: {pot.max_order}",
         f"coefficients: {len(records)}",
     ]
-    for key, value in records:
-        lines.append(f"{format_key(geom, key)} | {format_rational(value)}")
+    lines += (format_record(geom, key, value) for key, value in records)
     return "\n".join(lines) + "\n"
 
 
@@ -128,8 +143,26 @@ def read_potential(path) -> Potential:
     return parse_potential(Path(path).read_text(encoding="utf-8"))
 
 
+def serialize_trace(trace) -> str:
+    geom = trace.geometry
+    lines = [f"reconstruction-trace: multiplet={geom.multiplet} mode={trace.mode.token()}"]
+    for sigma, tau, value in pairing_entries(geom):
+        # UNIT pairs with POINT only; t1 t_(i,j)^2 reads t1^1 (i,j)^1 (i,j)^1.
+        head = "t1^2" if sigma is UNIT else f"t1^1 {format_label(sigma)}^1"
+        lines.append(f"seed | {head} {format_label(tau)}^1 | {format_rational(value)} | pairing")
+    for key, value, family in trace.seeds:
+        lines.append(f"seed | {format_record(geom, key, value)} | {family}")
+    for step in trace.steps:
+        lines.append(
+            f"solve | {format_record(geom, step.target, step.value)} | quad={format_quad(step.quad)}"
+            f" | extract={format_key(geom, step.xkey)} | slope={format_rational(step.slope)}"
+        )
+    lines += (f"free | {format_key(geom, key)}" for key in trace.free)
+    return "\n".join(lines) + "\n"
+
+
 def write_trace(trace, path) -> None:
-    Path(path).write_text(trace.to_text(), encoding="utf-8")
+    Path(path).write_text(serialize_trace(trace), encoding="utf-8")
 
 
 def diff_potentials(pot1: Potential, pot2: Potential):

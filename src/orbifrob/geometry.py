@@ -149,6 +149,38 @@ def classify(multiplet: Multiplet) -> MultipletClass:
     return MultipletClass.NON_GENERAL
 
 
+# The most admissible keys a run may hold up to its maximal order:
+# reconstruct and verify refuse a larger order with exit 1, not run away
+# (series.check_key_count), and Geometry refuses a multiplet whose largest
+# sector alone holds more keys of order 0.
+MAX_KEYS = 10**6
+
+
+def _keys_in_parts_up_to_3(a: int) -> int:
+    """round((2a + 3)^2 / 12), the partitions of 2a into parts 1, 2 and 3
+    ((2a + 3)^2 is never 6 mod 12, so nothing rounds half way)."""
+    return ((2 * a + 3) ** 2 + 6) // 12
+
+
+def sector_key_bound(a: int) -> int:
+    """The order-0 keys supported on one sector of order a, counted until
+    the count passes MAX_KEYS.  Slot (i, a - k) has degree k/a, so they
+    are the partitions of 2a into parts 1..a-1: those into parts up to 3
+    in closed form first (an overcount only for a < 4, where it is at most
+    7), then one part size more at a time."""
+    count = _keys_in_parts_up_to_3(a)
+    if count > MAX_KEYS:
+        return count
+    n = 2 * a
+    ways = [1] + [0] * n
+    for part in range(1, a):
+        for t in range(part, n + 1):
+            ways[t] += ways[t - part]
+        if ways[n] > MAX_KEYS:
+            break
+    return ways[n]
+
+
 class Geometry:
     """Rank, Euler number, canonical label order, degrees and the pairing.
 
@@ -158,8 +190,16 @@ class Geometry:
     """
 
     def __init__(self, multiplet: Multiplet):
-        self.multiplet = multiplet
         orders = multiplet.orders
+        # Refused before the tables below list one label per twisted slot:
+        # the largest order has the most order-0 keys on its sector.
+        count = _keys_in_parts_up_to_3(orders[-1])
+        if count > MAX_KEYS:
+            raise ValueError(
+                f"{multiplet} has more than {MAX_KEYS} admissible keys of order 0 "
+                f"(at least {count} on one sector)"
+            )
+        self.multiplet = multiplet
         self.mu = 2 + sum(a - 1 for a in orders)
         self.chi = QQ(2) + sum(QQ(1, a) - 1 for a in orders)
 

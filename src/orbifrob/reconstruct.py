@@ -16,22 +16,9 @@ single monomial t^beta exp(m tmu) from the left hand side of one
 equation (geometry.WdvvQuad).  It reads coefficients through a lookup that
 may answer with the formal unknown TARGET, so the same contraction serves
 the probe (the coefficient is affine in the unknown: intercept plus slope
-times x) and wdvv_coefficient on a complete store.  Keys travel as single
-integers under the run's series.KeyLayout: m in the low bits, then one
-field per twisted slot, wide enough that adding a derivative's shift (at
-most 3 per slot) or one split to another never carries into the next
-field.  The lookup receives such a packed key, and Potential.packed()
-holds the store under the same keys.  Everything about an equation that
-does not depend on the monomial or the store (the degree gate, and the
-(eta pair, side) rows with their packed derivative shifts, signs and eta
-constants as integers) is compiled once per (layout, quad) into a
-memoised plan, built on the quad's first probe: its singles, where one
-side is a UNIT constant and the other one lookup, and its products of two
-series sides.  A call then only checks the degree gate, walks the singles,
-enumerates the splits of the monomial over the slots it uses for the
-products, forms each looked-up key by integer additions and multiplies
-integers, keeping one numerator sum per denominator until it returns one
-rational per coefficient.  The residual scan (wdvv.residual_scan) shares
+times x) and wdvv_coefficient on a complete store.  It reads packed keys
+(series.KeyLayout) through a plan compiled once per (layout, quad), as
+its docstring tells.  The residual scan (wdvv.residual_scan) shares
 none of this but the degree gate, geometry.quad_degree_scaled, and this
 module imports nothing from wdvv.
 
@@ -42,8 +29,9 @@ defers targets whose prerequisites are not known yet, and an exhaustive
 candidate search as fallback for every target.  This worklist is the only
 solver: when a pass with the fallback solves nothing, it raises SolverStuck
 on the targets none of whose candidates was blocked, else NoProgress.
-The trace records every seed and, for every solved equation, the probe
-result that solved it, making the realized order auditable.
+The trace (spelled by formats.serialize_trace) records every seed and,
+for every solved equation, the probe result that solved it, making the
+realized order auditable.
 """
 
 from __future__ import annotations
@@ -62,7 +50,6 @@ from .geometry import (
     UNIT,
     WdvvQuad,
     build_geometry,
-    format_label,
     format_quad,
     quad_degree_scaled,
 )
@@ -83,7 +70,6 @@ from .series import (
     indexed_profile,
     key_sort_key,
     packed_profile,
-    pairing_entries,
     rescaled_mode,
     seed_entries,
     support_sectors,
@@ -777,33 +763,14 @@ def exhaustive_candidates(pot: Potential, target: SeriesKey):
 
 @dataclass
 class ReconstructionTrace:
-    """Audit record: which equation determined which coefficient.  The
-    seeds are the entries of seed_entries, in its order."""
+    """Audit record (formats.serialize_trace spells it): which equation
+    determined which coefficient, and the seeds of seed_entries in order."""
 
     geometry: Geometry
     mode: SeedMode
     seeds: list[tuple[SeriesKey, object, str]] = field(default_factory=list)
     steps: list[ProbeResult] = field(default_factory=list)
     free: list[SeriesKey] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        geom = self.geometry
-        lines = [f"reconstruction-trace: multiplet={geom.multiplet} mode={self.mode.token()}"]
-        for sigma, tau, value in pairing_entries(geom):
-            # UNIT pairs with POINT only; t1 t_(i,j)^2 reads t1^1 (i,j)^1 (i,j)^1.
-            head = "t1^2" if sigma is UNIT else f"t1^1 {format_label(sigma)}^1"
-            lines.append(f"seed | {head} {format_label(tau)}^1 | {format_rational(value)} | pairing")
-        for key, value, family in self.seeds:
-            lines.append(f"seed | {format_key(geom, key)} | {format_rational(value)} | {family}")
-        for step in self.steps:
-            lines.append(
-                f"solve | {format_key(geom, step.target)} | {format_rational(step.value)}"
-                f" | quad={format_quad(step.quad)} | extract={format_key(geom, step.xkey)}"
-                f" | slope={format_rational(step.slope)}"
-            )
-        for key in self.free:
-            lines.append(f"free | {format_key(geom, key)}")
-        return "\n".join(lines) + "\n"
 
 
 def reconstruct(
@@ -824,7 +791,7 @@ def reconstruct(
     dictates; in vanishing-no-quartic mode, underdetermined order-0
     coefficients are reported as free in the trace instead (the quartic
     values are genuinely extra initial data).  Before seeding, raises
-    ValueError when more than series.MAX_KEYS admissible keys lie up to
+    ValueError when more than geometry.MAX_KEYS admissible keys lie up to
     the effective maximal order.
     """
     if strategy not in ("guided", "exhaustive"):

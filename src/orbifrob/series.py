@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from .geometry import POINT, UNIT, Geometry, Twisted, format_label
+from .geometry import MAX_KEYS, POINT, UNIT, Geometry, Twisted, format_label, sector_key_bound
 from .rationals import QQ, format_rational, parse_rational
 
 
@@ -191,11 +191,6 @@ def admissible_keys(geom: Geometry, m: int) -> list[tuple[int, ...]]:
     return list(exponents_with_scaled_degree(geom, target))
 
 
-# The most admissible keys a run may hold up to its maximal order:
-# reconstruct and verify refuse a larger order with exit 1, not run away.
-MAX_KEYS = 10**6
-
-
 def admissible_key_count(geom: Geometry, m_max: int) -> int:
     """How many admissible keys lie at orders <= m_max (effective), by a
     DP over the scaled degrees instead of listing them: ways[t] counts
@@ -213,8 +208,16 @@ def admissible_key_count(geom: Geometry, m_max: int) -> int:
 
 
 def check_key_count(geom: Geometry, m_max: int) -> None:
-    """ValueError above MAX_KEYS admissible keys up to m_max, counted at
-    doubling orders so that a huge m_max stops where the count passes."""
+    """ValueError above MAX_KEYS admissible keys up to m_max.  The largest
+    sector's own order-0 keys come first, a count over 2a instead of the
+    DP's 2 lcm; then the whole count at doubling orders, so that a huge
+    m_max stops where the count passes."""
+    bound = sector_key_bound(geom.orders[-1])
+    if bound > MAX_KEYS:
+        raise ValueError(
+            f"{geom.multiplet} has more than {MAX_KEYS} admissible keys up to "
+            f"order {m_max} (at least {bound} of order 0 on one sector)"
+        )
     m = min(m_max, 1)
     while True:
         count = admissible_key_count(geom, m)

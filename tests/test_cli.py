@@ -10,6 +10,7 @@ import pytest
 import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, WdvvQuad
 from orbifrob.cli import main
+from orbifrob.formats import serialize_trace
 from orbifrob.rationals import QQ
 
 from helpers import leave_only_blocked_candidates, leave_only_useless_candidates
@@ -307,25 +308,38 @@ def test_verify_caps_the_scan_at_two_over_chi(tmp_path, capsys):
 
 def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
     # 3,4,5 has 2,729,795 admissible keys up to m=40 and 13,14,15 has
-    # 1,114,438 up to m=1, above series.MAX_KEYS: reconstruct refuses
-    # before seeding, whose stream lists every key of orders 0 and 1, and
-    # verify before printing any report.  Listing a key, in the solver or
-    # in the seed stream, fails the test, so a missing guard cannot start
-    # the run.
+    # 1,114,438 up to m=1, above MAX_KEYS: reconstruct refuses before
+    # seeding, whose stream lists every key of orders 0 and 1, and verify
+    # before printing any report.  One large order fails on its own sector's
+    # order-0 keys, before the whole count (a DP over 2 lcm of the orders)
+    # or, from order 1731, before the geometry lists its labels, in every
+    # subcommand.  Listing a key, in the solver or in the seed stream,
+    # fails the test, so a missing guard cannot start the run.
     def refuse(*args):
         raise AssertionError("keys listed past the guard")
 
     for module in ("orbifrob.reconstruct", "orbifrob.series"):
         monkeypatch.setattr(importlib.import_module(module), "admissible_keys", refuse)
-    for multiplet, m_max, count in (("3,4,5", 40, 2729795), ("13,14,15", 1, 1114438)):
+    for multiplet, m_max, count in (
+        ("3,4,5", 40, "2729795 up to order 40"),
+        ("13,14,15", 1, "1114438 up to order 1"),
+        ("17,19,1723", 1, "at least 285412031 of order 0 on one sector"),
+    ):
         code, out, err = run(capsys, "reconstruct", "-A", multiplet, "-m", str(m_max))
         assert (code, out) == (1, "")
         assert err == (
             f"error: {multiplet} has more than 1000000 admissible keys up to order {m_max}"
-            f" ({count} up to order {m_max})\n"
+            f" ({count})\n"
+        )
+    for multiplet, count in (("2,3,20000", 133353334), ("2,3,100000000", 3333333433333334)):
+        code, out, err = run(capsys, "reconstruct", "-A", multiplet, "-m", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {multiplet} has more than 1000000 admissible keys of order 0"
+            f" (at least {count} on one sector)\n"
         )
     pot = tmp_path / "pot.txt"
-    for multiplet, m_max in (("3,4,5", 40), ("2,3,7", 200000)):
+    for multiplet, m_max in (("3,4,5", 40), ("2,3,7", 200000), ("2,3,100000000", 1)):
         pot.write_text(
             f"frobenius-potential v1\nmultiplet: {multiplet}\nmode: standard\n"
             f"max-order: {m_max}\ncoefficients: 0\n"
@@ -333,6 +347,23 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, "verify", str(pot))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {multiplet} has more than 1000000 admissible keys")
+    for argv in (("show", str(pot), "(1,1)^1 m=0"), ("diff", str(pot), str(pot))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 2,3,100000000 has more than 1000000 admissible keys")
+
+
+def test_reconstruct_trace_file_is_the_library_trace(tmp_path, capsys):
+    # The escalating no-quartic run: its trace has pairing, seed, solve and
+    # free lines, and the CLI writes formats.serialize_trace of it.
+    path = tmp_path / "trace.txt"
+    argv = ("-A", "2,2,3", "-m", "4", "--mode", "vanishing-no-quartic", "--trace", str(path))
+    assert run(capsys, "reconstruct", *argv)[0] == 0
+    _, trace = of.reconstruct("2,2,3", 4, of.VANISHING_NO_QUARTIC)
+    text = serialize_trace(trace)
+    assert path.read_text() == text
+    heads = {line.split(" | ")[0] for line in text.splitlines()[1:]}
+    assert heads == {"seed", "solve", "free"} and text.count(" | pairing\n") > 0
 
 
 def test_diff(tmp_path, capsys):

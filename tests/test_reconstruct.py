@@ -14,6 +14,7 @@ from orbifrob import (
     UNIT,
     WdvvQuad,
 )
+from orbifrob.formats import serialize_trace
 from orbifrob.rationals import QQ
 from orbifrob.series import key_layout
 from orbifrob.reconstruct import TARGET, contract_at
@@ -93,7 +94,7 @@ def test_pairing_lines_are_f_triv(reconstructed, multiplet):
     index = geom.label_index
     by_name = {of.format_label(lab): lab for lab in geom.labels}
     seen = []
-    for line in trace.to_text().splitlines():
+    for line in serialize_trace(trace).splitlines():
         if not line.endswith(" | pairing"):
             continue
         _, monomial, value, _ = line.split(" | ")
@@ -550,7 +551,7 @@ def test_vanishing_no_quartic_frees_the_quartics(reconstructed):
 
 def test_trace_text_is_auditable(reconstructed):
     pot, trace = reconstructed("2,2,3", 2)
-    text = trace.to_text()
+    text = serialize_trace(trace)
     assert "seed | (1,1)^1 (2,1)^1 (3,1)^1 | m=1 | 1 | degree-one" in text
     assert text.count("solve | ") == len(trace.steps)
     assert "| pairing" in text
@@ -574,7 +575,7 @@ def test_reconstruct_is_the_same_under_a_second_rational_type(
     expected = []
     for multiplet, m_max, mode, strategy in cases:
         pot, trace = reconstructed(multiplet, m_max, mode(), strategy)
-        expected.append((of.serialize_potential(pot), trace.to_text()))
+        expected.append((of.serialize_potential(pot), serialize_trace(trace)))
 
     mpq = bind_second_rational_type()
     for (multiplet, m_max, mode, strategy), (text, trace_text) in zip(cases, expected):
@@ -582,7 +583,7 @@ def test_reconstruct_is_the_same_under_a_second_rational_type(
         assert {type(value) for value in pot.coeffs.values()} == {mpq}
         assert trace.steps and {type(step.value) for step in trace.steps} == {mpq}
         assert of.serialize_potential(pot) == text
-        assert trace.to_text() == trace_text
+        assert serialize_trace(trace) == trace_text
 
 
 # -- pinned traces -------------------------------------------------------------
@@ -617,7 +618,7 @@ def test_trace_digests_pinned(reconstructed, multiplet, m_max, mode, strategy, d
     # a change in candidate order or family shows up here even when the
     # potential itself is unchanged.
     _, trace = reconstructed(multiplet, m_max, mode, strategy)
-    assert hashlib.sha256(trace.to_text().encode()).hexdigest() == digest
+    assert hashlib.sha256(serialize_trace(trace).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

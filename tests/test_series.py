@@ -15,6 +15,8 @@ from orbifrob.series import (
     effective_max_order,
     key_layout,
     multiplicity,
+    sector_key_bound,
+    support_sectors,
     wdeg_scaled,
 )
 
@@ -123,6 +125,33 @@ def test_admissible_key_count_pinned_and_guarded():
         check_key_count(of.build_geometry("2,3,7"), 10**15)
     with pytest.raises(ValueError, match=r"\(1949815 up to order 16384\)$"):
         check_key_count(of.build_geometry("3,3,3"), 10**12)
+
+
+@pytest.mark.parametrize(
+    "orders", ["2,2,2", "2,3,4", "3,3,3", "2,3,7", "3,4,5", "2,2,2,3", "2,2,2,2,2"]
+)
+def test_sector_key_bound_counts_the_largest_sectors_order0_keys(orders):
+    # Below MAX_KEYS the bound is exact: the listed order-0 keys supported
+    # on the sector of the largest order, a part of all the order-0 keys.
+    geom = of.build_geometry(orders)
+    listed = of.admissible_keys(geom, 0)
+    own = sum(1 for alpha in listed if support_sectors(geom, alpha) == {geom.r})
+    assert sector_key_bound(geom.orders[-1]) == own <= admissible_key_count(geom, 0)
+
+
+def test_sector_key_bound_passes_the_limit_on_one_large_order():
+    # 2,3,20000 and 17,19,1723 stalled the whole count, a DP over 2 lcm of
+    # the orders; 2,3,10^8 stalled building its labels.  The bound reads the
+    # closed form for parts up to 3 on 20000 and 10^8, and the partitions
+    # of 3446 into parts up to 4 on 1723, where the closed form is 991,300.
+    assert sector_key_bound(20000) == 133_353_334
+    assert sector_key_bound(1723) == 285_412_031
+    assert sector_key_bound(10**8) > MAX_KEYS
+    # The closed form alone passes MAX_KEYS from order 1731: Geometry
+    # refuses such a multiplet before it lists a label, and builds below.
+    assert of.build_geometry("2,3,1730").n_twisted == 1 + 2 + 1729
+    with pytest.raises(ValueError, match=r"^2,3,1731 has more than 1000000 admissible keys of "):
+        of.build_geometry("2,3,1731")
 
 
 def test_get_coefficient_and_euler_guard():
