@@ -156,29 +156,29 @@ def classify(multiplet: Multiplet) -> MultipletClass:
 MAX_KEYS = 10**6
 
 
-def _keys_in_parts_up_to_3(a: int) -> int:
-    """round((2a + 3)^2 / 12), the partitions of 2a into parts 1, 2 and 3
-    ((2a + 3)^2 is never 6 mod 12, so nothing rounds half way)."""
-    return ((2 * a + 3) ** 2 + 6) // 12
+def partition_counts(parts, top: int, cap: int | None = None) -> list[int]:
+    """ways[t], the partitions of t = 0..top into the given part sizes,
+    added one size at a time; given a cap, it stops once ways[top] passes."""
+    ways = [1] + [0] * top
+    for d in parts:
+        for t in range(d, top + 1):
+            ways[t] += ways[t - d]
+        if cap is not None and ways[top] > cap:
+            break
+    return ways
 
 
 def sector_key_bound(a: int) -> int:
     """The order-0 keys supported on one sector of order a, counted until
     the count passes MAX_KEYS.  Slot (i, a - k) has degree k/a, so they
-    are the partitions of 2a into parts 1..a-1: those into parts up to 3
-    in closed form first (an overcount only for a < 4, where it is at most
-    7), then one part size more at a time."""
-    count = _keys_in_parts_up_to_3(a)
+    are the partitions of 2a into parts 1..a-1.  Those into parts up to 3,
+    round((2a + 3)^2 / 12), pass MAX_KEYS from a = 1731 without a table
+    of 2a entries ((2a + 3)^2 is never 6 mod 12, so nothing rounds half
+    way); below, the table counts them exactly."""
+    count = ((2 * a + 3) ** 2 + 6) // 12
     if count > MAX_KEYS:
         return count
-    n = 2 * a
-    ways = [1] + [0] * n
-    for part in range(1, a):
-        for t in range(part, n + 1):
-            ways[t] += ways[t - part]
-        if ways[n] > MAX_KEYS:
-            break
-    return ways[n]
+    return partition_counts(range(1, a), 2 * a, MAX_KEYS)[-1]
 
 
 class Geometry:
@@ -191,9 +191,9 @@ class Geometry:
 
     def __init__(self, multiplet: Multiplet):
         orders = multiplet.orders
-        # Refused before the tables below list one label per twisted slot:
-        # the largest order has the most order-0 keys on its sector.
-        count = _keys_in_parts_up_to_3(orders[-1])
+        # Refused before the tables below list a label per twisted slot: the
+        # largest order's sector holds the most order-0 keys (too many from 31).
+        count = sector_key_bound(orders[-1])
         if count > MAX_KEYS:
             raise ValueError(
                 f"{multiplet} has more than {MAX_KEYS} admissible keys of order 0 "

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from .geometry import MAX_KEYS, POINT, UNIT, Geometry, Twisted, format_label, sector_key_bound
+from .geometry import MAX_KEYS, POINT, UNIT, Geometry, Twisted, format_label, partition_counts
 from .rationals import QQ, format_rational, parse_rational
 
 
@@ -197,27 +197,16 @@ def admissible_key_count(geom: Geometry, m_max: int) -> int:
     the alpha of degree t, and order m asks for 2 scale - m chi_scaled."""
     m_max = effective_max_order(geom, m_max)
     base, chi = 2 * geom.scale, geom.chi_scaled
-    top = base - min(chi, 0) * m_max
-    ways = [1] + [0] * top
-    for d in geom.deg_scaled:
-        for t in range(d, top + 1):
-            ways[t] += ways[t - d]
+    ways = partition_counts(geom.deg_scaled, base - min(chi, 0) * m_max)
     if chi == 0:
         return (m_max + 1) * ways[base]
     return sum(ways[base - m * chi] for m in range(m_max + 1))
 
 
 def check_key_count(geom: Geometry, m_max: int) -> None:
-    """ValueError above MAX_KEYS admissible keys up to m_max.  The largest
-    sector's own order-0 keys come first, a count over 2a instead of the
-    DP's 2 lcm; then the whole count at doubling orders, so that a huge
-    m_max stops where the count passes."""
-    bound = sector_key_bound(geom.orders[-1])
-    if bound > MAX_KEYS:
-        raise ValueError(
-            f"{geom.multiplet} has more than {MAX_KEYS} admissible keys up to "
-            f"order {m_max} (at least {bound} of order 0 on one sector)"
-        )
+    """ValueError above MAX_KEYS admissible keys up to m_max, counted at
+    doubling orders, so that a huge m_max stops where the count passes.
+    Geometry has already refused one large order by its sector's keys."""
     m = min(m_max, 1)
     while True:
         count = admissible_key_count(geom, m)

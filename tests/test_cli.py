@@ -311,10 +311,9 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
     # 1,114,438 up to m=1, above MAX_KEYS: reconstruct refuses before
     # seeding, whose stream lists every key of orders 0 and 1, and verify
     # before printing any report.  One large order fails on its own sector's
-    # order-0 keys, before the whole count (a DP over 2 lcm of the orders)
-    # or, from order 1731, before the geometry lists its labels, in every
-    # subcommand.  Listing a key, in the solver or in the seed stream,
-    # fails the test, so a missing guard cannot start the run.
+    # order-0 keys from order 31 on, before the geometry lists its labels,
+    # in every subcommand.  Listing a key, in the solver or in the seed
+    # stream, fails the test, so a missing guard cannot start the run.
     def refuse(*args):
         raise AssertionError("keys listed past the guard")
 
@@ -323,7 +322,6 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
     for multiplet, m_max, count in (
         ("3,4,5", 40, "2729795 up to order 40"),
         ("13,14,15", 1, "1114438 up to order 1"),
-        ("17,19,1723", 1, "at least 285412031 of order 0 on one sector"),
     ):
         code, out, err = run(capsys, "reconstruct", "-A", multiplet, "-m", str(m_max))
         assert (code, out) == (1, "")
@@ -331,7 +329,12 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
             f"error: {multiplet} has more than 1000000 admissible keys up to order {m_max}"
             f" ({count})\n"
         )
-    for multiplet, count in (("2,3,20000", 133353334), ("2,3,100000000", 3333333433333334)):
+    for multiplet, count in (
+        ("2,3,31", 1044986),
+        ("17,19,1723", 285412031),
+        ("2,3,20000", 133353334),
+        ("2,3,100000000", 3333333433333334),
+    ):
         code, out, err = run(capsys, "reconstruct", "-A", multiplet, "-m", "1")
         assert (code, out) == (1, "")
         assert err == (
@@ -339,18 +342,20 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
             f" (at least {count} on one sector)\n"
         )
     pot = tmp_path / "pot.txt"
-    for multiplet, m_max in (("3,4,5", 40), ("2,3,7", 200000), ("2,3,100000000", 1)):
+    for multiplet, m_max in (
+        ("3,4,5", 40), ("2,3,7", 200000), ("2,3,31", 1), ("2,3,100000000", 1)
+    ):
         pot.write_text(
             f"frobenius-potential v1\nmultiplet: {multiplet}\nmode: standard\n"
             f"max-order: {m_max}\ncoefficients: 0\n"
         )
-        code, out, err = run(capsys, "verify", str(pot))
-        assert (code, out) == (1, "")
-        assert err.startswith(f"error: {multiplet} has more than 1000000 admissible keys")
-    for argv in (("show", str(pot), "(1,1)^1 m=0"), ("diff", str(pot), str(pot))):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: 2,3,100000000 has more than 1000000 admissible keys")
+        argvs = [("verify", str(pot))]
+        if multiplet in ("2,3,31", "2,3,100000000"):  # no geometry for show or diff
+            argvs += [("show", str(pot), "(1,1)^1 m=0"), ("diff", str(pot), str(pot))]
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {multiplet} has more than 1000000 admissible keys")
 
 
 def test_reconstruct_trace_file_is_the_library_trace(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, UNIT
+from orbifrob.geometry import sector_key_bound
 from orbifrob.rationals import QQ
 from orbifrob.series import (
     MAX_KEYS,
@@ -15,7 +16,6 @@ from orbifrob.series import (
     effective_max_order,
     key_layout,
     multiplicity,
-    sector_key_bound,
     support_sectors,
     wdeg_scaled,
 )
@@ -147,11 +147,13 @@ def test_sector_key_bound_passes_the_limit_on_one_large_order():
     assert sector_key_bound(20000) == 133_353_334
     assert sector_key_bound(1723) == 285_412_031
     assert sector_key_bound(10**8) > MAX_KEYS
-    # The closed form alone passes MAX_KEYS from order 1731: Geometry
-    # refuses such a multiplet before it lists a label, and builds below.
-    assert of.build_geometry("2,3,1730").n_twisted == 1 + 2 + 1729
-    with pytest.raises(ValueError, match=r"^2,3,1731 has more than 1000000 admissible keys of "):
-        of.build_geometry("2,3,1731")
+    # The bound passes MAX_KEYS from order 31 (937,838 keys at 30):
+    # Geometry refuses such a multiplet before it lists a label, and
+    # builds below.
+    assert of.build_geometry("2,3,30").n_twisted == 1 + 2 + 29
+    refusal = r"^2,3,31 has more than 1000000 admissible keys of order 0 \(at least 1044986 "
+    with pytest.raises(ValueError, match=refusal + r"on one sector\)$"):
+        of.build_geometry("2,3,31")
 
 
 def test_get_coefficient_and_euler_guard():
