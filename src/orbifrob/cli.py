@@ -2,9 +2,10 @@
 
 Subcommands: reconstruct, verify, show, diff.  Exit codes: 0 ok,
 1 usage/parse error or more than geometry.MAX_KEYS admissible keys (up
-to reconstruct -m or verify's max-order header, or of order 0 on one
-sector of any multiplet), 2 solver stuck or deadlocked, 3 inconsistent
-seeds, 4 verification failure or differing potentials.
+to reconstruct -m or verify's max-order header, or, in any subcommand,
+of order 0 on the sector of a multiplet's largest order, from order 31
+on), 2 solver stuck or deadlocked, 3 inconsistent seeds, 4 verification
+failure or differing potentials.
 """
 
 from __future__ import annotations

@@ -203,11 +203,37 @@ def admissible_key_count(geom: Geometry, m_max: int) -> int:
     return sum(ways[base - m * chi] for m in range(m_max + 1))
 
 
+def selection_key_count(geom: Geometry, m: int) -> int:
+    """How many admissible keys of order m obey the selection rule
+    (sum_j j alpha_{i,j} = m mod a_i in every sector i), counted without
+    the lcm of the orders: at most the keys of order m, and all of them
+    when the orders are pairwise coprime.  Such a key gives sector i the
+    degree n_i - m/a_i for a whole n_i >= 0, the n_i sum to 2 + m (r - 2),
+    and sector i then holds the partitions of n_i a_i - m into parts
+    1..a_i-1; spread[n] counts the keys of the sectors so far whose n_i
+    sum to n."""
+    total = 2 + m * (geom.r - 2)
+    spread = [1] + [0] * total
+    for a in geom.orders:
+        ways = partition_counts(range(1, a), total * a)
+        own = [ways[n * a - m] if n * a >= m else 0 for n in range(total + 1)]
+        spread = [sum(spread[k] * own[n - k] for k in range(n + 1)) for n in range(total + 1)]
+    return spread[total]
+
+
 def check_key_count(geom: Geometry, m_max: int) -> None:
-    """ValueError above MAX_KEYS admissible keys up to m_max, counted at
-    doubling orders, so that a huge m_max stops where the count passes.
-    Geometry has already refused one large order by its sector's keys."""
+    """ValueError above MAX_KEYS admissible keys up to m_max.  The keys
+    of orders up to 1 that obey the selection rule come first, a count
+    over tables of at most r a_i entries (Geometry refuses an order above
+    30) instead of the DP's 2 lcm; then the whole count at doubling
+    orders, so that a huge m_max stops where the count passes."""
     m = min(m_max, 1)
+    bound = sum(selection_key_count(geom, k) for k in range(m + 1))
+    if bound > MAX_KEYS:
+        raise ValueError(
+            f"{geom.multiplet} has more than {MAX_KEYS} admissible keys up to "
+            f"order {m_max} (at least {bound} up to order {m})"
+        )
     while True:
         count = admissible_key_count(geom, m)
         if count > MAX_KEYS:

@@ -319,16 +319,30 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
 
     for module in ("orbifrob.reconstruct", "orbifrob.series"):
         monkeypatch.setattr(importlib.import_module(module), "admissible_keys", refuse)
-    for multiplet, m_max, count in (
-        ("3,4,5", 40, "2729795 up to order 40"),
-        ("13,14,15", 1, "1114438 up to order 1"),
-    ):
-        code, out, err = run(capsys, "reconstruct", "-A", multiplet, "-m", str(m_max))
-        assert (code, out) == (1, "")
-        assert err == (
-            f"error: {multiplet} has more than 1000000 admissible keys up to order {m_max}"
-            f" ({count})\n"
-        )
+    code, out, err = run(capsys, "reconstruct", "-A", "3,4,5", "-m", "40")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 3,4,5 has more than 1000000 admissible keys up to order 40"
+        " (2729795 up to order 40)\n"
+    )
+    # The keys of orders 0 and 1 that obey the selection rule, counted
+    # without the lcm of the orders, refuse 13,14,15 and the orders with a
+    # huge lcm before the whole count, a DP over 2 lcm, which took 7-9 s
+    # on the next two and ran past 40 s on the last.  It must not run.
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("orbifrob.series"), "admissible_key_count", refuse)
+        for multiplet, count in (
+            ("13,14,15", 1114438),
+            ("23,25,27,29", 14293422163590),
+            ("2,3,5,7,11,13,17", 82251925),
+            ("2,3,5,7,11,13,17,19", 31638068599),
+        ):
+            code, out, err = run(capsys, "reconstruct", "-A", multiplet, "-m", "1")
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: {multiplet} has more than 1000000 admissible keys up to order 1"
+                f" (at least {count} up to order 1)\n"
+            )
     for multiplet, count in (
         ("2,3,31", 1044986),
         ("17,19,1723", 285412031),

@@ -16,6 +16,7 @@ from orbifrob.series import (
     effective_max_order,
     key_layout,
     multiplicity,
+    selection_key_count,
     support_sectors,
     wdeg_scaled,
 )
@@ -125,6 +126,33 @@ def test_admissible_key_count_pinned_and_guarded():
         check_key_count(of.build_geometry("2,3,7"), 10**15)
     with pytest.raises(ValueError, match=r"\(1949815 up to order 16384\)$"):
         check_key_count(of.build_geometry("3,3,3"), 10**12)
+
+
+@pytest.mark.parametrize(
+    "orders, coprime",
+    [
+        ("2,3,7", True), ("3,4,5", True), ("5,7,9", True), ("2,3,5,7", True),
+        ("2,2,2", False), ("2,3,4", False), ("3,3,3", False), ("4,4,4", False),
+        ("2,2,2,3", False), ("2,2,2,2,2", False), ("3,3,3,3", False), ("4,6,9", False),
+        ("2,9,10", False),
+    ],
+)
+def test_selection_key_count_bounds_the_keys_of_each_order(orders, coprime):
+    # The keys that obey the selection rule are some of the admissible
+    # keys, and on pairwise coprime orders all of them.
+    geom = of.build_geometry(orders)
+    for m in range(3):
+        listed = of.admissible_keys(geom, m)
+        obeying = sum(
+            all(
+                sum(j * alpha[geom.slot[Twisted(i, j)]] for j in range(1, a)) % a == m % a
+                for i, a in enumerate(geom.orders, start=1)
+            )
+            for alpha in listed
+        )
+        assert selection_key_count(geom, m) == obeying <= len(listed)
+        if coprime:
+            assert obeying == len(listed)
 
 
 @pytest.mark.parametrize(
