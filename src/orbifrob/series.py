@@ -210,23 +210,28 @@ def selection_key_count(geom: Geometry, m: int) -> int:
     when the orders are pairwise coprime.  Such a key gives sector i the
     degree n_i - m/a_i for a whole n_i >= 0, the n_i sum to 2 + m (r - 2),
     and sector i then holds the partitions of n_i a_i - m into parts
-    1..a_i-1; spread[n] counts the keys of the sectors so far whose n_i
-    sum to n."""
-    total = 2 + m * (geom.r - 2)
-    spread = [1] + [0] * total
-    for a in geom.orders:
-        ways = partition_counts(range(1, a), total * a)
-        own = [ways[n * a - m] if n * a >= m else 0 for n in range(total + 1)]
-        spread = [sum(spread[k] * own[n - k] for k in range(n + 1)) for n in range(total + 1)]
-    return spread[total]
+    1..a_i-1.  As n_i >= ceil(m/a_i), only the spare sum past those least
+    values is spread over the sectors (2 at m = 0, none at m = 1), so the
+    cost is linear in r there: spread[k] counts the keys of the sectors
+    so far whose n_i pass their least values by k in all."""
+    least = [-(-m // a) for a in geom.orders]
+    spare = 2 + m * (geom.r - 2) - sum(least)
+    if spare < 0:
+        return 0
+    spread = [1] + [0] * spare
+    for a, n in zip(geom.orders, least):
+        ways = partition_counts(range(1, a), (n + spare) * a - m)
+        own = ways[n * a - m :: a]
+        spread = [sum(spread[j] * own[k - j] for j in range(k + 1)) for k in range(spare + 1)]
+    return spread[spare]
 
 
 def check_key_count(geom: Geometry, m_max: int) -> None:
     """ValueError above MAX_KEYS admissible keys up to m_max.  The keys
     of orders up to 1 that obey the selection rule come first, a count
-    over tables of at most r a_i entries (Geometry refuses an order above
-    30) instead of the DP's 2 lcm; then the whole count at doubling
-    orders, so that a huge m_max stops where the count passes."""
+    over tables of at most 2 a_i entries per sector (Geometry refuses an
+    order above 30) instead of the DP's 2 lcm; then the whole count at
+    doubling orders, so that a huge m_max stops where the count passes."""
     m = min(m_max, 1)
     bound = sum(selection_key_count(geom, k) for k in range(m + 1))
     if bound > MAX_KEYS:

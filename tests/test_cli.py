@@ -343,6 +343,20 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
                 f"error: {multiplet} has more than 1000000 admissible keys up to order 1"
                 f" (at least {count} up to order 1)\n"
             )
+    # Many small sectors: the count's cost grows with r only linearly.
+    # 3000 twos have 4,501,501 keys of orders 0 and 1 that obey the rule,
+    # refused without the DP; 300 twos only 45,151, so the DP over
+    # 2 lcm = 4 refuses them, with its own count.
+    twos = ",".join(["2"] * 3000)
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("orbifrob.series"), "admissible_key_count", refuse)
+        code, out, err = run(capsys, "reconstruct", "-A", twos, "-m", "1")
+    assert (code, out) == (1, "")
+    assert err.endswith(" up to order 1 (at least 4501501 up to order 1)\n")
+    code, out, err = run(capsys, "reconstruct", "-A", twos[:599], "-m", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {twos[:599]} has more than 1000000 admissible keys")
+    assert "at least" not in err
     for multiplet, count in (
         ("2,3,31", 1044986),
         ("17,19,1723", 285412031),

@@ -7,7 +7,7 @@ import pytest
 
 import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, UNIT
-from orbifrob.geometry import sector_key_bound
+from orbifrob.geometry import partition_counts, sector_key_bound
 from orbifrob.rationals import QQ
 from orbifrob.series import (
     MAX_KEYS,
@@ -153,6 +153,25 @@ def test_selection_key_count_bounds_the_keys_of_each_order(orders, coprime):
         assert selection_key_count(geom, m) == obeying <= len(listed)
         if coprime:
             assert obeying == len(listed)
+
+
+def test_selection_key_count_is_linear_in_the_sectors(monkeypatch):
+    # 1000 twos: the order-0 keys that obey the selection rule are the
+    # x_i^2 x_k^2 and x_i^4, and order 1 only has x_1 ... x_1000.  Each
+    # sector's table stops at 2 a_i (the spare sum, 2 at m = 0 and none at
+    # m = 1), where a table up to the whole sum 2 + m (r - 2) would make
+    # the count cubic in r.
+    series = importlib.import_module("orbifrob.series")
+    tops = []
+
+    def counted(parts, top, cap=None):
+        tops.append(top)
+        return partition_counts(parts, top, cap)
+
+    monkeypatch.setattr(series, "partition_counts", counted)
+    geom = of.build_geometry(",".join(["2"] * 1000))
+    assert [selection_key_count(geom, m) for m in (0, 1)] == [1000 * 999 // 2 + 1000, 1]
+    assert len(tops) == 2000 and max(tops) <= 4
 
 
 @pytest.mark.parametrize(
