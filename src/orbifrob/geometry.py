@@ -156,10 +156,13 @@ def classify(multiplet: Multiplet) -> MultipletClass:
 MAX_KEYS = 10**6
 
 
-def partition_counts(parts, top: int, cap: int | None = None) -> list[int]:
+def partition_counts(parts, top: int, cap: int | None = None, ways=None) -> list[int]:
     """ways[t], the partitions of t = 0..top into the given part sizes,
-    added one size at a time; given a cap, it stops once ways[top] passes."""
-    ways = [1] + [0] * top
+    added one size at a time; given a cap, it stops once ways[top] passes.
+    Given a table ways of top + 1 entries, the parts are added to it in
+    place instead of to that of the empty partition."""
+    if ways is None:
+        ways = [1] + [0] * top
     for d in parts:
         for t in range(d, top + 1):
             ways[t] += ways[t - d]

@@ -42,7 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .geometry import MAX_KEYS, POINT, UNIT, Geometry, Twisted, format_label, partition_counts
@@ -143,39 +143,47 @@ def effective_max_order(geom: Geometry, m_max: int) -> int:
     return m_max
 
 
-def exponents_with_scaled_degree(geom: Geometry, target: int) -> tuple[tuple[int, ...], ...]:
-    """All alpha >= 0 with sum alpha_s * deg_scaled[s] == target.
+def exponents_with_scaled_degree(
+    geom: Geometry, target: int, bound: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """All alpha >= 0 with sum alpha_s * deg_scaled[s] == target, and of
+    length sum alpha_s <= bound when a bound is given.
 
     Enumerated afresh on every call (a reconstruct asks for only a few
     degrees, mostly once each) and returned in the canonical order,
-    alpha_sort_key.
+    alpha_sort_key.  A slot is left only for a remainder that the gcd of
+    the later slots' degrees divides, so the walk enters no branch that
+    the degrees cannot complete.
     """
     if target < 0:
         return ()
 
     degs = geom.deg_scaled
     n = geom.n_twisted
+
+    # gcds[s], the gcd of the degrees of slots s and later (0 past the last).
+    gcds = list(itertools.accumulate(reversed(degs), math.gcd, initial=0))[::-1]
     out: list[tuple[int, ...]] = []
     vec = [0] * n
 
-    def walk(slot: int, remaining: int):
+    def walk(slot: int, remaining: int, budget: int):
+        d = degs[slot]
         if slot == n - 1:
-            q, r = divmod(remaining, degs[slot])
-            if r == 0:
-                vec[slot] = q
+            if remaining // d <= budget:
+                vec[slot] = remaining // d
                 out.append(tuple(vec))
                 vec[slot] = 0
             return
-        d = degs[slot]
-        for k in range(remaining // d + 1):
-            vec[slot] = k
-            walk(slot + 1, remaining - k * d)
+        g = gcds[slot + 1]
+        for k in range(min(remaining // d, budget) + 1):
+            rest = remaining - k * d
+            if not rest % g:
+                vec[slot] = k
+                walk(slot + 1, rest, budget - k)
         vec[slot] = 0
 
-    if n:
-        walk(0, target)
-    elif target == 0:
-        out.append(())
+    if not target % gcds[0]:
+        walk(0, target, target if bound is None else bound)
     return tuple(sorted(out, key=alpha_sort_key))
 
 
@@ -191,47 +199,93 @@ def admissible_keys(geom: Geometry, m: int) -> list[tuple[int, ...]]:
     return list(exponents_with_scaled_degree(geom, target))
 
 
-def admissible_key_count(geom: Geometry, m_max: int) -> int:
-    """How many admissible keys lie at orders <= m_max (effective), by a
-    DP over the scaled degrees instead of listing them: ways[t] counts
-    the alpha of degree t, and order m asks for 2 scale - m chi_scaled."""
+def admissible_key_count(geom: Geometry, m_max: int, m_min: int = 0) -> int:
+    """How many admissible keys lie at orders m_min..m_max (m_max effective),
+    counted by _key_count under the moduli c_i, the largest divisors of the
+    a_i coprime to every other order.  Every admissible key obeys them: the
+    (k_i + m)/a_i sum to a whole number, so the primes of c_i, found in no
+    other order, divide k_i + m.  So no table is as long as the lcm of the
+    orders, and the spread's unit L is 1 on pairwise coprime orders.  At
+    chi = 0 every order holds the keys of order 0."""
     m_max = effective_max_order(geom, m_max)
-    base, chi = 2 * geom.scale, geom.chi_scaled
-    ways = partition_counts(geom.deg_scaled, base - min(chi, 0) * m_max)
-    if chi == 0:
-        return (m_max + 1) * ways[base]
-    return sum(ways[base - m * chi] for m in range(m_max + 1))
+    orders = geom.orders
+    moduli = []
+    for i, c in enumerate(orders):
+        rest = math.lcm(*orders[:i], *orders[i + 1 :])
+        while (g := math.gcd(c, rest)) > 1:
+            c //= g
+        moduli.append(c)
+    ms = range(m_min, m_max + 1)
+    if geom.chi_scaled == 0:
+        return len(ms) * _key_count(geom, [0], moduli)
+    return _key_count(geom, ms, moduli)
 
 
 def selection_key_count(geom: Geometry, m: int) -> int:
     """How many admissible keys of order m obey the selection rule
-    (sum_j j alpha_{i,j} = m mod a_i in every sector i), counted without
-    the lcm of the orders: at most the keys of order m, and all of them
-    when the orders are pairwise coprime.  Such a key gives sector i the
-    degree n_i - m/a_i for a whole n_i >= 0, the n_i sum to 2 + m (r - 2),
-    and sector i then holds the partitions of n_i a_i - m into parts
-    1..a_i-1.  As n_i >= ceil(m/a_i), only the spare sum past those least
-    values is spread over the sectors (2 at m = 0, none at m = 1), so the
-    cost is linear in r there: spread[k] counts the keys of the sectors
-    so far whose n_i pass their least values by k in all."""
-    least = [-(-m // a) for a in geom.orders]
-    spare = 2 + m * (geom.r - 2) - sum(least)
-    if spare < 0:
-        return 0
-    spread = [1] + [0] * spare
-    for a, n in zip(geom.orders, least):
-        ways = partition_counts(range(1, a), (n + spare) * a - m)
-        own = ways[n * a - m :: a]
-        spread = [sum(spread[j] * own[k - j] for j in range(k + 1)) for k in range(spare + 1)]
-    return spread[spare]
+    (sum_j j alpha_{i,j} = m mod a_i in every sector i): _key_count under
+    the orders as moduli, as k_i = -sum_j j alpha_{i,j} mod a_i.  At most
+    the keys of order m, and all of them when the orders are pairwise
+    coprime."""
+    return _key_count(geom, [m], geom.orders)
+
+
+def _key_count(geom: Geometry, ms, moduli) -> int:
+    """How many admissible keys of the orders m in ms have c_i | k_i + m in
+    every sector i, where sector i has the degree k_i / a_i, so
+    k_i = sum_j (a_i - j) alpha_{i,j}, and the c_i are the moduli, each a
+    divisor of its order.
+
+    Write k_i + m = c_i w_i and s_i = a_i / c_i.  The Euler constraint
+    says that the w_i / s_i sum to 2 + m (r - 2), and sector i then holds
+    the partitions of c_i w_i - m into parts 1..a_i-1, read off one table
+    per sector for all the orders.  As w_i >= ceil(m / c_i), only the spare
+    sum past those least values is spread over the sectors, in units of
+    1/L with L = lcm(s_i): spread[k] counts the keys of the sectors so far
+    whose w_i / s_i pass their least values by k/L in all.  A sector with
+    c_i = 1 adds its parts as coins of L/s_i units; any other convolves its
+    partitions, sampled every c_i.  Under the orders as moduli L = 1, and
+    the spare sum is 2 at m = 0 and none at m = 1, so the cost is linear
+    in r there."""
+    orders = geom.orders
+    shared = [a // c for a, c in zip(orders, moduli)]
+    unit = math.lcm(*shared)
+    steps = [unit // s for s in shared]
+    spares = []  # (m, the least w_i, the spare sum) of each order with keys
+    for m in ms:
+        least = [-(-m // c) for c in moduli]
+        spare = unit * (2 + m * (len(orders) - 2)) - sum(map(mul, steps, least))
+        if spare >= 0:
+            spares.append((m, least, spare))
+    tables = [
+        partition_counts(
+            range(1, a),
+            max(((ws[i] + spare // step) * c - m for m, ws, spare in spares), default=0),
+        )
+        if c > 1
+        else None
+        for i, (a, c, step) in enumerate(zip(orders, moduli, steps))
+    ]
+    count = 0
+    for m, least, spare in spares:
+        spread = [1] + [0] * spare
+        for a, c, step, w, ways in zip(orders, moduli, steps, least, tables):
+            if ways is None:
+                spread = partition_counts(range(step, a * step, step), spare, ways=spread)
+            else:
+                own = ways[w * c - m :: c]
+                spread = [sum(map(mul, spread[k::-step], own)) for k in range(spare + 1)]
+        count += spread[spare]
+    return count
 
 
 def check_key_count(geom: Geometry, m_max: int) -> None:
     """ValueError above MAX_KEYS admissible keys up to m_max.  The keys
-    of orders up to 1 that obey the selection rule come first, a count
-    over tables of at most 2 a_i entries per sector (Geometry refuses an
-    order above 30) instead of the DP's 2 lcm; then the whole count at
-    doubling orders, so that a huge m_max stops where the count passes."""
+    of orders up to 1 that obey the selection rule come first, a lower
+    bound over tables of at most 2 a_i + 1 entries per sector (Geometry
+    refuses an order above 30); then the whole count at doubling orders,
+    each step adding the orders past the last, so that a huge m_max stops
+    where the count passes."""
     m = min(m_max, 1)
     bound = sum(selection_key_count(geom, k) for k in range(m + 1))
     if bound > MAX_KEYS:
@@ -239,8 +293,9 @@ def check_key_count(geom: Geometry, m_max: int) -> None:
             f"{geom.multiplet} has more than {MAX_KEYS} admissible keys up to "
             f"order {m_max} (at least {bound} up to order {m})"
         )
+    count = low = 0
     while True:
-        count = admissible_key_count(geom, m)
+        count += admissible_key_count(geom, m, low)
         if count > MAX_KEYS:
             raise ValueError(
                 f"{geom.multiplet} has more than {MAX_KEYS} admissible keys up to "
@@ -248,7 +303,7 @@ def check_key_count(geom: Geometry, m_max: int) -> None:
             )
         if m >= m_max:
             return
-        m = min(2 * m, m_max)
+        low, m = m + 1, min(2 * m, m_max)
 
 
 # -- derivative multiplicities ------------------------------------------
@@ -469,8 +524,8 @@ def seed_entries(geom: Geometry, mode: SeedMode):
     # Degree-one stratum of length <= r: the product key, then the rest.
     product = alpha_from_pairs(geom, [((i, 1), 1) for i in range(1, geom.r + 1)])
     yield SeriesKey(product, 1), _value(mode.degree_one, product), "degree-one"
-    for alpha in admissible_keys(geom, 1):
-        if sum(alpha) <= geom.r and alpha != product:
+    for alpha in exponents_with_scaled_degree(geom, 2 * geom.scale - geom.chi_scaled, geom.r):
+        if alpha != product:
             yield SeriesKey(alpha, 1), QQ(0), "degree-one-support"
 
     if mode.quartic:

@@ -11,6 +11,7 @@ import orbifrob as of
 from orbifrob import POINT, SeriesKey, Twisted, WdvvQuad
 from orbifrob.cli import main
 from orbifrob.formats import serialize_trace
+from orbifrob.geometry import partition_counts
 from orbifrob.rationals import QQ
 
 from helpers import leave_only_blocked_candidates, leave_only_useless_candidates
@@ -384,6 +385,59 @@ def test_runaway_sizes_exit_1_before_any_work(tmp_path, capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {multiplet} has more than 1000000 admissible keys")
+
+
+def test_orders_with_a_huge_lcm_are_counted_on_short_tables(tmp_path, capsys, monkeypatch):
+    # 2,3,5,...,19 has 331,699 keys of order 0 and 2,2,3,5,...,19 has
+    # 333,627, within MAX_KEYS, so the guard counts them whole.  A count
+    # over the degrees scaled by the lcm (9,699,690) held 19,399,381
+    # entries and ran past 10 s; the count by the coprime parts of the
+    # orders reads no table longer than 2 * 19 + 1.
+    series = importlib.import_module("orbifrob.series")
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        ways = partition_counts(*args, **kwargs)
+        sizes.append(len(ways))
+        return ways
+
+    monkeypatch.setattr(series, "partition_counts", recorded)
+    pot = tmp_path / "pot.txt"
+    for multiplet, count in (("2,3,5,7,11,13,17,19", 331699), ("2,2,3,5,7,11,13,17,19", 333627)):
+        assert series.admissible_key_count(of.build_geometry(multiplet), 0) == count
+        pot.write_text(
+            f"frobenius-potential v1\nmultiplet: {multiplet}\nmode: standard\n"
+            "max-order: 0\ncoefficients: 0\n"
+        )
+        assert run(capsys, "verify", str(pot), "--checks", "euler") == (0, "CHECK euler: PASS\n", "")
+    assert sizes and max(sizes) <= 2 * 19 + 1
+
+
+def test_seeds_check_lists_no_order1_key_past_the_length_bound(tmp_path, capsys, monkeypatch):
+    # 13,14,15 has 1,049,895 keys of order 1, of which the seeds need only
+    # those of length <= 3 (degree-one-support; here the product key
+    # alone): a walk bounded by length lists them, so the seeds check of a
+    # max-order 0 file lists no key of order 1.  The file holds the limit
+    # cubics alone, and every other seed of order 0 is a zero.
+    series = importlib.import_module("orbifrob.series")
+    listed = series.admissible_keys
+
+    def order0_only(geom, m):
+        assert m != 1, "keys of order 1 listed"
+        return listed(geom, m)
+
+    monkeypatch.setattr(series, "admissible_keys", order0_only)
+    geom = of.build_geometry("13,14,15")
+    seeds = list(of.seed_entries(geom, of.STANDARD))
+    assert [family for key, _, family in seeds if key.m == 1] == ["degree-one"]
+    pot = of.Potential(geom)
+    for key, value, family in seeds:
+        if family == "limit-cubic":
+            pot.set_coefficient(key, value)
+    pot.seal(0)
+    path = tmp_path / "pot.txt"
+    of.write_potential(pot, path)
+    assert run(capsys, "verify", str(path), "--checks", "seeds") == (0, "CHECK seeds: PASS\n", "")
 
 
 def test_reconstruct_trace_file_is_the_library_trace(tmp_path, capsys):

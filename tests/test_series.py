@@ -14,6 +14,7 @@ from orbifrob.series import (
     admissible_key_count,
     check_key_count,
     effective_max_order,
+    exponents_with_scaled_degree,
     key_layout,
     multiplicity,
     selection_key_count,
@@ -101,6 +102,29 @@ def test_admissible_key_count_matches_the_enumeration(orders, m_max):
     assert admissible_key_count(geom, m_max) == listed
 
 
+@pytest.mark.parametrize(
+    "orders, m_max",
+    [("2,4,8", 4), ("4,4,6", 4), ("2,6,10", 3), ("2,2,4,6", 3), ("6,6,10", 1)],
+)
+def test_admissible_key_count_of_orders_sharing_primes_matches_the_enumeration(orders, m_max):
+    # Shared primes leave some c_i below a_i, so the spread's unit L
+    # exceeds 1 and sectors with c_i = 1 enter as coins: order by order,
+    # the count is the listing's length.
+    geom = of.build_geometry(orders)
+    for m in range(m_max + 1):
+        assert admissible_key_count(geom, m, m) == len(of.admissible_keys(geom, m))
+
+
+@pytest.mark.parametrize("orders", ["6,10,15", "4,6,10,15", "12,18,20", "2,4,8,16"])
+def test_admissible_key_count_of_orders_sharing_primes_matches_the_scaled_degree_count(orders):
+    # Too many keys to list: the coin-change count over the degrees scaled
+    # by the lcm of the orders, which the count replaced, is the reference.
+    geom = of.build_geometry(orders)
+    ways = partition_counts(geom.deg_scaled, 2 * geom.scale - 4 * geom.chi_scaled)
+    for m in range(5):
+        assert admissible_key_count(geom, m, m) == ways[2 * geom.scale - m * geom.chi_scaled]
+
+
 def test_admissible_key_count_pinned_and_guarded():
     # Counts only: no run of these sizes is started.
     counts = {
@@ -172,6 +196,17 @@ def test_selection_key_count_is_linear_in_the_sectors(monkeypatch):
     geom = of.build_geometry(",".join(["2"] * 1000))
     assert [selection_key_count(geom, m) for m in (0, 1)] == [1000 * 999 // 2 + 1000, 1]
     assert len(tops) == 2000 and max(tops) <= 4
+
+
+@pytest.mark.parametrize("orders", ["2,2,2", "2,3,7", "3,4,5", "2,4,8", "2,2,2,3", "3,3,3,3"])
+def test_length_bounded_listing_is_the_filtered_listing(orders):
+    # The degree-one-support seeds list the order-1 keys of length <= r
+    # by a bounded walk, in the order of the whole listing.
+    geom = of.build_geometry(orders)
+    target = 2 * geom.scale - geom.chi_scaled
+    for bound in range(geom.r + 2):
+        listed = [alpha for alpha in of.admissible_keys(geom, 1) if sum(alpha) <= bound]
+        assert list(exponents_with_scaled_degree(geom, target, bound)) == listed
 
 
 @pytest.mark.parametrize(
