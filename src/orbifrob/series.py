@@ -257,15 +257,10 @@ def _key_count(geom: Geometry, ms, moduli) -> int:
         spare = unit * (2 + m * (len(orders) - 2)) - sum(map(mul, steps, least))
         if spare >= 0:
             spares.append((m, least, spare))
-    tables = [
-        partition_counts(
-            range(1, a),
-            max(((ws[i] + spare // step) * c - m for m, ws, spare in spares), default=0),
-        )
-        if c > 1
-        else None
-        for i, (a, c, step) in enumerate(zip(orders, moduli, steps))
-    ]
+    tables = []  # sector i's partitions, as far as any order reads them
+    for i, (a, c, step) in enumerate(zip(orders, moduli, steps)):
+        top = max(((ws[i] + spare // step) * c - m for m, ws, spare in spares), default=0)
+        tables.append(partition_counts(range(1, a), top) if c > 1 else None)
     count = 0
     for m, least, spare in spares:
         spread = [1] + [0] * spare
